@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import trainer
 from .config import TrainingConfig, load_config, parse_overrides
 from .data import export_dataset, generate, import_dataset

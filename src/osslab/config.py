@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .data import AugmentConfig, DatasetSpec
 from .decide import DecisionRule, RuleKind
 from .losses import LossWeights
 from .optim import Schedule
-from .subspace import ScoreKind
 
 
 @dataclass
@@ -49,7 +48,6 @@ class TrainingConfig:
     lambda_means: float = 0.999
     lambda_beta: float = 0.999
     ema_momentum: float = 0.999
-    score_kind: str = "subspace"
     decision_rule: str = "sampled_mask"
     otsu_bins: int = 128
     otsu_momentum: float = 0.999
@@ -65,6 +63,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.K, self.B, self.mu, self.eval_every) < 1:
+            raise ValueError("K, B, mu and eval_every must be >= 1")
         if not (0 <= self.K_p <= self.K):
             raise ValueError("need 0 <= K_p <= K")
         # construct eagerly so invalid configs fail before any work
@@ -72,7 +72,6 @@ class TrainingConfig:
         self.schedule()
         self.loss_weights()
         self.resolved_pi()
-        ScoreKind(self.score_kind)
         RuleKind(self.decision_rule)
 
     def dataset_spec(self) -> DatasetSpec:

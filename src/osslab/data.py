@@ -8,7 +8,7 @@ are small/large jitter (strong adds coordinate dropout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,24 +48,19 @@ class DatasetSpec:
             raise ValueError("cluster_spread and cluster_separation must be positive")
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    label: int  # class index for ID, OOD_LABEL otherwise
-    is_id: bool
-
-    def __post_init__(self):
-        if self.is_id != (self.label >= 0):
-            raise ValueError("is_id must match label validity")
-
-
 @dataclass
 class OpenSetDataset:
-    spec: DatasetSpec | None
-    labeled: list[Sample]
-    unlabeled: list[Sample]  # labels retained for evaluation only
-    test_id: list[Sample]
-    test_ood: list[Sample]
+    """One ``(X, y)`` array pair per split; ``y`` is the class index of an ID
+    row and ``OOD_LABEL`` for an OOD row. The unlabeled split keeps its
+    labels for evaluation only."""
+
+    labeled: tuple[np.ndarray, np.ndarray]
+    unlabeled: tuple[np.ndarray, np.ndarray]
+    test_id: tuple[np.ndarray, np.ndarray]
+    test_ood: tuple[np.ndarray, np.ndarray]
+
+
+SPLITS = tuple(OpenSetDataset.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -114,41 +109,34 @@ def generate(spec: DatasetSpec) -> OpenSetDataset:
     id_centers = centers[: spec.num_id_classes]
     ood_centers = centers[spec.num_id_classes:]
 
-    def draw(center: np.ndarray, n: int) -> np.ndarray:
-        return center + rng.normal(0.0, spec.cluster_spread, size=(n, spec.input_dim))
+    def draw(cluster_centers: np.ndarray, counts) -> np.ndarray:
+        # clusters in order, one (n, input_dim) normal draw each
+        return np.concatenate([
+            c + rng.normal(0.0, spec.cluster_spread, size=(int(n), spec.input_dim))
+            for c, n in zip(cluster_centers, counts)])
 
-    labeled: list[Sample] = []
-    unlabeled: list[Sample] = []
-    for c in range(spec.num_id_classes):
-        xs = draw(id_centers[c], spec.samples_per_class)
-        for i, x in enumerate(xs):
-            if i < spec.labeled_per_class:
-                labeled.append(Sample(x=x, label=c, is_id=True))
-            unlabeled.append(Sample(x=x, label=c, is_id=True))
+    def ood_counts(n: int) -> np.ndarray:
+        per_cluster = np.full(spec.num_ood_clusters, n // spec.num_ood_clusters)
+        per_cluster[: n % spec.num_ood_clusters] += 1
+        return per_cluster
 
-    n_unl_id = len(unlabeled)
+    id_counts = np.full(spec.num_id_classes, spec.samples_per_class)
+    y_id = np.repeat(np.arange(spec.num_id_classes), spec.samples_per_class)
+    X_train = draw(id_centers, id_counts)
+    is_labeled = np.arange(y_id.size) % spec.samples_per_class < spec.labeled_per_class
+
     f = spec.ood_fraction
-    n_ood = int(round(n_unl_id * f / (1.0 - f)))
-    per_cluster = np.full(spec.num_ood_clusters, n_ood // spec.num_ood_clusters)
-    per_cluster[: n_ood % spec.num_ood_clusters] += 1
-    for j in range(spec.num_ood_clusters):
-        for x in draw(ood_centers[j], int(per_cluster[j])):
-            unlabeled.append(Sample(x=x, label=OOD_LABEL, is_id=False))
+    n_ood = int(round(y_id.size * f / (1.0 - f)))
+    X_ood = draw(ood_centers, ood_counts(n_ood))
+    X_test = draw(id_centers, id_counts)
+    X_test_ood = draw(ood_centers, ood_counts(y_id.size))
 
-    test_id: list[Sample] = []
-    for c in range(spec.num_id_classes):
-        for x in draw(id_centers[c], spec.samples_per_class):
-            test_id.append(Sample(x=x, label=c, is_id=True))
-    n_test_ood = len(test_id)
-    per_cluster = np.full(spec.num_ood_clusters, n_test_ood // spec.num_ood_clusters)
-    per_cluster[: n_test_ood % spec.num_ood_clusters] += 1
-    test_ood: list[Sample] = []
-    for j in range(spec.num_ood_clusters):
-        for x in draw(ood_centers[j], int(per_cluster[j])):
-            test_ood.append(Sample(x=x, label=OOD_LABEL, is_id=False))
-
-    return OpenSetDataset(spec=spec, labeled=labeled, unlabeled=unlabeled,
-                          test_id=test_id, test_ood=test_ood)
+    return OpenSetDataset(
+        labeled=(X_train[is_labeled], y_id[is_labeled]),
+        unlabeled=(np.concatenate([X_train, X_ood]),
+                   np.concatenate([y_id, np.full(n_ood, OOD_LABEL)])),
+        test_id=(X_test, y_id.copy()),
+        test_ood=(X_test_ood, np.full(y_id.size, OOD_LABEL)))
 
 
 def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:
@@ -166,10 +154,6 @@ def strong_augment(x: np.ndarray, rng: np.random.Generator, sigma: float,
         keep = rng.random(size=x.shape) >= p_drop
         out = out * keep
     return out
-
-
-def _as_matrix(samples: list[Sample]) -> np.ndarray:
-    return np.asarray([s.x for s in samples])
 
 
 @dataclass
@@ -192,14 +176,12 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
     permutation so every sample appears exactly once per epoch (across
     epochs samples repeat). Deterministic given ``seed``.
     """
-    if not dataset.labeled or not dataset.unlabeled:
+    Xl, yl = dataset.labeled
+    Xu, _ = dataset.unlabeled
+    if len(Xl) == 0 or len(Xu) == 0:
         raise ValueError("empty dataset")
-    if B > len(dataset.labeled) or mu * B > len(dataset.unlabeled):
+    if B > len(Xl) or mu * B > len(Xu):
         raise ValueError("batch size exceeds pool size")
-
-    Xl = _as_matrix(dataset.labeled)
-    yl = np.asarray([s.label for s in dataset.labeled])
-    Xu = _as_matrix(dataset.unlabeled)
 
     order_rng = stream(seed, "batch")
     aug_rng = stream(seed, "augment")
@@ -208,8 +190,8 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
         while True:
             yield from order_rng.permutation(n)
 
-    lab_idx = index_stream(len(dataset.labeled))
-    unl_idx = index_stream(len(dataset.unlabeled))
+    lab_idx = index_stream(len(Xl))
+    unl_idx = index_stream(len(Xu))
 
     while True:
         li = np.fromiter(lab_idx, dtype=int, count=B)
@@ -229,29 +211,26 @@ def export_dataset(dataset: OpenSetDataset, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# osslab dataset v1\n")
         fh.write("# columns: split label is_id x0 x1 ...\n")
-        for split, samples in (("labeled", dataset.labeled),
-                               ("unlabeled", dataset.unlabeled),
-                               ("test_id", dataset.test_id),
-                               ("test_ood", dataset.test_ood)):
-            for s in samples:
-                coords = " ".join(repr(float(v)) for v in s.x)
-                fh.write(f"{split} {s.label} {int(s.is_id)} {coords}\n")
+        for split in SPLITS:
+            X, y = getattr(dataset, split)
+            fh.writelines(f"{split} {label} {int(label >= 0)} {' '.join(map(repr, row))}\n"
+                          for label, row in zip(y.tolist(), X.tolist()))
 
 
-def import_dataset(path: str, spec: DatasetSpec | None = None) -> OpenSetDataset:
-    splits: dict[str, list[Sample]] = {"labeled": [], "unlabeled": [],
-                                       "test_id": [], "test_ood": []}
+def import_dataset(path: str) -> OpenSetDataset:
+    """Read an ``export_dataset`` file; a row whose is_id flag contradicts
+    its label, or whose split tag is unknown, is a ``ValueError``."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            split, label, is_id = parts[0], int(parts[1]), bool(int(parts[2]))
-            x = np.asarray([float(v) for v in parts[3:]])
-            if split not in splits:
-                raise ValueError(f"unknown split tag {split!r}")
-            splits[split].append(Sample(x=x, label=label, is_id=is_id))
-    return OpenSetDataset(spec=spec, labeled=splits["labeled"],
-                          unlabeled=splits["unlabeled"],
-                          test_id=splits["test_id"], test_ood=splits["test_ood"])
+        rows = [ln.split() for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+    table = np.array(rows)  # ragged rows raise ValueError
+    if table.ndim != 2 or table.shape[1] < 4:
+        raise ValueError(f"{path}: expected rows of 'split label is_id x0 ...'")
+    tags, y, is_id = table[:, 0], table[:, 1].astype(int), table[:, 2].astype(int)
+    unknown = sorted(set(tags.tolist()) - set(SPLITS))
+    if unknown:
+        raise ValueError(f"unknown split tag {unknown[0]!r}")
+    if np.any((is_id != 0) != (y >= 0)):
+        raise ValueError("is_id must match label validity")
+    X = table[:, 3:].astype(float)
+    return OpenSetDataset(**{split: (X[tags == split], y[tags == split])
+                             for split in SPLITS})

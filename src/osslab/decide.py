@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +32,18 @@ class DecisionRule:
 
 
 @dataclass
-class MaskBatch:
-    m_id: np.ndarray      # (muB,) bool
-    p_id: np.ndarray      # (muB,) posteriors that produced the mask
-
-    @property
-    def m_ood(self) -> np.ndarray:
-        return ~self.m_id
-
-
-@dataclass
 class Decision:
     """What the losses consume, regardless of the rule that produced it."""
 
     sub_weights: np.ndarray    # factor on s(z) per sample in the subspace loss
     semi_gate: np.ndarray      # factor on each pseudo-label term, in [0, 1]
-    p_id: np.ndarray
-    mask: MaskBatch | None     # None for the direct-weight rule
+    p_id: np.ndarray           # posteriors the rule was given
+    m_id: np.ndarray | None    # (muB,) bool ID mask; None for the direct-weight rule
     threshold: float | None = None  # Otsu rule only
 
     @property
     def id_rate(self) -> float:
-        if self.mask is not None:
-            return float(self.mask.m_id.mean())
-        return float(self.p_id.mean())
+        return float((self.p_id if self.m_id is None else self.m_id).mean())
 
     def hash(self) -> str:
         h = hashlib.sha256()
@@ -64,14 +52,14 @@ class Decision:
         return h.hexdigest()[:16]
 
 
-def sample_mask(p_id: np.ndarray, rng: np.random.Generator) -> MaskBatch:
+def sample_mask(p_id: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli ID mask: m_id[i] = 1 with probability p_id[i]."""
     p_id = np.asarray(p_id, dtype=float)
     if np.any(p_id < 0) or np.any(p_id > 1):
         raise ValueError("posteriors must lie in [0, 1]")
     x = rng.random(size=p_id.shape)
     # strict > makes p=0 -> never and p=1 -> always exact for x in [0, 1)
-    return MaskBatch(m_id=p_id > x, p_id=p_id)
+    return p_id > x
 
 
 def otsu_threshold(scores: np.ndarray, num_bins: int = 128) -> float:
@@ -118,19 +106,18 @@ def decide(rule: DecisionRule, scores: np.ndarray, posteriors: np.ndarray,
     """
     posteriors = np.asarray(posteriors, dtype=float)
     if rule.kind is RuleKind.SAMPLED_MASK:
-        mask = sample_mask(posteriors, rng)
-        m = mask.m_id.astype(float)
+        m_id = sample_mask(posteriors, rng)
+        m = m_id.astype(float)
         return Decision(sub_weights=1.0 - 2.0 * m, semi_gate=m,
-                        p_id=posteriors, mask=mask)
+                        p_id=posteriors, m_id=m_id)
     if rule.kind is RuleKind.OTSU_THRESHOLD:
         t = otsu_threshold(scores, rule.num_bins)
         rule.ema_threshold = rule.momentum * rule.ema_threshold + (1.0 - rule.momentum) * t
         m_id = np.asarray(scores) >= rule.ema_threshold
         m = m_id.astype(float)
         return Decision(sub_weights=1.0 - 2.0 * m, semi_gate=m,
-                        p_id=posteriors, mask=MaskBatch(m_id=m_id, p_id=posteriors),
-                        threshold=rule.ema_threshold)
+                        p_id=posteriors, m_id=m_id, threshold=rule.ema_threshold)
     if rule.kind is RuleKind.DIRECT_WEIGHT:
         return Decision(sub_weights=1.0 - 2.0 * posteriors, semi_gate=posteriors,
-                        p_id=posteriors, mask=None)
+                        p_id=posteriors, m_id=None)
     raise ValueError(f"unknown rule {rule.kind!r}")

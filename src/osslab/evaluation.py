@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -11,16 +11,6 @@ from .betamix import BetaMixtureModel, beta_pdf, clamp_scores
 from .subspace import ScoreKind
 
 SNAPSHOT_BINS = 64
-
-
-@dataclass
-class EvalReport:
-    closed_set_accuracy: float
-    auroc: float
-    score_kind: ScoreKind
-    num_id: int
-    num_ood: int
-    step: int
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -80,24 +70,3 @@ def beta_density_grid(model: BetaMixtureModel, num_points: int = 256) -> np.ndar
     s = clamp_scores(np.linspace(0.0, 1.0, num_points))
     return np.column_stack([s, beta_pdf(model.id, s), beta_pdf(model.ood, s)])
 
-
-def export_scores(path: str, id_scores: np.ndarray, ood_scores: np.ndarray) -> None:
-    """Per-sample (score, is_id) rows in the columnar text format."""
-    with open(path, "w") as fh:
-        fh.write("# osslab scores v1\n# columns: score is_id\n")
-        for s in id_scores:
-            fh.write(f"{float(s)!r} 1\n")
-        for s in ood_scores:
-            fh.write(f"{float(s)!r} 0\n")
-
-
-def import_scores(path: str) -> tuple[np.ndarray, np.ndarray]:
-    ids, oods = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            v, flag = line.split()
-            (ids if flag == "1" else oods).append(float(v))
-    return np.asarray(ids), np.asarray(oods)

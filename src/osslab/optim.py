@@ -7,7 +7,7 @@ handled as flat vectors; the model structure is reattached by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

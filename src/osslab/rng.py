@@ -16,7 +16,6 @@ _STREAMS = {
     "batch": 2,
     "augment": 3,
     "mask": 4,
-    "eval": 5,
 }
 
 

@@ -9,7 +9,7 @@ Baseline and alternative scores used by the ablations live here too.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class ClassMeanTable:
         return cls(means=np.zeros((num_classes, feature_dim)),
                    initialized=np.zeros(num_classes, dtype=bool),
                    momentum=momentum)
-
-    def copy(self) -> "ClassMeanTable":
-        return ClassMeanTable(self.means.copy(), self.initialized.copy(), self.momentum)
 
 
 @dataclass(frozen=True)

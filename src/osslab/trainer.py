@@ -19,7 +19,7 @@ import numpy as np
 
 from . import betamix, decide, losses, nn, optim, subspace
 from .config import TrainingConfig
-from .data import AugmentConfig, OpenSetDataset, batches, generate
+from .data import OpenSetDataset, batches, generate
 from .evaluation import ScoreSnapshot, accuracy, auroc, beta_density_grid, score_snapshot
 from .rng import stream
 from .serialize import Checkpoint, save_checkpoint
@@ -94,7 +94,6 @@ class TrainResult:
     checkpoint: Checkpoint
     runlog: RunLog
     summary: dict
-    dataset: OpenSetDataset
 
 
 def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
@@ -106,9 +105,8 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     All kinds are evaluated on the same parameters, so the closed-set
     accuracy is shared across rows.
     """
-    Xi = np.asarray([s.x for s in dataset.test_id])
-    yi = np.asarray([s.label for s in dataset.test_id])
-    Xo = np.asarray([s.x for s in dataset.test_ood])
+    Xi, yi = dataset.test_id
+    Xo, _ = dataset.test_ood
     tr_id = nn.forward(params, Xi)
     tr_ood = nn.forward(params, Xo)
     acc = accuracy(tr_id.probs, yi)
@@ -128,14 +126,23 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     return rows, snap
 
 
-def train(config: TrainingConfig, run_dir: str | None = None,
-          dataset: OpenSetDataset | None = None) -> TrainResult:
+def _snapshot(step: int, params: nn.MlpParams, opt_state: optim.OptimizerState,
+              table: subspace.ClassMeanTable, beta_model: betamix.BetaMixtureModel,
+              ) -> Checkpoint:
+    """The training state as a checkpoint; shares the live arrays, so save it
+    before the run moves on."""
+    return Checkpoint(step=step, params=params,
+                      ema_params=params.from_vector(opt_state.ema_params),
+                      velocity=opt_state.velocity, means=table, beta_model=beta_model)
+
+
+def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
     """Run the full two-phase training loop; see the module docstring."""
     spec = config.dataset_spec()
     schedule = config.schedule()
     weights = config.loss_weights()
     pi = config.resolved_pi()
-    dataset = dataset or generate(spec)
+    dataset = generate(spec)
 
     init_rng = stream(config.seed, "init")
     params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
@@ -153,7 +160,6 @@ def train(config: TrainingConfig, run_dir: str | None = None,
 
     runlog = RunLog()
     basis = None
-    last_good: Checkpoint | None = None
     for k in range(config.K):
         warmup = k < config.K_p
         batch = next(batch_iter)
@@ -161,59 +167,64 @@ def train(config: TrainingConfig, run_dir: str | None = None,
             trace_l = nn.forward(params, batch.labeled_weak)
             trace_w = nn.forward(params, batch.unlabeled_weak)
             trace_s = nn.forward(params, batch.unlabeled_strong)
+
+            bootstrapped = False
+            if basis is None:
+                # step 0: no basis exists yet; initialize from this batch
+                subspace.update_class_means(table, trace_l.z, batch.labels)
+                basis = subspace.compute_basis(table)
+                bootstrapped = True
+
+            scores_u = subspace.subspace_scores(trace_w.z, basis)
+            scores_l = subspace.subspace_scores(trace_l.z, basis)
+            s_u = betamix.clamp_scores(scores_u)
+            s_l = betamix.clamp_scores(scores_l)
+            p_reg = np.asarray(betamix.posterior_id(beta_model, s_u, regularized=True))
+            decision = decide.decide(rule, scores_u, p_reg, mask_rng)
+
+            grads = params.zeros_like()
+            sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
+            nn.backward(params, trace_l, grads, d_logits=d_logits_l)
+
+            self_val = 0.0
+            d_z_strong = None
+            if weights.w_self > 0.0:
+                h_out = nn.h_forward(params, trace_s.z)
+                self_val, d_hout, _ = losses.loss_self(h_out, trace_w.z)
+                d_z_strong = nn.h_backward(params, trace_s.z, weights.w_self * d_hout, grads)
+
+            semi_val = 0.0
+            sub_val = 0.0
+            pseudo_count = 0
+            d_logits_s = None
+            if not warmup and weights.w_semi > 0.0:
+                semi_val, d_ls, pseudo_count = losses.loss_semi(
+                    trace_w.probs, trace_s.log_probs, decision.semi_gate, weights.tau)
+                d_logits_s = weights.w_semi * d_ls
+            if d_z_strong is not None or d_logits_s is not None:
+                nn.backward(params, trace_s, grads, d_z=d_z_strong, d_logits=d_logits_s)
+            if not warmup and weights.w_sub > 0.0:
+                sub_val, d_zw = losses.loss_sub(trace_w.z, basis, decision.sub_weights)
+                nn.backward(params, trace_w, grads, d_z=weights.w_sub * d_zw)
+
+            theta = params.to_vector()
+            reg_val, d_reg = losses.loss_reg(theta)
+            grad_vec = grads.to_vector() + weights.w_reg * d_reg
+            breakdown = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val,
+                                          weights, pseudo_count, warmup=warmup)
+
+            step_lr = optim.lr(schedule, k)
+            theta = optim.sgd_step(theta, grad_vec, opt_state, step_lr)
         except nn.NumericalError:
+            # Nothing above changes params, velocity or the mixture before it
+            # raises, and the means change only at the step-0 bootstrap, so for
+            # k >= 1 the live state is exactly the end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
-            if run_dir and last_good is not None:
-                save_checkpoint(last_good, os.path.join(run_dir, "checkpoint.txt"))
+            if run_dir and k > 0:
+                os.makedirs(run_dir, exist_ok=True)
+                save_checkpoint(_snapshot(k, params, opt_state, table, beta_model),
+                                os.path.join(run_dir, "checkpoint.txt"))
             raise
-
-        bootstrapped = False
-        if basis is None:
-            # step 0: no basis exists yet; initialize from this batch
-            subspace.update_class_means(table, trace_l.z, batch.labels)
-            basis = subspace.compute_basis(table)
-            bootstrapped = True
-
-        scores_u = subspace.subspace_scores(trace_w.z, basis)
-        scores_l = subspace.subspace_scores(trace_l.z, basis)
-        s_u = betamix.clamp_scores(scores_u)
-        s_l = betamix.clamp_scores(scores_l)
-        p_reg = np.asarray(betamix.posterior_id(beta_model, s_u, regularized=True))
-        decision = decide.decide(rule, scores_u, p_reg, mask_rng)
-
-        grads = params.zeros_like()
-        sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
-        nn.backward(params, trace_l, grads, d_logits=d_logits_l)
-
-        self_val = 0.0
-        d_z_strong = None
-        if weights.w_self > 0.0:
-            h_out = nn.h_forward(params, trace_s.z)
-            self_val, d_hout, _ = losses.loss_self(h_out, trace_w.z)
-            d_z_strong = nn.h_backward(params, trace_s.z, weights.w_self * d_hout, grads)
-
-        semi_val = 0.0
-        sub_val = 0.0
-        pseudo_count = 0
-        d_logits_s = None
-        if not warmup and weights.w_semi > 0.0:
-            semi_val, d_ls, pseudo_count = losses.loss_semi(
-                trace_w.probs, trace_s.log_probs, decision.semi_gate, weights.tau)
-            d_logits_s = weights.w_semi * d_ls
-        if d_z_strong is not None or d_logits_s is not None:
-            nn.backward(params, trace_s, grads, d_z=d_z_strong, d_logits=d_logits_s)
-        if not warmup and weights.w_sub > 0.0:
-            sub_val, d_zw = losses.loss_sub(trace_w.z, basis, decision.sub_weights)
-            nn.backward(params, trace_w, grads, d_z=weights.w_sub * d_zw)
-
-        theta = params.to_vector()
-        reg_val, d_reg = losses.loss_reg(theta)
-        grad_vec = grads.to_vector() + weights.w_reg * d_reg
-        breakdown = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val,
-                                      weights, pseudo_count, warmup=warmup)
-
-        step_lr = optim.lr(schedule, k)
-        theta = optim.sgd_step(theta, grad_vec, opt_state, step_lr)
         params = params.from_vector(theta)
 
         if not bootstrapped:
@@ -239,11 +250,6 @@ def train(config: TrainingConfig, run_dir: str | None = None,
             runlog.evals.extend(rows)
             runlog.snapshots.append(snap)
 
-        last_good = Checkpoint(step=k + 1, params=params,
-                               ema_params=params.from_vector(opt_state.ema_params),
-                               velocity=opt_state.velocity, means=table,
-                               beta_model=beta_model)
-
     final_evals = {r.score_kind: r for r in runlog.evals if r.step == config.K}
     summary = {
         "config_hash": config.config_hash(),
@@ -256,8 +262,9 @@ def train(config: TrainingConfig, run_dir: str | None = None,
                  "alpha_ood": beta_model.ood.alpha, "beta_ood": beta_model.ood.beta,
                  "pi": beta_model.pi},
     }
-    result = TrainResult(config=config, checkpoint=last_good, runlog=runlog,
-                         summary=summary, dataset=dataset)
+    result = TrainResult(config=config,
+                         checkpoint=_snapshot(config.K, params, opt_state, table, beta_model),
+                         runlog=runlog, summary=summary)
     if run_dir:
         write_run_outputs(result, run_dir)
     return result
@@ -318,7 +325,9 @@ def ablate(base: TrainingConfig) -> dict:
         res = train(cfg)
         out["decision_rules"].append({"decision_rule": rule.value, **res.summary})
 
-    warm_cfg = base.replace(K=base.K_p, eval_every=max(base.K_p, 1))
+    if base.K_p == 0:
+        return out  # no warm-up, so no end-of-warm-up checkpoint to score
+    warm_cfg = base.replace(K=base.K_p, eval_every=base.K_p)
     warm = train(warm_cfg)
     for row in warm.runlog.evals:
         if row.step == warm_cfg.K:

@@ -233,7 +233,7 @@ class TestMaskStatistics:
             rng = np.random.default_rng(41)
             mask = sample_mask(np.full(n, p), rng)
             sigma = np.sqrt(p * (1 - p) / n)
-            worst = max(worst, abs(mask.m_id.mean() - p) / sigma)
+            worst = max(worst, abs(mask.mean() - p) / sigma)
         report("mask statistics", worst < 4.0,
                f"max deviation {worst:.2f} binomial sigmas over 1e5 draws "
                f"at p in {{0.1, 0.3, 0.5, 0.9}}")

@@ -24,9 +24,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(ood_fraction=1.5)
         with pytest.raises(ValueError):
-            TrainingConfig(score_kind="nope")
-        with pytest.raises(ValueError):
             TrainingConfig(decision_rule="nope")
+        # each of these validated once and then crashed, hung or trained on NaN
+        for bad in (dict(K=0, K_p=0), dict(B=0), dict(B=-1), dict(mu=0),
+                    dict(eval_every=0)):
+            with pytest.raises(ValueError):
+                TrainingConfig(**bad)
 
     def test_drop_flags_zero_loss_weights(self):
         w = TrainingConfig(drop_self=True, drop_sub=True).loss_weights()

@@ -4,9 +4,40 @@ import numpy as np
 import pytest
 
 from osslab.data import (
-    AugmentConfig, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL, Sample,
-    batches, export_dataset, generate, import_dataset, strong_augment, weak_augment,
+    SPLITS, AugmentConfig, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
+    _place_centers, batches, export_dataset, generate, import_dataset, strong_augment,
+    weak_augment,
 )
+from osslab.rng import stream
+
+
+def per_row_generate(spec):
+    """Reference: the documented draw order, one row at a time."""
+    rng = stream(spec.seed, "data")
+    centers = _place_centers(spec.num_id_classes + spec.num_ood_clusters,
+                             spec.input_dim, spec.cluster_separation, rng)
+    id_centers, ood_centers = centers[:spec.num_id_classes], centers[spec.num_id_classes:]
+    rows = {split: [] for split in SPLITS}
+
+    def draw(center, n):
+        return center + rng.normal(0.0, spec.cluster_spread, size=(n, spec.input_dim))
+
+    def add_ood(n, split):
+        k = spec.num_ood_clusters
+        for j in range(k):
+            rows[split] += [(x, OOD_LABEL) for x in draw(ood_centers[j], n // k + (j < n % k))]
+
+    for c in range(spec.num_id_classes):
+        for i, x in enumerate(draw(id_centers[c], spec.samples_per_class)):
+            if i < spec.labeled_per_class:
+                rows["labeled"].append((x, c))
+            rows["unlabeled"].append((x, c))
+    f = spec.ood_fraction
+    add_ood(int(round(len(rows["unlabeled"]) * f / (1.0 - f))), "unlabeled")
+    for c in range(spec.num_id_classes):
+        rows["test_id"] += [(x, c) for x in draw(id_centers[c], spec.samples_per_class)]
+    add_ood(len(rows["test_id"]), "test_ood")
+    return rows
 
 
 def make_spec(**kw):
@@ -28,39 +59,63 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_spec(labeled_per_class=51)
 
-    def test_sample_consistency(self):
-        with pytest.raises(ValueError):
-            Sample(x=np.zeros(3), label=2, is_id=False)
+    def test_sample_consistency(self, tmp_path):
+        # an is_id flag that contradicts the label is malformed input
+        for row in ("labeled 2 0 0.5 1.5", "test_ood -1 1 0.5 1.5"):
+            path = tmp_path / "bad.txt"
+            path.write_text(f"# osslab dataset v1\nlabeled 1 1 0.0 1.0\n{row}\n")
+            with pytest.raises(ValueError):
+                import_dataset(str(path))
+
+    def test_malformed_rows_rejected(self, tmp_path):
+        # unknown split tag, a missing coordinate, no coordinates, no rows
+        for text in ("labeled 1 1 0.0 1.0\ntrain 1 1 0.0 1.0\n",
+                     "labeled 1 1 0.0 1.0\nlabeled 1 1 0.0\n",
+                     "labeled 1 1\n", "# osslab dataset v1\n"):
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                import_dataset(str(path))
 
 
 class TestGenerate:
     def test_ood_fraction_within_one_sample(self):
         ds = generate(make_spec())
-        n_ood = sum(not s.is_id for s in ds.unlabeled)
-        assert abs(n_ood - 0.5 * len(ds.unlabeled)) <= 1
+        _, y = ds.unlabeled
+        n_ood = int((y == OOD_LABEL).sum())
+        assert abs(n_ood - 0.5 * len(y)) <= 1
+        assert np.all(ds.test_ood[1] == OOD_LABEL)
+        assert np.all(ds.test_id[1] >= 0)
 
     def test_determinism_bitwise(self):
         a, b = generate(make_spec()), generate(make_spec())
-        assert all(np.array_equal(x.x, y.x) for x, y in zip(a.unlabeled, b.unlabeled))
-        assert [s.label for s in a.labeled] == [s.label for s in b.labeled]
+        for split in SPLITS:
+            (Xa, ya), (Xb, yb) = getattr(a, split), getattr(b, split)
+            assert Xa.tobytes() == Xb.tobytes()
+            assert np.array_equal(ya, yb)
+
+    @pytest.mark.parametrize("kw", [{}, {"ood_fraction": 0.3, "num_ood_clusters": 3}])
+    def test_matches_per_row_reference(self, kw):
+        spec = make_spec(**kw)
+        ds, ref = generate(spec), per_row_generate(spec)
+        for split in SPLITS:
+            X, y = getattr(ds, split)
+            assert X.tobytes() == np.array([x for x, _ in ref[split]]).tobytes()
+            assert y.tolist() == [label for _, label in ref[split]]
 
     def test_labeled_class_balance(self):
         ds = generate(make_spec())
-        labels = [s.label for s in ds.labeled]
-        for c in range(4):
-            assert labels.count(c) == 10
+        _, labels = ds.labeled
+        assert np.array_equal(np.bincount(labels), np.full(4, 10))
 
     def test_separable_spec_nearest_center_is_perfect(self):
         # oracle: brute-force 1-nearest-center on empirical class centers
         ds = generate(make_spec(cluster_spread=0.1, cluster_separation=10.0))
-        centers = np.stack([
-            np.mean([s.x for s in ds.labeled if s.label == c], axis=0)
-            for c in range(4)])
-        hits = 0
-        for s in ds.test_id:
-            d = np.linalg.norm(centers - s.x, axis=1)
-            hits += int(np.argmin(d) == s.label)
-        assert hits == len(ds.test_id)
+        Xl, yl = ds.labeled
+        centers = np.stack([Xl[yl == c].mean(axis=0) for c in range(4)])
+        Xt, yt = ds.test_id
+        d = np.linalg.norm(Xt[:, None, :] - centers[None, :, :], axis=2)
+        assert np.array_equal(d.argmin(axis=1), yt)
 
     def test_infeasible_spec_raises(self):
         with pytest.raises(InfeasibleSpecError):
@@ -69,9 +124,12 @@ class TestGenerate:
 
     def test_unlabeled_contains_labeled_copies(self):
         ds = generate(make_spec())
-        assert len(ds.unlabeled) >= len(ds.labeled)
-        n_unl_id = sum(s.is_id for s in ds.unlabeled)
-        assert n_unl_id == 4 * 50
+        (Xl, _), (Xu, yu) = ds.labeled, ds.unlabeled
+        assert len(Xu) >= len(Xl)
+        assert int((yu >= 0).sum()) == 4 * 50
+        # every labeled row reappears, unlabeled, in the pool
+        pool = {row.tobytes() for row in Xu[yu >= 0]}
+        assert all(row.tobytes() in pool for row in Xl)
 
 
 class TestAugment:
@@ -132,7 +190,7 @@ class TestBatches:
     def test_every_labeled_sample_seen_each_epoch(self):
         # count label multiset over exactly one epoch of labeled draws
         it = batches(self.ds, B=8, mu=1, seed=3, augment=self.aug)
-        n_lab = len(self.ds.labeled)
+        n_lab = len(self.ds.labeled[1])
         seen = []
         for _ in range(n_lab // 8):
             seen.extend(next(it).labels.tolist())
@@ -155,8 +213,7 @@ def test_export_import_roundtrip(tmp_path):
     path = tmp_path / "ds.txt"
     export_dataset(ds, str(path))
     back = import_dataset(str(path))
-    assert len(back.labeled) == len(ds.labeled)
-    assert len(back.test_ood) == len(ds.test_ood)
-    for a, b in zip(ds.unlabeled, back.unlabeled):
-        assert np.array_equal(a.x, b.x)
-        assert a.label == b.label and a.is_id == b.is_id
+    for split in SPLITS:
+        (X, y), (Xb, yb) = getattr(ds, split), getattr(back, split)
+        assert Xb.tobytes() == X.tobytes()
+        assert np.array_equal(yb, y)

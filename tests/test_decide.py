@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from osslab.decide import (
-    Decision, DecisionRule, MaskBatch, RuleKind, decide, otsu_threshold, sample_mask,
+    DecisionRule, RuleKind, decide, otsu_threshold, sample_mask,
 )
 
 
@@ -10,28 +10,31 @@ class TestSampleMask:
     def test_degenerate_probabilities(self, rng):
         m1 = sample_mask(np.ones(500), rng)
         m0 = sample_mask(np.zeros(500), rng)
-        assert m1.m_id.all()
-        assert not m0.m_id.any()
+        assert m1.all()
+        assert not m0.any()
 
     def test_complementarity(self, rng):
-        m = sample_mask(rng.random(100), rng)
-        assert np.array_equal(m.m_ood, ~m.m_id)
+        # every sample is ID or OOD: the subspace weight is m_ood - m_id
+        d = decide(DecisionRule(kind=RuleKind.SAMPLED_MASK), np.zeros(100),
+                   rng.random(100), rng)
+        assert d.m_id.dtype == bool
+        assert np.array_equal(d.sub_weights, (~d.m_id).astype(float) - d.m_id)
 
     def test_binomial_concentration(self, rng):
         n = 100_000
         m = sample_mask(np.full(n, 0.3), rng)
-        assert abs(m.m_id.mean() - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
+        assert abs(m.mean() - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
     def test_unbiased_at_each_level(self, p, rng):
         n = 100_000
         m = sample_mask(np.full(n, p), rng)
-        assert abs(m.m_id.mean() - p) < 4 * np.sqrt(p * (1 - p) / n)
+        assert abs(m.mean() - p) < 4 * np.sqrt(p * (1 - p) / n)
 
     def test_determinism_given_rng_state(self):
         a = sample_mask(np.full(50, 0.4), np.random.default_rng(9))
         b = sample_mask(np.full(50, 0.4), np.random.default_rng(9))
-        assert np.array_equal(a.m_id, b.m_id)
+        assert np.array_equal(a, b)
 
     def test_rejects_out_of_range(self, rng):
         with pytest.raises(ValueError):
@@ -87,8 +90,8 @@ class TestDecide:
         rule = DecisionRule(kind=RuleKind.SAMPLED_MASK)
         d = decide(rule, np.zeros(64), p, np.random.default_rng(5))
         ref = sample_mask(p, np.random.default_rng(5))
-        assert np.array_equal(d.mask.m_id, ref.m_id)
-        m = ref.m_id.astype(float)
+        assert np.array_equal(d.m_id, ref)
+        m = ref.astype(float)
         assert np.array_equal(d.sub_weights, 1.0 - 2.0 * m)
         assert np.array_equal(d.semi_gate, m)
 
@@ -97,7 +100,8 @@ class TestDecide:
         d = decide(rule, np.zeros(8), np.full(8, 0.5), rng)
         assert np.allclose(d.sub_weights, 0.0)
         assert np.allclose(d.semi_gate, 0.5)
-        assert d.mask is None
+        assert d.m_id is None
+        assert d.id_rate == 0.5
 
     def test_otsu_momentum_one_freezes_threshold(self, rng):
         rule = DecisionRule(kind=RuleKind.OTSU_THRESHOLD, ema_threshold=0.5,
@@ -112,15 +116,16 @@ class TestDecide:
                             momentum=0.0)
         scores = np.concatenate([np.full(32, 0.1), np.full(32, 0.9)])
         d = decide(rule, scores, scores, rng)
-        assert d.mask.m_id.sum() == 32
-        assert np.array_equal(d.mask.m_id, scores >= rule.ema_threshold)
+        assert d.m_id.sum() == 32
+        assert np.array_equal(d.m_id, scores >= rule.ema_threshold)
+        assert d.id_rate == 0.5
 
     def test_mask_complementarity_all_rules(self, rng):
         for kind in (RuleKind.SAMPLED_MASK, RuleKind.OTSU_THRESHOLD):
             rule = DecisionRule(kind=kind)
             d = decide(rule, rng.random(32), rng.random(32), rng)
-            assert np.array_equal(d.mask.m_id.astype(int) + d.mask.m_ood.astype(int),
-                                  np.ones(32, dtype=int))
+            assert np.array_equal(d.semi_gate, d.m_id.astype(float))
+            assert np.array_equal(d.sub_weights, 1.0 - 2.0 * d.semi_gate)
 
     def test_hash_is_stable(self, rng):
         p = rng.random(16)

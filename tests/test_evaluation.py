@@ -3,10 +3,7 @@ import pytest
 
 from osslab.betamix import BetaMixtureModel
 from osslab.subspace import ScoreKind
-from osslab.evaluation import (
-    accuracy, auroc, beta_density_grid, export_scores, import_scores,
-    score_snapshot,
-)
+from osslab.evaluation import accuracy, auroc, beta_density_grid, score_snapshot
 
 
 def pairwise_auroc(id_scores, ood_scores):
@@ -96,12 +93,3 @@ class TestSnapshots:
         assert np.all(s > 0) and np.all(s < 1)
         assert np.all(p_id >= 0) and np.all(p_ood >= 0)
 
-
-class TestScoreIO:
-    def test_round_trip(self, rng, tmp_path):
-        ids, oods = rng.random(20), rng.random(15)
-        path = tmp_path / "scores.txt"
-        export_scores(path, ids, oods)
-        back_id, back_ood = import_scores(path)
-        assert np.array_equal(back_id, ids)
-        assert np.array_equal(back_ood, oods)

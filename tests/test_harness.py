@@ -8,6 +8,7 @@ from osslab import trainer
 from osslab.cli import main as cli_main
 from osslab.config import TrainingConfig
 from osslab.optim import lr
+from osslab.serialize import load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
 
 
@@ -146,15 +147,48 @@ class TestCli:
             found |= set(os.listdir(os.path.join(tmp_path, d)))
         assert {"dataset.txt", "metrics.csv", "summary.json"} <= found
 
-    def test_eval_roundtrip(self, tmp_path):
+    @staticmethod
+    def run_dir(tmp_path):
+        (name,) = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
+        return os.path.join(tmp_path, name)
+
+    def test_eval_roundtrip(self, tmp_path, capsys):
         assert cli_main(self.args(tmp_path, "generate")) == 0
         assert cli_main(self.args(tmp_path, "train")) == 0
-        run_dir = next(os.path.join(tmp_path, d) for d in os.listdir(tmp_path)
-                       if d.startswith("run_"))
+        run_dir = self.run_dir(tmp_path)
+        capsys.readouterr()
         rc = cli_main(["eval",
                        "--checkpoint", os.path.join(run_dir, "checkpoint.txt"),
                        "--dataset", os.path.join(run_dir, "dataset.txt")])
         assert rc == 0
+        got = [(r["step"], r["score_kind"], repr(r["closed_set_accuracy"]), repr(r["auroc"]))
+               for r in json.loads(capsys.readouterr().out)]
+        with open(os.path.join(run_dir, "evals.csv")) as fh:
+            header, *lines = fh.read().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        want = [(int(r["step"]), r["score_kind"], r["closed_set_accuracy"], r["auroc"])
+                for r in rows if int(r["step"]) == TINY["K"]]
+        assert got == want
+
+    @pytest.mark.parametrize("eta0", ["1e3", "1e8"])
+    def test_blow_up_exits_2_with_checkpoint(self, tmp_path, eta0):
+        # 1e3 fails in a forward pass, 1e8 in sgd_step; the last good params
+        # may already be infinite, so only the step is checked
+        assert cli_main(self.args(tmp_path, "train") + ["--eta0", eta0]) == 2
+        ckpt = load_checkpoint(os.path.join(self.run_dir(tmp_path), "checkpoint.txt"))
+        assert 1 <= ckpt.step < TINY["K"]
+
+    def test_blow_up_checkpoint_is_end_of_previous_step(self, tmp_path):
+        assert cli_main(self.args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
+        with open(os.path.join(self.run_dir(tmp_path), "checkpoint.txt")) as fh:
+            saved = fh.read()
+        step = load_checkpoint(os.path.join(self.run_dir(tmp_path), "checkpoint.txt")).step
+        # a failure inside warm-up: a clean run of exactly `step` steps has the
+        # same learning rates, so it must end in the same state
+        assert step <= TINY["K_p"]
+        clean = trainer.train(TrainingConfig(**{**TINY, "eta0": 1e8, "K": step, "K_p": step}))
+        save_checkpoint(clean.checkpoint, str(tmp_path / "clean.txt"))
+        assert (tmp_path / "clean.txt").read_text() == saved
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert cli_main(["--out", str(tmp_path), "train", "--bogus", "1"]) == 1
