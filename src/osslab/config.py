@@ -126,38 +126,40 @@ class TrainingConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-_BOOL_KEYS = ("drop_self", "drop_sub")
-_INT_KEYS = ("input_dim", "num_id_classes", "num_ood_clusters", "samples_per_class",
-             "labeled_per_class", "K", "K_p", "B", "mu", "otsu_bins", "eval_every",
-             "seed", "feature_dim")
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1"):
+        return True
+    if raw.lower() in ("false", "0"):
+        return False
+    raise ValueError("expected true/false/1/0")
+
+
+# one parser per declared field type
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "float | None": lambda raw: None if raw == "None" else float(raw),
+    "str": str,
+    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split(",") if x),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(TrainingConfig)}
 
 
 def _parse_value(name: str, raw: str) -> object:
-    raw = raw.strip()
-    if name == "hidden":
-        return tuple(int(x) for x in raw.split(",") if x)
-    if name in _BOOL_KEYS:
-        if raw.lower() in ("true", "1"):
-            return True
-        if raw.lower() in ("false", "0"):
-            return False
-        raise ValueError(f"bad boolean for {name}: {raw!r}")
-    if raw == "None":
-        return None
-    if name in _INT_KEYS:
-        return int(raw)
+    kind = _FIELD_TYPES[name]
     try:
-        return float(raw)
+        return _PARSERS[kind](raw.strip())
     except ValueError:
-        return raw
+        raise ValueError(f"bad {kind} for {name}: {raw!r}") from None
 
 
 def parse_overrides(config: TrainingConfig, pairs: dict[str, str]) -> TrainingConfig:
-    """Apply string key/value overrides; unknown keys are errors."""
-    known = {f.name for f in fields(TrainingConfig)}
+    """Apply string key/value overrides, each parsed by its field's declared
+    type; unknown keys are errors."""
     updates = {}
     for key, raw in pairs.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise KeyError(f"unknown config key {key!r}")
         updates[key] = _parse_value(key, raw)
     return config.replace(**updates)

@@ -186,19 +186,28 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
     order_rng = stream(seed, "batch")
     aug_rng = stream(seed, "augment")
 
-    def index_stream(n: int) -> Iterator[int]:
+    def index_stream(n: int, count: int) -> Iterator[np.ndarray]:
+        # count <= n; the next shuffle is drawn only once a batch needs rows
+        # past the end of the current one
+        perm, pos = order_rng.permutation(n), 0
         while True:
-            yield from order_rng.permutation(n)
+            if pos + count <= n:
+                yield perm[pos:pos + count]
+                pos += count
+            else:
+                head = perm[pos:]
+                perm, pos = order_rng.permutation(n), count - len(head)
+                yield np.concatenate([head, perm[:pos]])
 
-    lab_idx = index_stream(len(Xl))
-    unl_idx = index_stream(len(Xu))
+    lab_idx = index_stream(len(Xl), B)
+    unl_idx = index_stream(len(Xu), mu * B)
 
     while True:
-        li = np.fromiter(lab_idx, dtype=int, count=B)
-        ui = np.fromiter(unl_idx, dtype=int, count=mu * B)
+        li = next(lab_idx)
+        xu = Xu[next(unl_idx)]
         lw = weak_augment(Xl[li], aug_rng, augment.sigma_weak)
-        uw = weak_augment(Xu[ui], aug_rng, augment.sigma_weak)
-        us = strong_augment(Xu[ui], aug_rng, augment.sigma_strong, augment.p_drop)
+        uw = weak_augment(xu, aug_rng, augment.sigma_weak)
+        us = strong_augment(xu, aug_rng, augment.sigma_strong, augment.p_drop)
         yield BatchPair(labeled_weak=lw, labels=yl[li],
                         unlabeled_weak=uw, unlabeled_strong=us)
 

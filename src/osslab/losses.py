@@ -32,17 +32,6 @@ class LossWeights:
             raise ValueError("tau must be in (0, 1]")
 
 
-@dataclass
-class LossBreakdown:
-    sup: float
-    semi: float
-    self_sup: float
-    sub: float
-    reg: float
-    total: float
-    pseudo_label_count: int
-
-
 def loss_sup(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy on labeled data; returns (value, d_logits)."""
     labels = np.asarray(labels)
@@ -114,12 +103,9 @@ def loss_reg(theta: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def total_loss(sup: float, semi: float, self_sup: float, sub: float, reg: float,
-               weights: LossWeights, pseudo_label_count: int,
-               warmup: bool = False) -> LossBreakdown:
+               weights: LossWeights, warmup: bool = False) -> float:
     """Weighted sum of the terms; warm-up forces w_semi = w_sub = 0."""
     w_semi = 0.0 if warmup else weights.w_semi
     w_sub = 0.0 if warmup else weights.w_sub
-    total = (sup + w_semi * semi + weights.w_self * self_sup
-             + w_sub * sub + weights.w_reg * reg)
-    return LossBreakdown(sup=sup, semi=semi, self_sup=self_sup, sub=sub,
-                         reg=reg, total=total, pseudo_label_count=pseudo_label_count)
+    return (sup + w_semi * semi + weights.w_self * self_sup
+            + w_sub * sub + weights.w_reg * reg)

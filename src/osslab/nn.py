@@ -9,6 +9,7 @@ frozen quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,51 +22,49 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class MlpParams:
-    f_weights: list[np.ndarray]  # each (out, in)
-    f_biases: list[np.ndarray]   # each (out,)
-    g_weight: np.ndarray         # (C, D)
-    g_bias: np.ndarray           # (C,)
-    h_weight: np.ndarray         # (D, D), no bias
+    """The network's weights, all stored in the one flat vector ``theta``.
+
+    ``sizes`` is ``(input_dim, *hidden, feature_dim)``. The per-layer arrays
+    are views into ``theta``, laid out as each f layer's weight (out, in) and
+    bias, then g's weight (C, D) and bias, then h's weight (D, D); a write
+    through either shows in the other.
+    """
+    theta: np.ndarray
+    sizes: tuple[int, ...]
+    num_classes: int
     activation: str = "tanh"
 
-    @property
-    def feature_dim(self) -> int:
-        return self.g_weight.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.g_weight.shape[0]
-
-    def _arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.f_weights, self.f_biases):
-            out.extend([w, b])
-        out.extend([self.g_weight, self.g_bias, self.h_weight])
-        return out
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        D, C = self.sizes[-1], self.num_classes
+        shapes = []
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            shapes += [(n_out, n_in), (n_out,)]
+        shapes += [(C, D), (C,), (D, D)]
+        views, i = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            views.append(self.theta[i:i + n].reshape(shape))
+            i += n
+        if i != self.theta.size:
+            raise ValueError(f"vector size {self.theta.size} != parameter count {i}")
+        self.f_weights = views[0:-3:2]  # each (out, in)
+        self.f_biases = views[1:-3:2]   # each (out,)
+        self.g_weight, self.g_bias, self.h_weight = views[-3:]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self._arrays()])
+        return self.theta
 
     def from_vector(self, vec: np.ndarray) -> "MlpParams":
-        """New params with this object's shapes filled from ``vec``."""
-        arrays = []
-        i = 0
-        for a in self._arrays():
-            arrays.append(vec[i:i + a.size].reshape(a.shape).copy())
-            i += a.size
-        if i != vec.size:
-            raise ValueError(f"vector size {vec.size} != parameter count {i}")
-        nf = len(self.f_weights)
-        return MlpParams(
-            f_weights=arrays[0:2 * nf:2], f_biases=arrays[1:2 * nf:2],
-            g_weight=arrays[2 * nf], g_bias=arrays[2 * nf + 1],
-            h_weight=arrays[2 * nf + 2], activation=self.activation)
+        """Params of this shape that view ``vec``; nothing is copied."""
+        return MlpParams(vec, self.sizes, self.num_classes, self.activation)
 
     def zeros_like(self) -> "MlpParams":
-        return self.from_vector(np.zeros(self.to_vector().size))
+        return self.from_vector(np.zeros_like(self.theta))
 
     def copy(self) -> "MlpParams":
-        return self.from_vector(self.to_vector())
+        return self.from_vector(self.theta.copy())
 
 
 @dataclass
@@ -92,20 +91,18 @@ def init_params(input_dim: int, hidden: tuple[int, ...], feature_dim: int,
     """Uniform init in [-a, a], a = sqrt(6/(fan_in+fan_out)); zero biases."""
     if feature_dim < num_classes:
         raise ValueError("feature_dim must be >= num_classes for a full-rank ID subspace")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     sizes = (input_dim, *hidden, feature_dim)
 
     def uni(n_out, n_in):
         a = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-a, a, size=(n_out, n_in))
 
-    f_weights = [uni(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
-    f_biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return MlpParams(
-        f_weights=f_weights, f_biases=f_biases,
-        g_weight=uni(num_classes, feature_dim), g_bias=np.zeros(num_classes),
-        h_weight=uni(feature_dim, feature_dim), activation=activation)
+    # drawn in this order: the f weights, then g's, then h's
+    f_weights = [uni(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])]
+    g_weight, h_weight = uni(num_classes, feature_dim), uni(feature_dim, feature_dim)
+    theta = np.concatenate([a for w in f_weights for a in (w.ravel(), np.zeros(len(w)))]
+                           + [g_weight.ravel(), np.zeros(num_classes), h_weight.ravel()])
+    return MlpParams(theta, sizes, num_classes, activation)
 
 
 def forward(params: MlpParams, X: np.ndarray) -> ForwardTrace:

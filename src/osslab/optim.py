@@ -1,8 +1,9 @@
 """SGD with Nesterov momentum, two-phase cosine LR schedule, EMA shadow.
 
 The Nesterov update uses the velocity form common in deep-learning
-codebases: v <- m v + g; theta <- theta - lr (m v + g). Parameters are
-handled as flat vectors; the model structure is reattached by callers.
+codebases: v <- m v + g; theta <- theta - lr (m v + g). The parameters,
+velocity and EMA shadow are flat vectors in the layout of
+``MlpParams.theta``, and every update writes them in place.
 """
 
 from __future__ import annotations
@@ -64,16 +65,21 @@ class OptimizerState:
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
              step_lr: float) -> np.ndarray:
-    """One Nesterov step; mutates the velocity, returns new parameters."""
+    """One Nesterov step on ``theta`` and the velocity, both in place;
+    returns ``theta``. A bad gradient raises before either is touched."""
     if theta.shape != grad.shape:
         raise ValueError("parameter/gradient shape mismatch")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in sgd_step")
-    m = state.momentum
-    state.velocity = m * state.velocity + grad
-    return theta - step_lr * (m * state.velocity + grad)
+    m, v = state.momentum, state.velocity
+    v *= m
+    v += grad
+    theta -= step_lr * (m * v + grad)
+    return theta
 
 
 def ema_update(state: OptimizerState, theta: np.ndarray) -> None:
-    em = state.ema_momentum
-    state.ema_params = em * state.ema_params + (1.0 - em) * theta
+    """Moves the EMA shadow toward ``theta``, in place."""
+    em, ema = state.ema_momentum, state.ema_params
+    ema *= em
+    ema += (1.0 - em) * theta

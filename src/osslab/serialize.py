@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betamix import BetaMixtureModel, BetaParams
-from .nn import MlpParams, init_params
+from .nn import MlpParams
 from .subspace import ClassMeanTable
 
 VERSION = "osslab-checkpoint v1"
@@ -45,16 +45,16 @@ def _fmt(vec: np.ndarray) -> str:
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     p = ckpt.params
-    input_dim = p.f_weights[0].shape[1]
-    hidden = ",".join(str(w.shape[0]) for w in p.f_weights[:-1])
-    theta = p.to_vector()
+    input_dim, *hidden, feature_dim = p.sizes
+    hidden = ",".join(map(str, hidden))
+    theta = p.theta
     with open(path, "w") as fh:
         fh.write(VERSION + "\n")
         fh.write(f"step {ckpt.step}\n")
         fh.write(f"activation {p.activation}\n")
-        fh.write(f"arch {input_dim} {hidden or '-'} {p.feature_dim} {p.num_classes}\n")
+        fh.write(f"arch {input_dim} {hidden or '-'} {feature_dim} {p.num_classes}\n")
         fh.write(f"theta {theta.size}\n{_fmt(theta)}\n")
-        fh.write(f"ema {theta.size}\n{_fmt(ckpt.ema_params.to_vector())}\n")
+        fh.write(f"ema {theta.size}\n{_fmt(ckpt.ema_params.theta)}\n")
         fh.write(f"velocity {theta.size}\n{_fmt(ckpt.velocity)}\n")
         C, D = ckpt.means.means.shape
         fh.write(f"means {C} {D}\n")
@@ -90,10 +90,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: section {tag} has {vec.size} values, expected {n}")
         return vec
 
-    template = init_params(input_dim, hidden, feature_dim, num_classes,
-                           np.random.default_rng(0), activation)
-    params = template.from_vector(read_vec("theta"))
-    ema = template.from_vector(read_vec("ema"))
+    sizes = (input_dim, *hidden, feature_dim)
+    params = MlpParams(read_vec("theta"), sizes, num_classes, activation)
+    ema = MlpParams(read_vec("ema"), sizes, num_classes, activation)
     velocity = read_vec("velocity")
 
     head = next(it).split()

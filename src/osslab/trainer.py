@@ -126,14 +126,27 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     return rows, snap
 
 
-def _snapshot(step: int, params: nn.MlpParams, opt_state: optim.OptimizerState,
-              table: subspace.ClassMeanTable, beta_model: betamix.BetaMixtureModel,
-              ) -> Checkpoint:
-    """The training state as a checkpoint; shares the live arrays, so save it
-    before the run moves on."""
-    return Checkpoint(step=step, params=params,
+def _result(config: TrainingConfig, k: int, params: nn.MlpParams,
+            opt_state: optim.OptimizerState, table: subspace.ClassMeanTable,
+            beta_model: betamix.BetaMixtureModel, runlog: RunLog) -> TrainResult:
+    """The run after its first ``k`` steps. The checkpoint shares the live
+    arrays, so save it before the run moves on."""
+    final_evals = {r.score_kind: r for r in runlog.evals if r.step == k}
+    summary = {
+        "config_hash": config.config_hash(),
+        "seed": config.seed,
+        "steps": k,
+        "closed_set_accuracy": next(iter(final_evals.values())).closed_set_accuracy
+        if final_evals else None,
+        "auroc": {kind: row.auroc for kind, row in final_evals.items()},
+        "beta": {"alpha_id": beta_model.id.alpha, "beta_id": beta_model.id.beta,
+                 "alpha_ood": beta_model.ood.alpha, "beta_ood": beta_model.ood.beta,
+                 "pi": beta_model.pi},
+    }
+    ckpt = Checkpoint(step=k, params=params,
                       ema_params=params.from_vector(opt_state.ema_params),
                       velocity=opt_state.velocity, means=table, beta_model=beta_model)
+    return TrainResult(config=config, checkpoint=ckpt, runlog=runlog, summary=summary)
 
 
 def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
@@ -147,7 +160,8 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
     init_rng = stream(config.seed, "init")
     params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
                             config.num_id_classes, init_rng, config.activation)
-    opt_state = optim.OptimizerState.init(params.to_vector(), config.momentum,
+    grads = params.zeros_like()
+    opt_state = optim.OptimizerState.init(params.theta, config.momentum,
                                           config.ema_momentum)
     table = subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim,
                                           config.lambda_means)
@@ -182,7 +196,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
             p_reg = np.asarray(betamix.posterior_id(beta_model, s_u, regularized=True))
             decision = decide.decide(rule, scores_u, p_reg, mask_rng)
 
-            grads = params.zeros_like()
+            grads.theta.fill(0.0)
             sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
             nn.backward(params, trace_l, grads, d_logits=d_logits_l)
 
@@ -207,36 +221,33 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                 sub_val, d_zw = losses.loss_sub(trace_w.z, basis, decision.sub_weights)
                 nn.backward(params, trace_w, grads, d_z=weights.w_sub * d_zw)
 
-            theta = params.to_vector()
-            reg_val, d_reg = losses.loss_reg(theta)
-            grad_vec = grads.to_vector() + weights.w_reg * d_reg
-            breakdown = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val,
-                                          weights, pseudo_count, warmup=warmup)
+            reg_val, d_reg = losses.loss_reg(params.theta)
+            grads.theta += weights.w_reg * d_reg
+            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val,
+                                      weights, warmup=warmup)
 
             step_lr = optim.lr(schedule, k)
-            theta = optim.sgd_step(theta, grad_vec, opt_state, step_lr)
+            optim.sgd_step(params.theta, grads.theta, opt_state, step_lr)
         except nn.NumericalError:
             # Nothing above changes params, velocity or the mixture before it
-            # raises, and the means change only at the step-0 bootstrap, so for
-            # k >= 1 the live state is exactly the end of step k - 1.
+            # raises (sgd_step checks the gradient before it writes), and the
+            # means change only at the step-0 bootstrap, so for k >= 1 the live
+            # state is exactly the end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
             if run_dir and k > 0:
-                os.makedirs(run_dir, exist_ok=True)
-                save_checkpoint(_snapshot(k, params, opt_state, table, beta_model),
-                                os.path.join(run_dir, "checkpoint.txt"))
+                write_run_outputs(_result(config, k, params, opt_state, table,
+                                          beta_model, runlog), run_dir)
             raise
-        params = params.from_vector(theta)
 
         if not bootstrapped:
             subspace.update_class_means(table, trace_l.z, batch.labels)
         basis = subspace.compute_basis(table)
         beta_model = betamix.imm_batch_step(beta_model, s_u, s_l)
-        optim.ema_update(opt_state, theta)
+        optim.ema_update(opt_state, params.theta)
 
         runlog.steps.append(StepRecord(
-            step=k, lr=step_lr, sup=breakdown.sup, semi=breakdown.semi,
-            self_sup=breakdown.self_sup, sub=breakdown.sub, reg=breakdown.reg,
-            total=breakdown.total, pseudo_label_count=breakdown.pseudo_label_count,
+            step=k, lr=step_lr, sup=sup_val, semi=semi_val, self_sup=self_val,
+            sub=sub_val, reg=reg_val, total=total, pseudo_label_count=pseudo_count,
             alpha_id=beta_model.id.alpha, beta_id=beta_model.id.beta,
             alpha_ood=beta_model.ood.alpha, beta_ood=beta_model.ood.beta,
             mask_rate=decision.id_rate, mean_p_id=float(p_reg.mean()),
@@ -250,21 +261,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
             runlog.evals.extend(rows)
             runlog.snapshots.append(snap)
 
-    final_evals = {r.score_kind: r for r in runlog.evals if r.step == config.K}
-    summary = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "steps": config.K,
-        "closed_set_accuracy": next(iter(final_evals.values())).closed_set_accuracy
-        if final_evals else None,
-        "auroc": {kind: row.auroc for kind, row in final_evals.items()},
-        "beta": {"alpha_id": beta_model.id.alpha, "beta_id": beta_model.id.beta,
-                 "alpha_ood": beta_model.ood.alpha, "beta_ood": beta_model.ood.beta,
-                 "pi": beta_model.pi},
-    }
-    result = TrainResult(config=config,
-                         checkpoint=_snapshot(config.K, params, opt_state, table, beta_model),
-                         runlog=runlog, summary=summary)
+    result = _result(config, config.K, params, opt_state, table, beta_model, runlog)
     if run_dir:
         write_run_outputs(result, run_dir)
     return result

@@ -40,6 +40,27 @@ def per_row_generate(spec):
     return rows
 
 
+def per_index_batches(dataset, B, mu, seed, augment):
+    """Reference: shuffle indices pushed one at a time through a generator,
+    each pool's next shuffle drawn when its first index is needed."""
+    Xl, yl = dataset.labeled
+    Xu, _ = dataset.unlabeled
+    order_rng = stream(seed, "batch")
+    aug_rng = stream(seed, "augment")
+
+    def index_stream(n):
+        while True:
+            yield from order_rng.permutation(n)
+
+    lab_idx, unl_idx = index_stream(len(Xl)), index_stream(len(Xu))
+    while True:
+        li = np.fromiter(lab_idx, dtype=int, count=B)
+        ui = np.fromiter(unl_idx, dtype=int, count=mu * B)
+        yield (weak_augment(Xl[li], aug_rng, augment.sigma_weak), yl[li],
+               weak_augment(Xu[ui], aug_rng, augment.sigma_weak),
+               strong_augment(Xu[ui], aug_rng, augment.sigma_strong, augment.p_drop))
+
+
 def make_spec(**kw):
     base = dict(input_dim=6, num_id_classes=4, num_ood_clusters=4,
                 samples_per_class=50, labeled_per_class=10, ood_fraction=0.5,
@@ -197,6 +218,25 @@ class TestBatches:
         # every class appears exactly labeled_per_class times per epoch
         for c in range(4):
             assert seen.count(c) == 10
+
+    # 40 labeled and 400 unlabeled rows; "equal" trains on the labeled pool twice
+    @pytest.mark.parametrize("B, mu, pools", [
+        (7, 3, "generated"),   # neither pool divisible
+        (8, 5, "generated"),   # B divides both pools exactly
+        (40, 1, "generated"),  # one labeled batch is the whole pool
+        (6, 1, "equal"),       # equal pools, both reshuffled in the same batch
+        (8, 1, "equal"),       # equal pools, B divides them
+        (4, 3, "equal"),
+    ])
+    def test_matches_per_index_reference(self, B, mu, pools):
+        ds = self.ds if pools == "generated" else dataclasses.replace(
+            self.ds, unlabeled=self.ds.labeled)
+        ref = per_index_batches(ds, B, mu, 5, self.aug)
+        it = batches(ds, B=B, mu=mu, seed=5, augment=self.aug)
+        for _ in range(60):
+            b, want = next(it), next(ref)
+            got = (b.labeled_weak, b.labels, b.unlabeled_weak, b.unlabeled_strong)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_no_identity_leakage(self):
         # the training-path batch object must not expose unlabeled identity

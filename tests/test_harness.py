@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from osslab import trainer
 from osslab.cli import main as cli_main
-from osslab.config import TrainingConfig
+from osslab.config import TrainingConfig, load_config
 from osslab.optim import lr
 from osslab.serialize import load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
@@ -175,8 +176,25 @@ class TestCli:
         # 1e3 fails in a forward pass, 1e8 in sgd_step; the last good params
         # may already be infinite, so only the step is checked
         assert cli_main(self.args(tmp_path, "train") + ["--eta0", eta0]) == 2
-        ckpt = load_checkpoint(os.path.join(self.run_dir(tmp_path), "checkpoint.txt"))
+        run_dir = self.run_dir(tmp_path)
+        ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
         assert 1 <= ckpt.step < TINY["K"]
+        # the completed steps are recorded like a finished run's
+        with open(os.path.join(run_dir, "metrics.csv")) as fh:
+            header, *rows = fh.read().splitlines()
+        assert [int(r.split(",")[0]) for r in rows] == list(range(ckpt.step))
+        assert load_config(os.path.join(run_dir, "config.txt")) == TrainingConfig(
+            **{**TINY, "eta0": float(eta0)})
+        with open(os.path.join(run_dir, "summary.json")) as fh:
+            assert json.load(fh)["steps"] == ckpt.step
+        assert os.path.exists(os.path.join(run_dir, "evals.csv"))
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainingConfig)
+                                     if f.type in ("float", "float | None")])
+    def test_unparsable_float_is_config_error(self, tmp_path, capsys, key):
+        assert cli_main(self.args(tmp_path, "train") + [f"--{key}", "abc"]) == 1
+        assert "invalid config" in capsys.readouterr().err
+        assert not any(d.startswith("run_") for d in os.listdir(tmp_path))
 
     def test_blow_up_checkpoint_is_end_of_previous_step(self, tmp_path):
         assert cli_main(self.args(tmp_path, "train") + ["--eta0", "1e8"]) == 2

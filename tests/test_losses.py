@@ -198,21 +198,21 @@ class TestLossReg:
 class TestTotalLoss:
     def test_warmup_drops_semi_and_sub(self):
         w = LossWeights(w_semi=1.0, w_self=0.5, w_sub=1.0, w_reg=0.1)
-        bd = total_loss(2.0, 99.0, 3.0, 99.0, 4.0, w, 0, warmup=True)
-        assert bd.total == pytest.approx(2.0 + 0.5 * 3.0 + 0.1 * 4.0)
+        total = total_loss(2.0, 99.0, 3.0, 99.0, 4.0, w, warmup=True)
+        assert total == pytest.approx(2.0 + 0.5 * 3.0 + 0.1 * 4.0)
 
     def test_all_weights_zero(self):
         w = LossWeights(w_semi=0.0, w_self=0.0, w_sub=0.0, w_reg=0.0)
-        bd = total_loss(1.7, 5.0, 5.0, 5.0, 5.0, w, 0)
-        assert bd.total == pytest.approx(1.7)
+        total = total_loss(1.7, 5.0, 5.0, 5.0, 5.0, w)
+        assert total == pytest.approx(1.7)
 
     def test_breakdown_identity(self, rng):
         w = LossWeights(w_semi=0.7, w_self=0.3, w_sub=1.1, w_reg=0.01)
         parts = rng.normal(size=5)
-        bd = total_loss(*parts, w, 3)
+        total = total_loss(*parts, w)
         expect = (parts[0] + w.w_semi * parts[1] + w.w_self * parts[2]
                   + w.w_sub * parts[3] + w.w_reg * parts[4])
-        assert abs(bd.total - expect) < 1e-12
+        assert abs(total - expect) < 1e-12
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

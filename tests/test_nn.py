@@ -17,9 +17,10 @@ class TestForward:
         assert np.allclose(tr.probs, 1.0 / 3.0)
 
     def test_identity_single_layer(self):
-        p = nn.MlpParams(f_weights=[np.eye(4)], f_biases=[np.zeros(4)],
-                         g_weight=np.zeros((2, 4)), g_bias=np.zeros(2),
-                         h_weight=np.eye(4))
+        # layout: f weight, f bias, g weight, g bias, h weight
+        theta = np.concatenate([np.eye(4).ravel(), np.zeros(4), np.zeros(8),
+                                np.zeros(2), np.eye(4).ravel()])
+        p = nn.MlpParams(theta, sizes=(4, 4), num_classes=2)
         x = np.arange(8, dtype=float).reshape(2, 4)
         tr = nn.forward(p, x)
         assert np.array_equal(tr.z, x)
@@ -94,3 +95,39 @@ def test_vector_roundtrip(small_params, rng):
     assert np.array_equal(back.to_vector(), vec)
     with pytest.raises(ValueError):
         small_params.from_vector(vec[:-1])
+
+
+class TestOneBuffer:
+    def test_layer_arrays_are_views_in_layout_order(self, small_params):
+        p = small_params
+        arrays = [p.f_weights[0], p.f_biases[0], p.f_weights[1], p.f_biases[1],
+                  p.g_weight, p.g_bias, p.h_weight]
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), p.theta)
+        assert all(np.shares_memory(a, p.theta) for a in arrays)
+
+    def test_writes_show_both_ways(self, small_params):
+        p = small_params.copy()
+        p.theta[0] = 7.0
+        assert p.f_weights[0][0, 0] == 7.0
+        p.f_weights[0][0, 1] = -3.0
+        assert p.theta[1] == -3.0
+        p.h_weight[-1, -1] = 5.0
+        assert p.theta[-1] == 5.0
+
+    def test_from_vector_views_its_argument(self, small_params, rng):
+        vec = rng.normal(size=small_params.theta.size)
+        p = small_params.from_vector(vec)
+        assert p.theta is vec and p.to_vector() is vec
+        vec[-1] = 11.0
+        assert p.h_weight[-1, -1] == 11.0
+
+    def test_copy_and_zeros_like_own_their_buffers(self, small_params):
+        before = small_params.theta.copy()
+        for other in (small_params.copy(), small_params.zeros_like()):
+            assert not np.shares_memory(other.theta, small_params.theta)
+            other.theta[:] = 3.0
+        assert np.array_equal(small_params.theta, before)
+
+    def test_unknown_activation_rejected(self, small_params):
+        with pytest.raises(ValueError):
+            nn.MlpParams(small_params.theta, small_params.sizes, 3, activation="sigmoid")

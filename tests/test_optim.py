@@ -83,6 +83,23 @@ class TestSgdStep:
         with pytest.raises(NumericalError):
             sgd_step(np.zeros(2), np.array([1.0, np.nan]), state, 0.1)
 
+    def test_updates_in_place(self, rng):
+        theta, g = rng.normal(size=4), rng.normal(size=4)
+        state = OptimizerState.init(np.zeros(4))
+        velocity = state.velocity
+        assert sgd_step(theta, g, state, 0.1) is theta
+        assert state.velocity is velocity and np.array_equal(velocity, g)
+
+    def test_nonfinite_gradient_leaves_state_untouched(self, rng):
+        # train() saves the live state as the end of the previous step
+        theta = rng.normal(size=3)
+        state = OptimizerState.init(np.zeros(3), momentum=0.9)
+        sgd_step(theta, rng.normal(size=3), state, 0.1)
+        before = theta.tobytes(), state.velocity.tobytes()
+        with pytest.raises(NumericalError):
+            sgd_step(theta, np.array([1.0, np.nan, 0.0]), state, 0.1)
+        assert (theta.tobytes(), state.velocity.tobytes()) == before
+
     def test_velocity_accumulates(self):
         state = OptimizerState.init(np.zeros(1), momentum=0.9)
         sgd_step(np.zeros(1), np.ones(1), state, 0.1)
@@ -97,6 +114,12 @@ class TestEmaUpdate:
         theta = rng.normal(size=4)
         ema_update(state, theta)
         assert np.array_equal(state.ema_params, theta)
+
+    def test_updates_in_place(self, rng):
+        state = OptimizerState.init(np.zeros(4), ema_momentum=0.5)
+        ema = state.ema_params
+        ema_update(state, np.ones(4))
+        assert state.ema_params is ema and np.array_equal(ema, np.full(4, 0.5))
 
     def test_momentum_one_freezes(self, rng):
         state = OptimizerState.init(np.ones(4), ema_momentum=1.0)
