@@ -136,17 +136,27 @@ def method_of_moments(m: MomentPair) -> BetaParams:
     return BetaParams(alpha, beta)
 
 
-def posterior_id(model: BetaMixtureModel, s, regularized: bool = False) -> np.ndarray | float:
+def mixture_densities(model: BetaMixtureModel, s) -> tuple[np.ndarray, np.ndarray]:
+    """``(pi p_ID(s), p(s))``: the numerator and the denominator of the ID
+    posterior, from one ``beta_pdf`` call per component."""
+    num = np.asarray(model.pi * beta_pdf(model.id, s), dtype=float)
+    den = np.asarray(num + (1.0 - model.pi) * beta_pdf(model.ood, s), dtype=float)
+    return num, den
+
+
+def posterior_id(model: BetaMixtureModel, s, regularized: bool = False,
+                 densities: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | float:
     """Posterior probability of being ID given a score.
 
     The regularized form adds ``epsilon`` to the denominator; it is used
     only when sampling masks, never inside the IMM estimation. If both
-    densities underflow to zero, the prior ``pi`` is returned.
+    densities underflow to zero, the prior ``pi`` is returned. A caller
+    that needs both forms passes ``densities=mixture_densities(model, s)``
+    so the Beta densities are evaluated once.
     """
-    s_arr = np.asarray(s, dtype=float)
-    num = model.pi * beta_pdf(model.id, s_arr)
-    den = num + (1.0 - model.pi) * beta_pdf(model.ood, s_arr)
-    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    if densities is None:
+        densities = mixture_densities(model, np.asarray(s, dtype=float))
+    num, den = densities
     if regularized:
         den = den + model.epsilon
     out = np.empty_like(den)
@@ -161,8 +171,10 @@ def posterior_id(model: BetaMixtureModel, s, regularized: bool = False) -> np.nd
 
 
 def _imm_iteration(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
-                   labeled_scores: np.ndarray) -> tuple[BetaParams | None, BetaParams | None]:
-    """One E-step + MM-step; returns tilde parameters (None = skip).
+                   labeled_scores: np.ndarray,
+                   w_id: np.ndarray) -> tuple[BetaParams | None, BetaParams | None]:
+    """One MM-step from the E-step weights ``w_id`` (the unregularized
+    posterior of the unlabeled scores); returns tilde parameters (None = skip).
 
     ID moments pool labeled scores at weight 1 with unlabeled scores at
     their posterior ID weight; OOD moments use unlabeled scores only.
@@ -171,7 +183,7 @@ def _imm_iteration(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
     """
     s = np.asarray(unlabeled_scores, dtype=float)
     sl = np.asarray(labeled_scores, dtype=float)
-    w_id = np.asarray(posterior_id(model, s, regularized=False), dtype=float)
+    w_id = np.asarray(w_id, dtype=float)
     w_ood = 1.0 - w_id
 
     tilde_id = tilde_ood = None
@@ -190,9 +202,12 @@ def _ema(old: BetaParams, new: BetaParams, lam: float) -> BetaParams:
 
 
 def imm_batch_step(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
-                   labeled_scores: np.ndarray) -> BetaMixtureModel:
-    """One streaming IMM update; returns a new model (EMA-smoothed)."""
-    tilde_id, tilde_ood = _imm_iteration(model, unlabeled_scores, labeled_scores)
+                   labeled_scores: np.ndarray, w_id: np.ndarray) -> BetaMixtureModel:
+    """One streaming IMM update; returns a new model (EMA-smoothed).
+
+    ``w_id`` is ``posterior_id(model, unlabeled_scores)``, the E-step weights.
+    """
+    tilde_id, tilde_ood = _imm_iteration(model, unlabeled_scores, labeled_scores, w_id)
     lam = model.lambda_ema
     new = model.copy()
     if tilde_id is not None:
@@ -219,7 +234,8 @@ def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
     model = (init or BetaMixtureModel.default_init(pi)).copy()
     model.pi = pi
     for _ in range(max_iters):
-        tilde_id, tilde_ood = _imm_iteration(model, scores, labeled_scores)
+        tilde_id, tilde_ood = _imm_iteration(model, scores, labeled_scores,
+                                             posterior_id(model, scores))
         new = model.copy()
         if tilde_id is not None:
             new.id = tilde_id

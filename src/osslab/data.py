@@ -83,7 +83,7 @@ def _place_centers(n: int, dim: int, separation: float, rng: np.random.Generator
     scale = separation * max(1.0, np.sqrt(n) / np.sqrt(dim))
     centers = []
     for _ in range(n):
-        for attempt in range(_CENTER_RETRIES):
+        for _ in range(_CENTER_RETRIES):
             c = rng.normal(0.0, scale, size=dim)
             if all(np.linalg.norm(c - p) >= separation for p in centers):
                 centers.append(c)

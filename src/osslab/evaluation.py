@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .betamix import BetaMixtureModel, beta_pdf, clamp_scores
 from .subspace import ScoreKind
@@ -20,6 +19,23 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing their mean rank (the
+    "average" method of ``scipy.stats.rankdata``). Every rank is a
+    half-integer, so it is exact in float64. Any NaN makes every rank NaN."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    new_group = np.r_[True, xs[1:] != xs[:-1]]
+    dense = np.cumsum(new_group)                          # 1-based tie group per sorted slot
+    start = np.r_[np.flatnonzero(new_group), x.size]      # first slot of each group, then the end
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (start[dense] + start[dense - 1] + 1)
+    return ranks
+
+
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """P(random ID score > random OOD score), ties worth 1/2.
 
@@ -31,7 +47,7 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     n, m = id_scores.size, ood_scores.size
     if n == 0 or m == 0:
         raise ValueError("both score lists must be nonempty")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]))
+    ranks = average_ranks(np.concatenate([id_scores, ood_scores]))
     u = ranks[:n].sum() - n * (n + 1) / 2.0
     return float(u / (n * m))
 

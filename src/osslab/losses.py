@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import subspace
 from .subspace import IdSubspaceBasis, subspace_score_grads
 
 
@@ -37,7 +38,7 @@ def loss_sup(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     labels = np.asarray(labels)
     B = labels.shape[0]
     value = float(-log_probs[np.arange(B), labels].mean())
-    d_logits = np.exp(log_probs).copy()
+    d_logits = np.exp(log_probs)
     d_logits[np.arange(B), labels] -= 1.0
     return value, d_logits / B
 
@@ -56,7 +57,7 @@ def loss_semi(weak_probs: np.ndarray, strong_log_probs: np.ndarray,
     pseudo = weak_probs.argmax(axis=1)
     coeff = (conf > tau).astype(float) * np.asarray(semi_gate, dtype=float)
     value = float((coeff * -strong_log_probs[np.arange(n), pseudo]).sum() / n)
-    d_logits = np.exp(strong_log_probs).copy()
+    d_logits = np.exp(strong_log_probs)
     d_logits[np.arange(n), pseudo] -= 1.0
     d_logits *= coeff[:, None] / n
     return value, d_logits, int((coeff > 0).sum())
@@ -72,27 +73,41 @@ def loss_self(h_out: np.ndarray, weak_z: np.ndarray) -> tuple[float, np.ndarray,
     hn = np.linalg.norm(h_out, axis=1)
     zn = np.linalg.norm(weak_z, axis=1)
     ok = (hn > 0) & (zn > 0)
-    cos = np.zeros(n)
-    d_h = np.zeros_like(h_out)
     dots = (h_out * weak_z).sum(axis=1)
-    cos[ok] = dots[ok] / (hn[ok] * zn[ok])
     # d cos/d h = z/(|h||z|) - (h.z) h / (|h|^3 |z|)
-    d_h[ok] = (weak_z[ok] / (hn[ok] * zn[ok])[:, None]
-               - (dots[ok] / (hn[ok] ** 3 * zn[ok]))[:, None] * h_out[ok])
+    if ok.all():  # no degenerate row, so no masked gathers
+        cos = dots / (hn * zn)
+        d_h = weak_z / (hn * zn)[:, None] - (dots / (hn ** 3 * zn))[:, None] * h_out
+    else:
+        cos = np.zeros(n)
+        d_h = np.zeros_like(h_out)
+        cos[ok] = dots[ok] / (hn[ok] * zn[ok])
+        d_h[ok] = (weak_z[ok] / (hn[ok] * zn[ok])[:, None]
+                   - (dots[ok] / (hn[ok] ** 3 * zn[ok]))[:, None] * h_out[ok])
     value = float(-cos.mean())
     return value, -d_h / n, int((~ok).sum())
 
 
-def loss_sub(weak_z: np.ndarray, basis: IdSubspaceBasis,
-             sub_weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed mean of subspace scores; returns (value, d_weak_z).
+def weak_scores(weak_z: np.ndarray, basis: IdSubspaceBasis,
+                with_grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Subspace scores of the weak view, computed once per step for both the
+    decision rule and ``loss_sub``; their gradients w.r.t. the features come
+    along (else None) only when the subspace loss will use them."""
+    if with_grads:
+        return subspace_score_grads(weak_z, basis)
+    return subspace.subspace_scores(weak_z, basis), None
 
-    ``sub_weights`` is m_ood - m_id (or 1 - 2 p_id); the basis is a
+
+def loss_sub(scores: np.ndarray, d_scores: np.ndarray,
+             sub_weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed mean of the weak view's subspace scores; returns (value, d_weak_z).
+
+    ``scores, d_scores`` are ``subspace_score_grads`` of the weak features;
+    ``sub_weights`` is m_ood - m_id (or 1 - 2 p_id). The basis is a
     constant for gradient purposes.
     """
-    n = weak_z.shape[0]
+    n = scores.shape[0]
     w = np.asarray(sub_weights, dtype=float)
-    scores, d_scores = subspace_score_grads(weak_z, basis)
     value = float((w * scores).sum() / n)
     return value, w[:, None] * d_scores / n
 

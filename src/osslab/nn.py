@@ -148,7 +148,6 @@ def backward(params: MlpParams, trace: ForwardTrace, grads: MlpParams,
     features and logits (batch-shaped). Outputs the caller treats as
     constants simply receive no upstream gradient here.
     """
-    N = trace.x.shape[0]
     dz = np.zeros_like(trace.z) if d_z is None else np.asarray(d_z, dtype=float)
     if dz.shape != trace.z.shape:
         raise ValueError(f"d_z shape {dz.shape} != z shape {trace.z.shape}")

@@ -97,8 +97,16 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     head = next(it).split()
     C, D = int(head[1]), int(head[2])
-    means = np.asarray([[float(v) for v in next(it).split()] for _ in range(C)])
+    if (C, D) != (num_classes, feature_dim):
+        raise ValueError(f"{path}: means are {C}x{D}, the arch needs "
+                         f"{num_classes}x{feature_dim}")
+    rows = [[float(v) for v in next(it).split()] for _ in range(C)]
+    if any(len(row) != D for row in rows):
+        raise ValueError(f"{path}: every means row must have {D} values")
+    means = np.asarray(rows)
     initialized = np.asarray([bool(int(v)) for v in next(it).split()[1:]])
+    if initialized.size != C:
+        raise ValueError(f"{path}: {initialized.size} initialized flags, expected {C}")
     lambda_means = float(next(it).split()[1])
     b = [float(v) for v in next(it).split()[1:]]
     beta_model = BetaMixtureModel(id=BetaParams(b[0], b[1]), ood=BetaParams(b[2], b[3]),

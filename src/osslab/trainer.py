@@ -15,8 +15,6 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import betamix, decide, losses, nn, optim, subspace
 from .config import TrainingConfig
 from .data import OpenSetDataset, batches, generate
@@ -76,15 +74,13 @@ class RunLog:
     def steps_csv(self) -> str:
         rows = [",".join(_STEP_COLS)]
         for r in self.steps:
-            d = asdict(r)
-            rows.append(",".join(_csv_cell(d[c]) for c in _STEP_COLS))
+            rows.append(",".join(_csv_cell(getattr(r, c)) for c in _STEP_COLS))
         return "\n".join(rows) + "\n"
 
     def evals_csv(self) -> str:
         rows = [",".join(_EVAL_COLS)]
         for r in self.evals:
-            d = asdict(r)
-            rows.append(",".join(_csv_cell(d[c]) for c in _EVAL_COLS))
+            rows.append(",".join(_csv_cell(getattr(r, c)) for c in _EVAL_COLS))
         return "\n".join(rows) + "\n"
 
 
@@ -189,11 +185,15 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                 basis = subspace.compute_basis(table)
                 bootstrapped = True
 
-            scores_u = subspace.subspace_scores(trace_w.z, basis)
+            sub_on = not warmup and weights.w_sub > 0.0
+            scores_u, d_scores_u = losses.weak_scores(trace_w.z, basis, sub_on)
             scores_l = subspace.subspace_scores(trace_l.z, basis)
             s_u = betamix.clamp_scores(scores_u)
             s_l = betamix.clamp_scores(scores_l)
-            p_reg = np.asarray(betamix.posterior_id(beta_model, s_u, regularized=True))
+            densities = betamix.mixture_densities(beta_model, s_u)
+            p_reg = betamix.posterior_id(beta_model, s_u, regularized=True,
+                                         densities=densities)
+            w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
             decision = decide.decide(rule, scores_u, p_reg, mask_rng)
 
             grads.theta.fill(0.0)
@@ -217,8 +217,8 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                 d_logits_s = weights.w_semi * d_ls
             if d_z_strong is not None or d_logits_s is not None:
                 nn.backward(params, trace_s, grads, d_z=d_z_strong, d_logits=d_logits_s)
-            if not warmup and weights.w_sub > 0.0:
-                sub_val, d_zw = losses.loss_sub(trace_w.z, basis, decision.sub_weights)
+            if sub_on:
+                sub_val, d_zw = losses.loss_sub(scores_u, d_scores_u, decision.sub_weights)
                 nn.backward(params, trace_w, grads, d_z=weights.w_sub * d_zw)
 
             reg_val, d_reg = losses.loss_reg(params.theta)
@@ -242,7 +242,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
         if not bootstrapped:
             subspace.update_class_means(table, trace_l.z, batch.labels)
         basis = subspace.compute_basis(table)
-        beta_model = betamix.imm_batch_step(beta_model, s_u, s_l)
+        beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id)
         optim.ema_update(opt_state, params.theta)
 
         runlog.steps.append(StepRecord(
@@ -338,11 +338,10 @@ def emit_plot_data(result: TrainResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "metrics_long.csv"), "w") as fh:
         fh.write("metric,step,value\n")
         for r in result.runlog.steps:
-            d = asdict(r)
             for col in _STEP_COLS:
                 if col in ("step", "mask_hash"):
                     continue
-                fh.write(f"{col},{r.step},{_csv_cell(d[col])}\n")
+                fh.write(f"{col},{r.step},{_csv_cell(getattr(r, col))}\n")
         for e in result.runlog.evals:
             fh.write(f"accuracy,{e.step},{_csv_cell(e.closed_set_accuracy)}\n")
             fh.write(f"auroc_{e.score_kind},{e.step},{_csv_cell(e.auroc)}\n")

@@ -26,7 +26,7 @@ from osslab.losses import (
 )
 from osslab.rng import stream
 from osslab.subspace import (
-    IdSubspaceBasis, subspace_score, subspace_scores,
+    IdSubspaceBasis, subspace_score, subspace_score_grads, subspace_scores,
 )
 
 
@@ -103,7 +103,7 @@ class TestGradientSuite:
             def lg_sub(p):
                 g = p.zeros_like()
                 tr = nn.forward(p, xw)
-                val, d_z = loss_sub(tr.z, basis, sub_w)
+                val, d_z = loss_sub(*subspace_score_grads(tr.z, basis), sub_w)
                 nn.backward(p, tr, g, d_z=d_z)
                 return val, g.to_vector()
 
@@ -185,8 +185,9 @@ class TestMixtureEstimation:
         scores = clamp_scores(rng.beta(4, 2, 400))
         labeled = clamp_scores(rng.beta(8, 2, 50))
         model = BetaMixtureModel.default_init(pi=0.5, lambda_ema=0.0)
-        stepped = imm_batch_step(model, scores, labeled)
-        ref_id, ref_ood = _imm_iteration(model, scores, labeled)
+        w_id = posterior_id(model, scores)
+        stepped = imm_batch_step(model, scores, labeled, w_id)
+        ref_id, ref_ood = _imm_iteration(model, scores, labeled, w_id)
         ok = (stepped.id == ref_id and stepped.ood == ref_ood)
         report("mixture estimation: batch step vs reference", ok,
                "lambda=0 full-batch step equals one reference iteration exactly")

@@ -6,9 +6,15 @@ from scipy import integrate
 
 from osslab.betamix import (
     BetaMixtureModel, BetaParams, MomentPair, beta_pdf, clamp_scores, fit_reference,
-    imm_batch_step, method_of_moments, posterior_id, weighted_moments,
+    imm_batch_step, method_of_moments, mixture_densities, posterior_id,
+    weighted_moments,
 )
 from osslab.evaluation import auroc
+
+
+def imm_step(model, unlabeled, labeled):
+    """``imm_batch_step`` with the E-step weights the trainer passes."""
+    return imm_batch_step(model, unlabeled, labeled, posterior_id(model, unlabeled))
 
 
 class TestBetaPdf:
@@ -134,10 +140,41 @@ class TestPosterior:
         assert np.all(np.diff(p) >= -1e-12)
 
 
+def reference_posterior_id(model, s, regularized):
+    """The posterior with its own density pass, as each call made it."""
+    num = model.pi * beta_pdf(model.id, s)
+    den = num + (1.0 - model.pi) * beta_pdf(model.ood, s)
+    if regularized:
+        den = den + model.epsilon
+    out = np.empty_like(den)
+    dead = den == 0.0
+    out[dead] = model.pi
+    out[~dead] = num[~dead] / den[~dead]
+    return out
+
+
+class TestSharedDensities:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_one_density_pass_gives_both_posteriors(self, rng, epsilon):
+        models = [BetaMixtureModel.default_init(0.4, epsilon=epsilon),
+                  # both densities underflow to 0 in the middle: the prior comes back
+                  BetaMixtureModel(id=BetaParams(1e5, 1.0), ood=BetaParams(1.0, 1e5),
+                                   pi=0.3, epsilon=epsilon)]
+        s = clamp_scores(np.concatenate([rng.uniform(0.0, 1.0, 64), [0.5, 1e-7, 1.0]]))
+        for m in models:
+            densities = mixture_densities(m, s)
+            for regularized in (True, False):
+                want = reference_posterior_id(m, s, regularized)
+                shared = posterior_id(m, s, regularized=regularized, densities=densities)
+                own = posterior_id(m, s, regularized=regularized)
+                assert shared.tobytes() == own.tobytes() == want.tobytes()
+        assert posterior_id(models[1], 0.5) == 0.3
+
+
 class TestImmBatchStep:
     def test_lambda_one_freezes_model(self, rng):
         m = BetaMixtureModel.default_init(0.5, lambda_ema=1.0)
-        out = imm_batch_step(m, rng.uniform(0.1, 0.9, 64), rng.uniform(0.5, 0.9, 16))
+        out = imm_step(m, rng.uniform(0.1, 0.9, 64), rng.uniform(0.5, 0.9, 16))
         assert (out.id, out.ood) == (m.id, m.ood)
 
     def test_lambda_zero_separated_matches_per_component_mom(self, rng):
@@ -148,7 +185,7 @@ class TestImmBatchStep:
         lo = rng.uniform(0.03, 0.07, size=40)   # posterior ~ 0
         lab = rng.uniform(0.94, 0.96, size=10)
         unl = np.concatenate([hi, lo])
-        out = imm_batch_step(m, unl, lab)
+        out = imm_step(m, unl, lab)
         id_ref = method_of_moments(
             weighted_moments(np.concatenate([lab, hi]), np.ones(50)))
         ood_ref = method_of_moments(weighted_moments(lo, np.ones(40)))
@@ -162,10 +199,10 @@ class TestImmBatchStep:
         # lambda = 0 fixed point by plain iteration on the same batch
         ref = BetaMixtureModel.default_init(0.5, lambda_ema=0.0)
         for _ in range(2000):
-            ref = imm_batch_step(ref, unl, lab)
+            ref = imm_step(ref, unl, lab)
         m = BetaMixtureModel.default_init(0.5, lambda_ema=0.9)
         for _ in range(20000):
-            m = imm_batch_step(m, unl, lab)
+            m = imm_step(m, unl, lab)
         for a, b in ((m.id.alpha, ref.id.alpha), (m.id.beta, ref.id.beta),
                      (m.ood.alpha, ref.ood.alpha), (m.ood.beta, ref.ood.beta)):
             assert a == pytest.approx(b, abs=1e-6)
@@ -174,7 +211,7 @@ class TestImmBatchStep:
         m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0),
                              pi=0.5, lambda_ema=0.0)
         hi = np.linspace(0.9, 0.99, 30)  # no OOD mass at all
-        out = imm_batch_step(m, hi, np.array([0.95, 0.96]))
+        out = imm_step(m, hi, np.array([0.95, 0.96]))
         assert out.ood == m.ood
         assert out.id != m.id
 
@@ -185,7 +222,7 @@ class TestImmBatchStep:
         for eps in (0.0, 0.1, 7.0):
             m = BetaMixtureModel.default_init(0.5, epsilon=eps, lambda_ema=0.9)
             for _ in range(25):
-                m = imm_batch_step(m, unl, lab)
+                m = imm_step(m, unl, lab)
             runs.append((m.id.alpha, m.id.beta, m.ood.alpha, m.ood.beta))
         assert runs[0] == runs[1] == runs[2]
 
@@ -193,7 +230,7 @@ class TestImmBatchStep:
         unl = clamp_scores(rng.beta(6, 2, size=200))
         lab = clamp_scores(rng.beta(6, 2, size=40))
         init = BetaMixtureModel.default_init(0.5, lambda_ema=0.0)
-        stepped = imm_batch_step(init, unl, lab)
+        stepped = imm_step(init, unl, lab)
         ref = fit_reference(unl, lab, pi=0.5, max_iters=1, tol=0.0, init=init)
         assert (stepped.id, stepped.ood) == (ref.id, ref.ood)
 

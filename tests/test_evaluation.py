@@ -3,7 +3,9 @@ import pytest
 
 from osslab.betamix import BetaMixtureModel
 from osslab.subspace import ScoreKind
-from osslab.evaluation import accuracy, auroc, beta_density_grid, score_snapshot
+from osslab.evaluation import (
+    accuracy, auroc, average_ranks, beta_density_grid, score_snapshot,
+)
 
 
 def pairwise_auroc(id_scores, ood_scores):
@@ -68,6 +70,24 @@ class TestAuroc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auroc(np.array([]), np.array([0.5]))
+
+
+class TestAverageRanks:
+    def test_equals_scipy_rankdata_with_heavy_ties(self, rng):
+        from scipy.stats import rankdata
+        for _ in range(200):
+            n = int(rng.integers(0, 80))
+            x = rng.integers(0, rng.integers(1, 8), size=n).astype(float)
+            if rng.random() < 0.25:
+                x = rng.normal(size=n)
+            got, want = average_ranks(x), rankdata(x)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(average_ranks(np.array([0.3, np.nan, 0.1]))).all()
+        assert np.isnan(auroc(np.array([0.9, np.nan]), np.array([0.1, 0.2])))
+        assert np.isnan(auroc(np.array([0.9, 0.8]), np.array([np.nan])))
 
 
 class TestSnapshots:

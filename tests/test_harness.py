@@ -8,6 +8,7 @@ import pytest
 from osslab import trainer
 from osslab.cli import main as cli_main
 from osslab.config import TrainingConfig, load_config
+from osslab.data import export_dataset, generate
 from osslab.optim import lr
 from osslab.serialize import load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
@@ -217,3 +218,47 @@ class TestCli:
         path.write_text(cfg.to_text())
         assert cli_main(["--config", str(path), "--out", str(tmp_path),
                          "train"]) == 0
+
+
+def _drop_last_value(line: str) -> str:
+    return line.rsplit(" ", 1)[0]
+
+
+def _edit_means(lines: list[str], edit_header, edit_rows) -> list[str]:
+    i = next(j for j, line in enumerate(lines) if line.startswith("means "))
+    C = int(lines[i].split()[1])
+    return lines[:i] + [edit_header(lines[i])] + edit_rows(lines[i + 1:i + 1 + C]) + lines[i + 1 + C:]
+
+
+# hand edits of a saved TINY checkpoint (4 classes, feature_dim 8)
+_CHECKPOINT_EDITS = {
+    "initialized_one_short": lambda lines: [
+        _drop_last_value(line) if line.startswith("initialized ") else line for line in lines],
+    "means_rows_one_column_short": lambda lines: _edit_means(
+        lines, lambda h: h, lambda rows: [_drop_last_value(r) for r in rows]),
+    "means_one_row_one_column_short": lambda lines: _edit_means(
+        lines, lambda h: h, lambda rows: [_drop_last_value(rows[0])] + rows[1:]),
+    "means_fewer_classes_than_arch": lambda lines: _edit_means(
+        lines, lambda h: "means 3 8", lambda rows: rows[:3]),
+    "means_narrower_than_arch": lambda lines: _edit_means(
+        lines, lambda h: "means 4 7", lambda rows: [_drop_last_value(r) for r in rows]),
+}
+
+
+class TestCheckpointShape:
+    @pytest.mark.parametrize("edit", sorted(_CHECKPOINT_EDITS))
+    def test_eval_rejects_mismatched_means(self, tiny_result, tmp_path, capsys, edit):
+        path = tmp_path / "checkpoint.txt"
+        save_checkpoint(tiny_result.checkpoint, str(path))
+        lines = path.read_text().splitlines()
+        edited = _CHECKPOINT_EDITS[edit](lines)
+        assert edited != lines
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+        dataset = tmp_path / "dataset.txt"
+        export_dataset(generate(TrainingConfig(**TINY).dataset_spec()), str(dataset))
+        capsys.readouterr()
+        rc = cli_main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")

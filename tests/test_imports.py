@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports, and every local a function
+assigns, is read; importing the CLI stays clear of scipy.stats."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "osslab"
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +29,44 @@ def unused_imports(source: str) -> list[str]:
                   if name not in read)
 
 
+def _own_nodes(fn):
+    """Nodes of ``fn``'s body, not descending into nested functions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """Function locals that are assigned and never read.
+
+    A read in a nested function counts, an augmented assignment counts as a
+    read, and ``_`` and names declared global or nonlocal are exempt.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, _FUNCS):
+            continue
+        outer, stores = set(), {}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.id, node.lineno)
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"{var} in {name} (line {line})" for var, line in stores.items()
+                  if var != "_" and var not in read and var not in outer]
+    return sorted(found)
+
+
 def test_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["os (line 2)"]
@@ -32,3 +75,35 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_finds_an_unused_local():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n"          # never read
+        "    total = 0\n"
+        "    total += 1\n"           # the augmented assignment reads it
+        "    for _ in xs:\n"         # exempt
+        "        pass\n"
+        "    hits = 0\n"
+        "    def g():\n"
+        "        nonlocal hits\n"    # a store to f's local, which f reads
+        "        hits = 1\n"
+        "        dead = 2\n"         # never read
+        "    g()\n"
+        "    scale = 2.0\n"
+        "    return hits, lambda x: x * scale\n"  # read by a nested function
+    )
+    assert unused_locals(source) == ["dead in g (line 11)", "n in f (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, osslab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,8 +4,9 @@ import pytest
 from osslab import nn
 from osslab.losses import (
     LossWeights, loss_reg, loss_self, loss_semi, loss_sub, loss_sup, total_loss,
+    weak_scores,
 )
-from osslab.subspace import IdSubspaceBasis
+from osslab.subspace import IdSubspaceBasis, subspace_score_grads, subspace_scores
 
 
 def softmax_rows(logits):
@@ -144,19 +145,61 @@ class TestLossSelf:
                 assert grad[i, j] == pytest.approx(fd, abs=1e-8)
 
 
+def masked_loss_self(h_out, weak_z):
+    """Reference: ``loss_self`` with the masked gathers applied to every batch."""
+    n = h_out.shape[0]
+    hn = np.linalg.norm(h_out, axis=1)
+    zn = np.linalg.norm(weak_z, axis=1)
+    ok = (hn > 0) & (zn > 0)
+    cos = np.zeros(n)
+    d_h = np.zeros_like(h_out)
+    dots = (h_out * weak_z).sum(axis=1)
+    cos[ok] = dots[ok] / (hn[ok] * zn[ok])
+    d_h[ok] = (weak_z[ok] / (hn[ok] * zn[ok])[:, None]
+               - (dots[ok] / (hn[ok] ** 3 * zn[ok]))[:, None] * h_out[ok])
+    return float(-cos.mean()), -d_h / n, int((~ok).sum())
+
+
+class TestLossSelfFastPath:
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_equals_masked_path(self, rng, zero_rows):
+        for _ in range(20):
+            h = rng.normal(size=(32, 8))
+            z = rng.normal(size=(32, 8))
+            if zero_rows:
+                h[3] = 0.0
+                z[[5, 17]] = 0.0
+            got_v, got_d, got_n = loss_self(h, z)
+            want_v, want_d, want_n = masked_loss_self(h, z)
+            assert (got_v, got_n) == (want_v, want_n)
+            assert got_d.tobytes() == want_d.tobytes()
+
+
+class TestWeakScores:
+    def test_both_forms_give_the_same_scores(self, rng):
+        basis = random_basis(rng, 5, 2)
+        Z = rng.normal(size=(16, 5))
+        Z[4] = 0.0
+        with_grads, d_scores = weak_scores(Z, basis, True)
+        plain, none = weak_scores(Z, basis, False)
+        assert none is None
+        assert with_grads.tobytes() == plain.tobytes() == subspace_scores(Z, basis).tobytes()
+        assert d_scores.tobytes() == subspace_score_grads(Z, basis)[1].tobytes()
+
+
 class TestLossSub:
     def test_all_id_is_negative_mean_score(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(6, 5))
-        val, _ = loss_sub(Z, basis, -np.ones(6))
+        val, _ = loss_sub(*subspace_score_grads(Z, basis), -np.ones(6))
         from osslab.subspace import subspace_scores
         assert val == pytest.approx(-subspace_scores(Z, basis).mean())
 
     def test_all_ood_flips_sign(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(6, 5))
-        v_id, _ = loss_sub(Z, basis, -np.ones(6))
-        v_ood, _ = loss_sub(Z, basis, np.ones(6))
+        v_id, _ = loss_sub(*subspace_score_grads(Z, basis), -np.ones(6))
+        v_ood, _ = loss_sub(*subspace_score_grads(Z, basis), np.ones(6))
         assert v_ood == pytest.approx(-v_id)
 
     def test_hand_worked_mixed_batch(self):
@@ -164,21 +207,21 @@ class TestLossSub:
         basis = IdSubspaceBasis(Q=np.eye(3)[:, :1])
         Z = np.array([[2.0, 0.0, 0.0],   # in span, s = 1
                       [0.0, 1.0, 0.0]])  # orthogonal, s = 0
-        val, _ = loss_sub(Z, basis, np.array([-1.0, 1.0]))
+        val, _ = loss_sub(*subspace_score_grads(Z, basis), np.array([-1.0, 1.0]))
         assert val == pytest.approx(-0.5)
 
     def test_gradient_matches_fd(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(4, 5))
         w = rng.choice([-1.0, 1.0], size=4)
-        _, grad = loss_sub(Z, basis, w)
+        _, grad = loss_sub(*subspace_score_grads(Z, basis), w)
         eps = 1e-6
         for i in range(4):
             for j in range(5):
                 Zp, Zm = Z.copy(), Z.copy()
                 Zp[i, j] += eps
                 Zm[i, j] -= eps
-                fd = (loss_sub(Zp, basis, w)[0] - loss_sub(Zm, basis, w)[0]) / (2 * eps)
+                fd = (loss_sub(*subspace_score_grads(Zp, basis), w)[0] - loss_sub(*subspace_score_grads(Zm, basis), w)[0]) / (2 * eps)
                 assert grad[i, j] == pytest.approx(fd, abs=1e-8)
 
 
