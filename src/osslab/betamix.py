@@ -152,11 +152,14 @@ def posterior_id(model: BetaMixtureModel, s, regularized: bool = False,
     only when sampling masks, never inside the IMM estimation. If both
     densities underflow to zero, the prior ``pi`` is returned. A caller
     that needs both forms passes ``densities=mixture_densities(model, s)``
-    so the Beta densities are evaluated once.
+    so the Beta densities are evaluated once; they must have the shape of ``s``.
     """
     if densities is None:
         densities = mixture_densities(model, np.asarray(s, dtype=float))
     num, den = densities
+    if den.shape != np.shape(s):
+        raise ValueError(f"densities of shape {den.shape} do not match scores "
+                         f"of shape {np.shape(s)}")
     if regularized:
         den = den + model.epsilon
     out = np.empty_like(den)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import subspace
-from .subspace import IdSubspaceBasis, subspace_score_grads
+# trainer calls the gradient kernel through this module, so the binding
+# stays here as an explicit re-export
+from .subspace import subspace_score_grads as subspace_score_grads
 
 
 @dataclass
@@ -75,27 +76,12 @@ def loss_self(h_out: np.ndarray, weak_z: np.ndarray) -> tuple[float, np.ndarray,
     ok = (hn > 0) & (zn > 0)
     dots = (h_out * weak_z).sum(axis=1)
     # d cos/d h = z/(|h||z|) - (h.z) h / (|h|^3 |z|)
-    if ok.all():  # no degenerate row, so no masked gathers
-        cos = dots / (hn * zn)
-        d_h = weak_z / (hn * zn)[:, None] - (dots / (hn ** 3 * zn))[:, None] * h_out
-    else:
-        cos = np.zeros(n)
-        d_h = np.zeros_like(h_out)
-        cos[ok] = dots[ok] / (hn[ok] * zn[ok])
-        d_h[ok] = (weak_z[ok] / (hn[ok] * zn[ok])[:, None]
-                   - (dots[ok] / (hn[ok] ** 3 * zn[ok]))[:, None] * h_out[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(ok, dots / (hn * zn), 0.0)
+        d_h = np.where(ok[:, None], weak_z / (hn * zn)[:, None]
+                       - (dots / (hn ** 3 * zn))[:, None] * h_out, 0.0)
     value = float(-cos.mean())
     return value, -d_h / n, int((~ok).sum())
-
-
-def weak_scores(weak_z: np.ndarray, basis: IdSubspaceBasis,
-                with_grads: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Subspace scores of the weak view, computed once per step for both the
-    decision rule and ``loss_sub``; their gradients w.r.t. the features come
-    along (else None) only when the subspace loss will use them."""
-    if with_grads:
-        return subspace_score_grads(weak_z, basis)
-    return subspace.subspace_scores(weak_z, basis), None
 
 
 def loss_sub(scores: np.ndarray, d_scores: np.ndarray,

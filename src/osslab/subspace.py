@@ -61,27 +61,17 @@ def update_class_means(table: ClassMeanTable, Z: np.ndarray, labels: np.ndarray)
     """EMA-update means for classes present in the batch, in place.
 
     First sighting of a class sets its mean directly to the batch mean.
-    Each class's rows are summed in batch order from a zero-padded
-    (classes, max_count, D) block, so every batch mean has the bits of
-    ``Z[labels == c].mean(axis=0)``. (numpy sums a one-column class pairwise
-    instead, so D = 1 matches only for a single class, which is all a config
-    allows, since D >= num_classes.)
     """
     Z = np.atleast_2d(Z)
     labels = np.asarray(labels)
-    if labels.size == 0:
-        return
-    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse, kind="stable")
-    slot = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    block = np.zeros((classes.size, counts.max(), Z.shape[1]))
-    block[inverse[order], slot] = Z[order]
-    batch_means = block.sum(axis=1) / counts[:, None]
     lam = table.momentum
-    seen = table.initialized[classes]
-    table.means[classes] = np.where(
-        seen[:, None], lam * table.means[classes] + (1.0 - lam) * batch_means, batch_means)
-    table.initialized[classes] = True
+    for c in np.unique(labels):
+        batch_mean = Z[labels == c].mean(axis=0)
+        if table.initialized[c]:
+            table.means[c] = lam * table.means[c] + (1.0 - lam) * batch_mean
+        else:
+            table.means[c] = batch_mean
+            table.initialized[c] = True
 
 
 def compute_basis(table: ClassMeanTable) -> IdSubspaceBasis:
@@ -110,13 +100,9 @@ def subspace_scores(Z: np.ndarray, basis: IdSubspaceBasis) -> np.ndarray:
     Z = np.atleast_2d(Z)
     u_norm = np.linalg.norm(Z @ basis.Q, axis=1)
     z_norm = np.linalg.norm(Z, axis=1)
-    ok = z_norm > 0
     # roundoff can push ||Q^T z|| a few ulp above ||z|| for in-span vectors
-    if ok.all():
-        return np.minimum(u_norm / z_norm, 1.0)
-    out = np.zeros(Z.shape[0])
-    out[ok] = np.minimum(u_norm[ok] / z_norm[ok], 1.0)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0)
 
 
 def subspace_score(z: np.ndarray, basis: IdSubspaceBasis) -> float:
@@ -136,17 +122,10 @@ def subspace_score_grads(Z: np.ndarray, basis: IdSubspaceBasis) -> tuple[np.ndar
     u_norm = np.linalg.norm(U, axis=1)
     z_norm = np.linalg.norm(Z, axis=1)
     ok = (z_norm > 0) & (u_norm > 0)
-    if ok.all():  # no degenerate row, so no masked gathers
-        scores = np.minimum(u_norm / z_norm, 1.0)
-        grads = (proj / (u_norm * z_norm)[:, None]
-                 - (scores / z_norm ** 2)[:, None] * Z)
-        return scores, grads
-    scores = np.zeros(Z.shape[0])
-    grads = np.zeros_like(Z)
-    scores[z_norm > 0] = np.minimum(u_norm[z_norm > 0] / z_norm[z_norm > 0], 1.0)
-    zn = z_norm[ok]
-    grads[ok] = (proj[ok] / (u_norm[ok] * zn)[:, None]
-                 - (scores[ok] / zn ** 2)[:, None] * Z[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0)
+        grads = np.where(ok[:, None], proj / (u_norm * z_norm)[:, None]
+                         - (scores / z_norm ** 2)[:, None] * Z, 0.0)
     return scores, grads
 
 

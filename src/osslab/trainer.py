@@ -186,7 +186,10 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                 bootstrapped = True
 
             sub_on = not warmup and weights.w_sub > 0.0
-            scores_u, d_scores_u = losses.weak_scores(trace_w.z, basis, sub_on)
+            # the weak view is scored once; the gradients come along only when
+            # the subspace loss will use them
+            scores_u, d_scores_u = (losses.subspace_score_grads(trace_w.z, basis) if sub_on
+                                    else (subspace.subspace_scores(trace_w.z, basis), None))
             scores_l = subspace.subspace_scores(trace_l.z, basis)
             s_u = betamix.clamp_scores(scores_u)
             s_l = betamix.clamp_scores(scores_l)

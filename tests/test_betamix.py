@@ -170,6 +170,14 @@ class TestSharedDensities:
                 assert shared.tobytes() == own.tobytes() == want.tobytes()
         assert posterior_id(models[1], 0.5) == 0.3
 
+    def test_densities_must_match_the_scores(self):
+        m = BetaMixtureModel.default_init(0.4)
+        s = clamp_scores(np.linspace(0.0, 1.0, 8))
+        with pytest.raises(ValueError, match="do not match"):
+            posterior_id(m, s[:7], densities=mixture_densities(m, s))
+        with pytest.raises(ValueError, match="do not match"):
+            posterior_id(m, 0.5, densities=mixture_densities(m, s[:1]))
+
 
 class TestImmBatchStep:
     def test_lambda_one_freezes_model(self, rng):
