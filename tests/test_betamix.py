@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from osslab.betamix import (
-    BetaMixtureModel, BetaParams, MomentPair, beta_pdf, clamp_scores, fit_reference,
+    PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, MomentPair, beta_pdf, betaln,
+    clamp_scores, fit_reference,
     imm_batch_step, method_of_moments, mixture_densities, posterior_id,
     weighted_moments,
 )
@@ -45,6 +48,22 @@ class TestBetaPdf:
             BetaParams(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaParams(1.0, -2.0)
+
+
+class TestBetaln:
+    # the corners the method-of-moments clamps can reach
+    CORNERS = [(PARAM_FLOOR, 1e4), (1.0, 1.0), (PARAM_CEIL, PARAM_CEIL), (1.0, PARAM_CEIL)]
+
+    def test_matches_scipy_within_16_ulp_of_the_largest_term(self):
+        rng = np.random.default_rng(20240716)
+        sample = 10.0 ** rng.uniform(np.log10(PARAM_FLOOR), np.log10(PARAM_CEIL),
+                                     size=(20000, 2))
+        pairs = [(float(a), float(b)) for a, b in sample] + self.CORNERS
+        for a, b in pairs:
+            scale = max(abs(math.lgamma(a)), abs(math.lgamma(b)),
+                        abs(math.lgamma(a + b)), 1.0)
+            ours, ref = betaln(a, b), float(special.betaln(a, b))
+            assert abs(ours - ref) <= 16 * math.ulp(scale), (a, b, ours, ref)
 
 
 class TestWeightedMoments:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,9 @@ def _edit_means(lines: list[str], edit_header, edit_rows) -> list[str]:
 
 # hand edits of a saved TINY checkpoint (4 classes, feature_dim 8)
 _CHECKPOINT_EDITS = {
+    "last_line_missing": lambda lines: lines[:-1],
+    "beta_one_value_short": lambda lines: [
+        _drop_last_value(line) if line.startswith("beta ") else line for line in lines],
     "initialized_one_short": lambda lines: [
         _drop_last_value(line) if line.startswith("initialized ") else line for line in lines],
     "means_rows_one_column_short": lambda lines: _edit_means(
@@ -254,7 +258,7 @@ class TestCheckpointShape:
         edited = _CHECKPOINT_EDITS[edit](lines)
         assert edited != lines
         path.write_text("\n".join(edited) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(str(path))
         dataset = tmp_path / "dataset.txt"
         export_dataset(generate(TrainingConfig(**TINY).dataset_spec()), str(dataset))

@@ -1,5 +1,5 @@
 """Every name a module of the package imports, and every local a function
-assigns, is read; importing the CLI stays clear of scipy.stats."""
+assigns, is read; the package imports no scipy, at startup or later."""
 
 import ast
 import os
@@ -110,8 +110,57 @@ def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or a scipy submodule, at any nesting level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules
+                  if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_guard_finds_a_scipy_import():
+    source = (
+        "import numpy as np, scipy.special\n"
+        "from scipy import stats\n"
+        "from . import scipyish\n"        # a relative import, not scipy
+        "import scipyish\n"               # another package
+        "def f():\n"
+        "    if True:\n"
+        "        from scipy.special import betaln\n"  # a lazy import counts
+        "        return betaln\n"
+    )
+    assert scipy_imports(source) == ["scipy.special (line 1)", "scipy (line 2)",
+                                     "scipy.special (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
 def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, osslab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, osslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_training_leaves_out_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, on first use; a step that triggers it
+    # (np.unique does) pays for that import inside the timed loop
+    code = ("import sys; from osslab import cli; "
+            "cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    argv = ["--out", str(tmp_path), "train", "--K", "20", "--K_p", "5", "--eval_every", "10",
+            "--samples_per_class", "20", "--labeled_per_class", "4"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
