@@ -2,8 +2,10 @@
 
 Subcommands: generate, train, sweep, ablate, eval, emit-plot-data.
 Any config key can be overridden with ``--key value``; unknown keys are
-rejected. Exit code 0 on success, 1 on invalid input/config, 2 on
-runtime failure.
+rejected. ``emit-plot-data`` trains nothing: it reads the run dir that
+``train`` wrote with the same flags and ``--out``. Exit code 0 on
+success, 1 on invalid input/config (or a missing run dir), 2 on runtime
+failure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 
 from . import trainer
-from .config import TrainingConfig, load_config, parse_overrides
+from .config import TrainingConfig, load_config, parse_overrides, parse_value
 from .data import export_dataset, generate, import_dataset
 from .serialize import load_checkpoint
 from .trainer import run_dir_name
@@ -55,7 +57,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset export")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p = sub.add_parser("emit-plot-data", help="train and emit plot-ready files")
+    sub.add_parser("emit-plot-data", help="write plot files from the run dir that "
+                                          "'train' wrote with the same flags")
 
     args, extra = parser.parse_known_args(argv)
     try:
@@ -91,9 +94,7 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
         return 0
 
     if args.command == "sweep":
-        values = [float(v) for v in args.values.split(",")]
-        if args.axis == "K_p":
-            values = [int(v) for v in values]
+        values = [parse_value(args.axis, v) for v in args.values.split(",")]
         rows = trainer.sweep(cfg, args.axis, values)
         os.makedirs(run_dir, exist_ok=True)
         path = os.path.join(run_dir, f"sweep_{args.axis}.json")
@@ -113,14 +114,14 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
     if args.command == "eval":
         ckpt = load_checkpoint(args.checkpoint)
         dataset = import_dataset(args.dataset)
-        rows, _ = trainer.evaluate_checkpoint(ckpt.ema_params, ckpt.means, dataset,
-                                              ckpt.step, ckpt.beta_model)
+        rows = trainer.evaluate_checkpoint(ckpt.ema_params, ckpt.means, dataset, ckpt.step)
         print(json.dumps([trainer.asdict(r) for r in rows], indent=2))
         return 0
 
     if args.command == "emit-plot-data":
-        result = trainer.train(cfg, run_dir=run_dir)
-        trainer.emit_plot_data(result, os.path.join(run_dir, "plots"))
+        if not os.path.isdir(run_dir):
+            raise FileNotFoundError(f"no run dir {run_dir}; run 'train' with the same flags first")
+        trainer.emit_plot_data(run_dir, os.path.join(run_dir, "plots"))
         print(os.path.join(run_dir, "plots"))
         return 0
 

@@ -65,8 +65,6 @@ class TrainingConfig:
     def __post_init__(self):
         if min(self.K, self.B, self.mu, self.eval_every) < 1:
             raise ValueError("K, B, mu and eval_every must be >= 1")
-        if not (0 <= self.K_p <= self.K):
-            raise ValueError("need 0 <= K_p <= K")
         # construct eagerly so invalid configs fail before any work
         self.dataset_spec()
         self.schedule()
@@ -146,7 +144,8 @@ _PARSERS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainingConfig)}
 
 
-def _parse_value(name: str, raw: str) -> object:
+def parse_value(name: str, raw: str) -> object:
+    """``raw`` parsed by the declared type of field ``name``."""
     kind = _FIELD_TYPES[name]
     try:
         return _PARSERS[kind](raw.strip())
@@ -161,7 +160,7 @@ def parse_overrides(config: TrainingConfig, pairs: dict[str, str]) -> TrainingCo
     for key, raw in pairs.items():
         if key not in _FIELD_TYPES:
             raise KeyError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw)
+        updates[key] = parse_value(key, raw)
     return config.replace(**updates)
 
 

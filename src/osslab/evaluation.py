@@ -1,13 +1,10 @@
-"""Closed-set accuracy, ID/OOD AUROC, and score-distribution snapshots."""
+"""Closed-set accuracy, ID/OOD AUROC, and score histograms and densities for plots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .betamix import BetaMixtureModel, beta_pdf, clamp_scores
-from .subspace import ScoreKind
+from .betamix import BetaParams, beta_pdf, clamp_scores
 
 SNAPSHOT_BINS = 64
 
@@ -52,37 +49,20 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     return float(u / (n * m))
 
 
-@dataclass
-class ScoreSnapshot:
-    step: int
-    score_kind: ScoreKind
-    id_scores: np.ndarray
-    ood_scores: np.ndarray
-    id_hist: np.ndarray      # (SNAPSHOT_BINS,) counts
-    ood_hist: np.ndarray
-    bin_edges: np.ndarray
-    beta_model: BetaMixtureModel | None
-
-
-def score_snapshot(id_scores: np.ndarray, ood_scores: np.ndarray, step: int,
-                   score_kind: ScoreKind,
-                   beta_model: BetaMixtureModel | None = None) -> ScoreSnapshot:
-    """Raw scores plus 64-bin histograms for ID and OOD separately."""
+def score_snapshot(id_scores: np.ndarray, ood_scores: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edges, id_hist, ood_hist)``: ID and OOD counts in the same
+    SNAPSHOT_BINS bins, which span [0, 1] and every score."""
     id_scores = np.asarray(id_scores, dtype=float)
     ood_scores = np.asarray(ood_scores, dtype=float)
     lo = min(id_scores.min(), ood_scores.min(), 0.0)
     hi = max(id_scores.max(), ood_scores.max(), 1.0)
     edges = np.linspace(lo, hi, SNAPSHOT_BINS + 1)
-    id_hist, _ = np.histogram(id_scores, bins=edges)
-    ood_hist, _ = np.histogram(ood_scores, bins=edges)
-    return ScoreSnapshot(step=step, score_kind=score_kind,
-                         id_scores=id_scores, ood_scores=ood_scores,
-                         id_hist=id_hist, ood_hist=ood_hist, bin_edges=edges,
-                         beta_model=beta_model)
+    return edges, np.histogram(id_scores, bins=edges)[0], np.histogram(ood_scores, bins=edges)[0]
 
 
-def beta_density_grid(model: BetaMixtureModel, num_points: int = 256) -> np.ndarray:
+def beta_density_grid(id_params: BetaParams, ood_params: BetaParams,
+                      num_points: int = 256) -> np.ndarray:
     """(num_points, 3) grid of (s, p_id(s), p_ood(s)) for plot emission."""
     s = clamp_scores(np.linspace(0.0, 1.0, num_points))
-    return np.column_stack([s, beta_pdf(model.id, s), beta_pdf(model.ood, s)])
-
+    return np.column_stack([s, beta_pdf(id_params, s), beta_pdf(ood_params, s)])

@@ -145,7 +145,7 @@ def alt_scores(kind: ScoreKind, Z: np.ndarray | None = None,
         shifted = logits - logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1))
         if kind is ScoreKind.ENERGY:
-            return -(lse + logits.max(axis=1))
+            return lse + logits.max(axis=1)  # -E(x): the energy is higher for OOD
         return np.exp(shifted.max(axis=1) - lse)  # MSP
 
     Z = np.atleast_2d(Z)

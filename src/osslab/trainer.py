@@ -16,11 +16,11 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from . import betamix, decide, losses, nn, optim, subspace
-from .config import TrainingConfig
+from .config import TrainingConfig, load_config
 from .data import OpenSetDataset, batches, generate
-from .evaluation import ScoreSnapshot, accuracy, auroc, beta_density_grid, score_snapshot
+from .evaluation import accuracy, auroc, beta_density_grid, score_snapshot
 from .rng import stream
-from .serialize import Checkpoint, save_checkpoint
+from .serialize import Checkpoint, load_checkpoint, save_checkpoint
 from .subspace import ScoreKind
 
 log = logging.getLogger(__name__)
@@ -61,27 +61,27 @@ _STEP_COLS = list(StepRecord.__dataclass_fields__)
 _EVAL_COLS = list(EvalRow.__dataclass_fields__)
 
 
-def _csv_cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+def _csv_text(header: list[str], rows) -> str:
+    """One comma-joined line per row. ``str`` of a Python float is its
+    ``repr``, so reloads are bit-exact."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 @dataclass
 class RunLog:
     steps: list[StepRecord] = field(default_factory=list)
     evals: list[EvalRow] = field(default_factory=list)
-    snapshots: list[ScoreSnapshot] = field(default_factory=list)
 
     def steps_csv(self) -> str:
-        rows = [",".join(_STEP_COLS)]
-        for r in self.steps:
-            rows.append(",".join(_csv_cell(getattr(r, c)) for c in _STEP_COLS))
-        return "\n".join(rows) + "\n"
+        return _csv_text(_STEP_COLS, ([getattr(r, c) for c in _STEP_COLS] for r in self.steps))
 
     def evals_csv(self) -> str:
-        rows = [",".join(_EVAL_COLS)]
-        for r in self.evals:
-            rows.append(",".join(_csv_cell(getattr(r, c)) for c in _EVAL_COLS))
-        return "\n".join(rows) + "\n"
+        return _csv_text(_EVAL_COLS, ([getattr(r, c) for c in _EVAL_COLS] for r in self.evals))
 
 
 @dataclass
@@ -93,9 +93,7 @@ class TrainResult:
 
 
 def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
-                        dataset: OpenSetDataset, step: int,
-                        beta_model: betamix.BetaMixtureModel | None = None,
-                        ) -> tuple[list[EvalRow], ScoreSnapshot]:
+                        dataset: OpenSetDataset, step: int) -> list[EvalRow]:
     """Closed-set accuracy plus AUROC for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
@@ -108,7 +106,6 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     acc = accuracy(tr_id.probs, yi)
     basis = subspace.compute_basis(table)
     rows = []
-    snap = None
     for kind in ScoreKind:
         s_id = subspace.alt_scores(kind, Z=tr_id.z, logits=tr_id.logits,
                                    table=table, basis=basis)
@@ -117,9 +114,7 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
         rows.append(EvalRow(step=step, score_kind=kind.value,
                             closed_set_accuracy=acc, auroc=auroc(s_id, s_ood),
                             num_id=len(s_id), num_ood=len(s_ood)))
-        if kind is ScoreKind.SUBSPACE:
-            snap = score_snapshot(s_id, s_ood, step, kind, beta_model)
-    return rows, snap
+    return rows
 
 
 def _result(config: TrainingConfig, k: int, params: nn.MlpParams,
@@ -259,10 +254,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
 
         if (k + 1) % config.eval_every == 0 or k == config.K - 1:
             ema_params = params.from_vector(opt_state.ema_params)
-            rows, snap = evaluate_checkpoint(ema_params, table, dataset, k + 1,
-                                             beta_model)
-            runlog.evals.extend(rows)
-            runlog.snapshots.append(snap)
+            runlog.evals.extend(evaluate_checkpoint(ema_params, table, dataset, k + 1))
 
     result = _result(config, config.K, params, opt_state, table, beta_model, runlog)
     if run_dir:
@@ -335,33 +327,52 @@ def ablate(base: TrainingConfig) -> dict:
     return out
 
 
-def emit_plot_data(result: TrainResult, out_dir: str) -> None:
-    """Tidy long-format metric files plus histogram/density files."""
+def _read_csv(path: str) -> list[dict[str, str]]:
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def emit_plot_data(run_dir: str, out_dir: str) -> None:
+    """Plot files from a run dir that ``train`` wrote; nothing is retrained.
+
+    - ``metrics_long.csv``: every ``metrics.csv`` and ``evals.csv`` cell,
+      copied verbatim, in tidy long format;
+    - ``beta_step{s}.csv`` for each eval step s: the ID and OOD Beta
+      densities of ``metrics.csv`` row s - 1, the mixture that eval saw;
+    - ``hist_step{s}.csv`` for the checkpoint's step s alone: subspace-score
+      histograms of the checkpoint's EMA params and means on the test
+      splits, regenerated from ``config.txt``.
+    """
+    steps = _read_csv(os.path.join(run_dir, "metrics.csv"))
+    evals = _read_csv(os.path.join(run_dir, "evals.csv"))
+    ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
+    dataset = generate(load_config(os.path.join(run_dir, "config.txt")).dataset_spec())
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics_long.csv"), "w") as fh:
-        fh.write("metric,step,value\n")
-        for r in result.runlog.steps:
-            for col in _STEP_COLS:
-                if col in ("step", "mask_hash"):
-                    continue
-                fh.write(f"{col},{r.step},{_csv_cell(getattr(r, col))}\n")
-        for e in result.runlog.evals:
-            fh.write(f"accuracy,{e.step},{_csv_cell(e.closed_set_accuracy)}\n")
-            fh.write(f"auroc_{e.score_kind},{e.step},{_csv_cell(e.auroc)}\n")
-    for snap in result.runlog.snapshots:
-        path = os.path.join(out_dir, f"hist_step{snap.step}.csv")
-        with open(path, "w") as fh:
-            fh.write("bin_lo,bin_hi,id_count,ood_count\n")
-            for lo, hi, ic, oc in zip(snap.bin_edges[:-1], snap.bin_edges[1:],
-                                      snap.id_hist, snap.ood_hist):
-                fh.write(f"{lo!r},{hi!r},{int(ic)},{int(oc)}\n")
-        if snap.beta_model is not None:
-            grid = beta_density_grid(snap.beta_model)
-            path = os.path.join(out_dir, f"beta_step{snap.step}.csv")
-            with open(path, "w") as fh:
-                fh.write("s,p_id,p_ood\n")
-                for s, pi_d, po_d in grid:
-                    fh.write(f"{s!r},{pi_d!r},{po_d!r}\n")
+
+    long_rows = [(col, r["step"], cell) for r in steps for col, cell in r.items()
+                 if col not in ("step", "mask_hash")]
+    for e in evals:
+        long_rows.append(("accuracy", e["step"], e["closed_set_accuracy"]))
+        long_rows.append((f"auroc_{e['score_kind']}", e["step"], e["auroc"]))
+    _write(os.path.join(out_dir, "metrics_long.csv"),
+           _csv_text(["metric", "step", "value"], long_rows))
+
+    for s in sorted({int(e["step"]) for e in evals}):
+        r = steps[s - 1]
+        grid = beta_density_grid(
+            betamix.BetaParams(float(r["alpha_id"]), float(r["beta_id"])),
+            betamix.BetaParams(float(r["alpha_ood"]), float(r["beta_ood"])))
+        _write(os.path.join(out_dir, f"beta_step{s}.csv"),
+               _csv_text(["s", "p_id", "p_ood"], grid.tolist()))
+
+    basis = subspace.compute_basis(ckpt.means)
+    edges, id_hist, ood_hist = score_snapshot(*(
+        subspace.subspace_scores(nn.forward(ckpt.ema_params, X).z, basis)
+        for X, _ in (dataset.test_id, dataset.test_ood)))
+    _write(os.path.join(out_dir, f"hist_step{ckpt.step}.csv"), _csv_text(
+        ["bin_lo", "bin_hi", "id_count", "ood_count"],
+        zip(edges[:-1].tolist(), edges[1:].tolist(), id_hist.tolist(), ood_hist.tolist())))
 
 
 def read_long_csv(path: str) -> list[tuple[str, int, float]]:

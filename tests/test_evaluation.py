@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from osslab.betamix import BetaMixtureModel
-from osslab.subspace import ScoreKind
 from osslab.evaluation import (
     accuracy, auroc, average_ranks, beta_density_grid, score_snapshot,
 )
@@ -92,24 +91,20 @@ class TestAverageRanks:
 
 class TestSnapshots:
     def test_histogram_masses(self, rng):
-        snap = score_snapshot(rng.random(500), rng.random(300), step=7,
-                              score_kind=ScoreKind.SUBSPACE)
-        assert snap.id_hist.sum() == 500
-        assert snap.ood_hist.sum() == 300
-        assert snap.step == 7
-        assert len(snap.bin_edges) == len(snap.id_hist) + 1
+        edges, id_hist, ood_hist = score_snapshot(rng.random(500), rng.random(300))
+        assert id_hist.sum() == 500
+        assert ood_hist.sum() == 300
+        assert len(edges) == len(id_hist) + 1 == len(ood_hist) + 1
 
     def test_counts_land_in_right_bins(self):
-        snap = score_snapshot(np.array([0.999]), np.array([0.001]), step=0,
-                              score_kind=ScoreKind.SUBSPACE)
-        assert snap.id_hist[-1] == 1
-        assert snap.ood_hist[0] == 1
+        _, id_hist, ood_hist = score_snapshot(np.array([0.999]), np.array([0.001]))
+        assert id_hist[-1] == 1
+        assert ood_hist[0] == 1
 
     def test_density_grid_shapes(self):
         model = BetaMixtureModel.default_init(pi=0.5)
-        grid = beta_density_grid(model)
+        grid = beta_density_grid(model.id, model.ood)
         assert grid.shape == (256, 3)
         s, p_id, p_ood = grid.T
         assert np.all(s > 0) and np.all(s < 1)
         assert np.all(p_id >= 0) and np.all(p_ood >= 0)
-

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from osslab import trainer
+from osslab.betamix import BetaParams
 from osslab.cli import main as cli_main
 from osslab.config import TrainingConfig, load_config
 from osslab.data import export_dataset, generate
+from osslab.evaluation import beta_density_grid
 from osslab.optim import lr
 from osslab.serialize import load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
@@ -23,6 +25,21 @@ TINY = dict(input_dim=12, num_id_classes=4, num_ood_clusters=4,
 @pytest.fixture(scope="module")
 def tiny_result():
     return trainer.train(TrainingConfig(**TINY))
+
+
+def cli_args(out, *cmd):
+    """``--out out <cmd> --key value ...`` for the TINY config."""
+    over = []
+    for k, v in TINY.items():
+        if k == "hidden":
+            v = ",".join(str(h) for h in v)
+        over += [f"--{k}", str(v)]
+    return ["--out", str(out), *cmd, *over]
+
+
+def only_run_dir(out):
+    (name,) = [d for d in os.listdir(out) if d.startswith("run_")]
+    return os.path.join(out, name)
 
 
 class TestTrain:
@@ -99,6 +116,16 @@ class TestSweepAblate:
         assert [r["value"] for r in rows] == [0.4, 0.6]
         assert all("closed_set_accuracy" in r for r in rows)
 
+    def test_cli_sweep_parses_values_by_field_type(self, tmp_path, capsys):
+        assert cli_main(cli_args(tmp_path, "sweep", "--axis", "K_p", "--values", "10.7")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.listdir(tmp_path)
+        assert cli_main(cli_args(tmp_path, "sweep", "--axis", "pi", "--values", "0.4,0.6")) == 0
+        with open(os.path.join(only_run_dir(tmp_path), "sweep_pi.json")) as fh:
+            got = json.load(fh)
+        want = trainer.sweep(TrainingConfig(**TINY), "pi", [0.4, 0.6])
+        assert got == json.loads(json.dumps(want))
+
     def test_sweep_bad_axis(self):
         with pytest.raises(ValueError):
             trainer.sweep(TrainingConfig(**TINY), "eta0", [0.1])
@@ -117,28 +144,74 @@ class TestSweepAblate:
 
 
 class TestPlotData:
-    def test_emit_and_read_back(self, tiny_result, tmp_path):
-        out = str(tmp_path / "plots")
-        trainer.emit_plot_data(tiny_result, out)
-        rows = trainer.read_long_csv(os.path.join(out, "metrics_long.csv"))
-        metrics = {m for m, _, _ in rows}
-        assert "total" in metrics and "auroc_subspace" in metrics
-        total = {(s, v) for m, s, v in rows if m == "total"}
-        expect = {(r.step, r.total) for r in tiny_result.runlog.steps}
-        assert total == expect
-        assert any(name.startswith("hist_step") for name in os.listdir(out))
-        assert any(name.startswith("beta_step") for name in os.listdir(out))
+    @pytest.fixture(scope="class")
+    def plots(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("plots")
+        assert cli_main(cli_args(out, "train")) == 0
+        assert cli_main(cli_args(out, "emit-plot-data")) == 0
+        return os.path.join(only_run_dir(out), "plots")
+
+    @staticmethod
+    def read(path):
+        with open(path) as fh:
+            header, *lines = fh.read().splitlines()
+        return header.split(","), [line.split(",") for line in lines]
+
+    def test_every_cell_is_a_number(self, plots):
+        for name in os.listdir(plots):
+            _, rows = self.read(os.path.join(plots, name))
+            for row in rows:
+                for cell in row[1:] if name == "metrics_long.csv" else row:
+                    float(cell)
+
+    def test_emit_and_read_back(self, plots):
+        run_dir = os.path.dirname(plots)
+        cols, steps = self.read(os.path.join(run_dir, "metrics.csv"))
+        eval_cols, evals = self.read(os.path.join(run_dir, "evals.csv"))
+        want = [(c, r[0], v) for r in steps for c, v in zip(cols, r)
+                if c not in ("step", "mask_hash")]
+        for r in (dict(zip(eval_cols, e)) for e in evals):
+            want += [("accuracy", r["step"], r["closed_set_accuracy"]),
+                     (f"auroc_{r['score_kind']}", r["step"], r["auroc"])]
+        header, got = self.read(os.path.join(plots, "metrics_long.csv"))
+        assert header == ["metric", "step", "value"]
+        assert [tuple(r) for r in got] == want
+        rows = trainer.read_long_csv(os.path.join(plots, "metrics_long.csv"))
+        # repr, so the NaN threshold cells compare equal
+        assert [(m, s, repr(v)) for m, s, v in rows] == [
+            (m, int(s), repr(float(v))) for m, s, v in want]
+
+    def test_beta_grids_are_the_mixture_each_eval_saw(self, plots, tiny_result):
+        for step in (30, 60):
+            r = tiny_result.runlog.steps[step - 1]
+            want = beta_density_grid(BetaParams(r.alpha_id, r.beta_id),
+                                     BetaParams(r.alpha_ood, r.beta_ood))
+            header, got = self.read(os.path.join(plots, f"beta_step{step}.csv"))
+            assert header == ["s", "p_id", "p_ood"]
+            assert np.array_equal(np.array(got, dtype=float), want)
+
+    def test_histogram_of_the_final_checkpoint_only(self, plots):
+        assert sorted(n for n in os.listdir(plots) if n.startswith("hist_")) == ["hist_step60.csv"]
+        header, rows = self.read(os.path.join(plots, "hist_step60.csv"))
+        assert header == ["bin_lo", "bin_hi", "id_count", "ood_count"]
+        assert sum(int(r[2]) for r in rows) == 80
+        assert sum(int(r[3]) for r in rows) == 80
+
+    def test_missing_run_dir_is_an_error(self, tmp_path, capsys):
+        assert cli_main(cli_args(tmp_path, "emit-plot-data")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.listdir(tmp_path)
+
+    def test_run_dir_of_a_failed_run(self, tmp_path):
+        assert cli_main(cli_args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
+        assert cli_main(cli_args(tmp_path, "emit-plot-data") + ["--eta0", "1e8"]) == 0
+        run_dir = only_run_dir(tmp_path)
+        step = load_checkpoint(os.path.join(run_dir, "checkpoint.txt")).step
+        assert os.path.exists(os.path.join(run_dir, "plots", f"hist_step{step}.csv"))
 
 
 class TestCli:
-    def args(self, tmp_path, *cmd):
-        base = ["--out", str(tmp_path)]
-        over = []
-        for k, v in TINY.items():
-            if k == "hidden":
-                v = ",".join(str(h) for h in v)
-            over += [f"--{k}", str(v)]
-        return base + list(cmd) + over
+    args = staticmethod(cli_args)
 
     def test_generate_and_train(self, tmp_path):
         assert cli_main(self.args(tmp_path, "generate")) == 0
@@ -150,10 +223,7 @@ class TestCli:
             found |= set(os.listdir(os.path.join(tmp_path, d)))
         assert {"dataset.txt", "metrics.csv", "summary.json"} <= found
 
-    @staticmethod
-    def run_dir(tmp_path):
-        (name,) = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
-        return os.path.join(tmp_path, name)
+    run_dir = staticmethod(only_run_dir)
 
     def test_eval_roundtrip(self, tmp_path, capsys):
         assert cli_main(self.args(tmp_path, "generate")) == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from osslab import subspace
 from osslab.subspace import (
-    ClassMeanTable, ScoreKind, SubspaceUndefinedError, alt_scores, compute_basis,
+    LOGIT_SCORES, ClassMeanTable, ScoreKind, SubspaceUndefinedError, alt_scores, compute_basis,
     subspace_score, subspace_score_grads, subspace_scores, update_class_means,
 )
 
@@ -211,8 +211,20 @@ class TestAltScores:
         assert s[0] == pytest.approx(0.2)
 
     def test_energy_hand_value(self):
+        # the score is -E(x) = logsumexp(logits)
         s = alt_scores(ScoreKind.ENERGY, logits=np.array([[0.0, 0.0]]))
-        assert s[0] == pytest.approx(-np.log(2.0), abs=1e-12)
+        assert s[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", LOGIT_SCORES)
+    @pytest.mark.parametrize("num_classes", [2, 5])
+    def test_logit_scores_grow_with_the_winning_logit(self, kind, num_classes):
+        # rows [t, 0, ..., 0]: a larger winning logit is more ID for every kind
+        t = np.linspace(0.0, 40.0, 401)
+        logits = np.zeros((t.size, num_classes))
+        logits[:, 0] = t
+        s = alt_scores(kind, logits=logits)
+        assert np.all(np.diff(s) >= 0.0)
+        assert s[-1] > s[0]
 
     def test_max_logit(self, rng):
         logits = rng.normal(size=(7, 4))
