@@ -64,6 +64,8 @@ class BetaMixtureModel:
             raise ValueError("pi must be strictly inside (0, 1)")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be nonnegative")
+        if not (0.0 <= self.lambda_ema <= 1.0):
+            raise ValueError("Beta EMA weight lambda_ema must be in [0, 1]")
 
     @classmethod
     def default_init(cls, pi: float, epsilon: float = 0.0,

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 
+from .betamix import BetaMixtureModel
 from .data import AugmentConfig, DatasetSpec
 from .decide import DecisionRule, RuleKind
 from .losses import LossWeights
@@ -49,15 +50,9 @@ class TrainingConfig:
     lambda_beta: float = 0.999
     ema_momentum: float = 0.999
     decision_rule: str = "sampled_mask"
-    otsu_bins: int = 128
     otsu_momentum: float = 0.999
-    # augmentation (None: derived from cluster_spread)
-    sigma_weak: float | None = None
-    sigma_strong: float | None = None
+    # augmentation (noise sigmas derived from cluster_spread)
     p_drop: float = 0.2
-    # ablation switches
-    drop_self: bool = False
-    drop_sub: bool = False
     # bookkeeping
     eval_every: int = 1000
     seed: int = 0
@@ -67,10 +62,11 @@ class TrainingConfig:
             raise ValueError("K, B, mu and eval_every must be >= 1")
         # construct eagerly so invalid configs fail before any work
         self.dataset_spec()
+        self.augment_config()
         self.schedule()
         self.loss_weights()
-        self.resolved_pi()
-        RuleKind(self.decision_rule)
+        self.beta_model()
+        self.decision()
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -82,31 +78,24 @@ class TrainingConfig:
             cluster_separation=self.cluster_separation, seed=self.seed)
 
     def augment_config(self) -> AugmentConfig:
-        base = AugmentConfig.from_spread(self.cluster_spread, self.p_drop)
-        if self.sigma_weak is not None:
-            base.sigma_weak = self.sigma_weak
-        if self.sigma_strong is not None:
-            base.sigma_strong = self.sigma_strong
-        return base
+        return AugmentConfig.from_spread(self.cluster_spread, self.p_drop)
 
     def schedule(self) -> Schedule:
         return Schedule(eta0=self.eta0, K=self.K, K_p=self.K_p, gamma=self.gamma)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(w_semi=self.w_semi,
-                           w_self=0.0 if self.drop_self else self.w_self,
-                           w_sub=0.0 if self.drop_sub else self.w_sub,
+        return LossWeights(w_semi=self.w_semi, w_self=self.w_self, w_sub=self.w_sub,
                            w_reg=self.w_reg, tau=self.tau)
 
     def resolved_pi(self) -> float:
-        pi = 1.0 - self.ood_fraction if self.pi is None else self.pi
-        if not (0.0 < pi < 1.0):
-            raise ValueError("pi must be strictly inside (0, 1)")
-        return pi
+        return 1.0 - self.ood_fraction if self.pi is None else self.pi
+
+    def beta_model(self) -> BetaMixtureModel:
+        return BetaMixtureModel.default_init(self.resolved_pi(), self.epsilon,
+                                             self.lambda_beta)
 
     def decision(self) -> DecisionRule:
-        return DecisionRule(kind=RuleKind(self.decision_rule),
-                            momentum=self.otsu_momentum, num_bins=self.otsu_bins)
+        return DecisionRule(kind=RuleKind(self.decision_rule), momentum=self.otsu_momentum)
 
     def to_text(self) -> str:
         lines = []
@@ -124,17 +113,8 @@ class TrainingConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1"):
-        return True
-    if raw.lower() in ("false", "0"):
-        return False
-    raise ValueError("expected true/false/1/0")
-
-
 # one parser per declared field type
 _PARSERS = {
-    "bool": _parse_bool,
     "int": int,
     "float": float,
     "float | None": lambda raw: None if raw == "None" else float(raw),
@@ -164,7 +144,7 @@ def parse_overrides(config: TrainingConfig, pairs: dict[str, str]) -> TrainingCo
     return config.replace(**updates)
 
 
-def load_config(path: str, base: TrainingConfig | None = None) -> TrainingConfig:
+def load_config(path: str) -> TrainingConfig:
     """Read a flat ``key = value`` file ('#' starts a comment)."""
     pairs = {}
     with open(path) as fh:
@@ -176,4 +156,4 @@ def load_config(path: str, base: TrainingConfig | None = None) -> TrainingConfig
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
             pairs[key] = raw
-    return parse_overrides(base or TrainingConfig(), pairs)
+    return parse_overrides(TrainingConfig(), pairs)

@@ -162,6 +162,10 @@ class AugmentConfig:
     sigma_strong: float
     p_drop: float = 0.2
 
+    def __post_init__(self):
+        if not (0.0 <= self.p_drop <= 1.0):
+            raise ValueError("p_drop must be in [0, 1]")
+
     @classmethod
     def from_spread(cls, cluster_spread: float, p_drop: float = 0.2) -> "AugmentConfig":
         return cls(sigma_weak=0.1 * cluster_spread,

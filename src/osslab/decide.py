@@ -3,9 +3,9 @@
 The default path samples a Bernoulli ID mask from the posterior ID
 probabilities; the ablation variants replace it with a hard Otsu
 threshold on raw scores or with the probabilities used directly as
-weights. Every rule produces the two quantities the losses consume: a
-per-sample weight for the subspace loss (m_ood - m_id, or 1 - 2 p_id)
-and a per-sample gate for the pseudo-label loss (m_id, or p_id).
+weights. Every rule produces one per-sample ID gate (m_id, or p_id): it
+gates the pseudo-label loss and, as m_ood - m_id = 1 - 2 gate, signs the
+subspace loss.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ class DecisionRule:
     kind: RuleKind
     ema_threshold: float = 0.5   # Otsu state
     momentum: float = 0.999      # Otsu EMA momentum
-    num_bins: int = 128
+
+    def __post_init__(self):
+        if not (0.0 <= self.momentum <= 1.0):
+            raise ValueError("Otsu momentum must be in [0, 1]")
 
 
 @dataclass
@@ -37,13 +40,11 @@ class Decision:
 
     sub_weights: np.ndarray    # factor on s(z) per sample in the subspace loss
     semi_gate: np.ndarray      # factor on each pseudo-label term, in [0, 1]
-    p_id: np.ndarray           # posteriors the rule was given
-    m_id: np.ndarray | None    # (muB,) bool ID mask; None for the direct-weight rule
-    threshold: float | None = None  # Otsu rule only
+    threshold: float = float("nan")  # Otsu rule only
 
     @property
     def id_rate(self) -> float:
-        return float((self.p_id if self.m_id is None else self.m_id).mean())
+        return float(self.semi_gate.mean())
 
     def hash(self) -> str:
         h = hashlib.sha256()
@@ -105,19 +106,17 @@ def decide(rule: DecisionRule, scores: np.ndarray, posteriors: np.ndarray,
     Otsu threshold on raw scores) before thresholding.
     """
     posteriors = np.asarray(posteriors, dtype=float)
+    threshold = float("nan")
     if rule.kind is RuleKind.SAMPLED_MASK:
-        m_id = sample_mask(posteriors, rng)
-        m = m_id.astype(float)
-        return Decision(sub_weights=1.0 - 2.0 * m, semi_gate=m,
-                        p_id=posteriors, m_id=m_id)
-    if rule.kind is RuleKind.OTSU_THRESHOLD:
-        t = otsu_threshold(scores, rule.num_bins)
+        gate = sample_mask(posteriors, rng).astype(float)
+    elif rule.kind is RuleKind.OTSU_THRESHOLD:
+        t = otsu_threshold(scores)
         rule.ema_threshold = rule.momentum * rule.ema_threshold + (1.0 - rule.momentum) * t
-        m_id = np.asarray(scores) >= rule.ema_threshold
-        m = m_id.astype(float)
-        return Decision(sub_weights=1.0 - 2.0 * m, semi_gate=m,
-                        p_id=posteriors, m_id=m_id, threshold=rule.ema_threshold)
-    if rule.kind is RuleKind.DIRECT_WEIGHT:
-        return Decision(sub_weights=1.0 - 2.0 * posteriors, semi_gate=posteriors,
-                        p_id=posteriors, m_id=None)
-    raise ValueError(f"unknown rule {rule.kind!r}")
+        threshold = rule.ema_threshold
+        gate = (np.asarray(scores) >= threshold).astype(float)
+    elif rule.kind is RuleKind.DIRECT_WEIGHT:
+        gate = posteriors
+    else:
+        raise ValueError(f"unknown rule {rule.kind!r}")
+    # m_ood - m_id, with m_ood = 1 - m_id
+    return Decision(sub_weights=1.0 - 2.0 * gate, semi_gate=gate, threshold=threshold)

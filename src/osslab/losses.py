@@ -104,9 +104,8 @@ def loss_reg(theta: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def total_loss(sup: float, semi: float, self_sup: float, sub: float, reg: float,
-               weights: LossWeights, warmup: bool = False) -> float:
-    """Weighted sum of the terms; warm-up forces w_semi = w_sub = 0."""
-    w_semi = 0.0 if warmup else weights.w_semi
-    w_sub = 0.0 if warmup else weights.w_sub
-    return (sup + w_semi * semi + weights.w_self * self_sup
-            + w_sub * sub + weights.w_reg * reg)
+               weights: LossWeights) -> float:
+    """Weighted sum of the terms. During warm-up the trainer passes
+    ``semi = sub = 0.0``, so those terms add nothing."""
+    return (sup + weights.w_semi * semi + weights.w_self * self_sup
+            + weights.w_sub * sub + weights.w_reg * reg)

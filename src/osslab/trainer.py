@@ -145,7 +145,6 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
     spec = config.dataset_spec()
     schedule = config.schedule()
     weights = config.loss_weights()
-    pi = config.resolved_pi()
     dataset = generate(spec)
 
     init_rng = stream(config.seed, "init")
@@ -156,8 +155,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                                           config.ema_momentum)
     table = subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim,
                                           config.lambda_means)
-    beta_model = betamix.BetaMixtureModel.default_init(pi, config.epsilon,
-                                                       config.lambda_beta)
+    beta_model = config.beta_model()
     rule = config.decision()
     mask_rng = stream(config.seed, "mask")
     batch_iter = batches(dataset, config.B, config.mu, config.seed,
@@ -221,8 +219,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
 
             reg_val, d_reg = losses.loss_reg(params.theta)
             grads.theta += weights.w_reg * d_reg
-            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val,
-                                      weights, warmup=warmup)
+            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val, weights)
 
             step_lr = optim.lr(schedule, k)
             optim.sgd_step(params.theta, grads.theta, opt_state, step_lr)
@@ -249,7 +246,7 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
             alpha_id=beta_model.id.alpha, beta_id=beta_model.id.beta,
             alpha_ood=beta_model.ood.alpha, beta_ood=beta_model.ood.beta,
             mask_rate=decision.id_rate, mean_p_id=float(p_reg.mean()),
-            threshold=decision.threshold if decision.threshold is not None else float("nan"),
+            threshold=decision.threshold,
             mask_hash=decision.hash()))
 
         if (k + 1) % config.eval_every == 0 or k == config.K - 1:
@@ -279,7 +276,7 @@ def write_run_outputs(result: TrainResult, run_dir: str) -> None:
     save_checkpoint(result.checkpoint, os.path.join(run_dir, "checkpoint.txt"))
 
 
-SWEEP_AXES = ("pi", "ood_fraction", "w_self", "w_sub", "K_p")
+SWEEP_AXES = ("pi", "ood_fraction", "w_self", "w_sub", "K_p", "seed")
 
 
 def sweep(base: TrainingConfig, axis: str, values) -> list[dict]:
@@ -300,22 +297,29 @@ def sweep(base: TrainingConfig, axis: str, values) -> list[dict]:
 def ablate(base: TrainingConfig) -> dict:
     """The three ablation matrices, all on the base seed.
 
-    - 2x2 grid over dropping the self-supervision and subspace losses;
+    - 2x2 grid over dropping (zero weight) the self-supervision and
+      subspace losses;
     - the three ID/OOD decision rules, all else fixed;
     - the seven score kinds, evaluated on one shared end-of-warm-up
       checkpoint (so closed-set accuracy is identical across score rows).
+
+    ``base`` itself is trained once; every arm equal to it reuses that run.
     """
     out: dict = {"loss_grid": [], "decision_rules": [], "score_kinds": []}
+    base_summary = train(base).summary
+
+    def summary(cfg: TrainingConfig) -> dict:
+        return base_summary if cfg == base else train(cfg).summary
+
     for drop_self in (False, True):
         for drop_sub in (False, True):
-            cfg = base.replace(drop_self=drop_self, drop_sub=drop_sub)
-            res = train(cfg)
+            cfg = base.replace(w_self=0.0 if drop_self else base.w_self,
+                               w_sub=0.0 if drop_sub else base.w_sub)
             out["loss_grid"].append({"drop_self": drop_self, "drop_sub": drop_sub,
-                                     **res.summary})
+                                     **summary(cfg)})
     for rule in decide.RuleKind:
         cfg = base.replace(decision_rule=rule.value)
-        res = train(cfg)
-        out["decision_rules"].append({"decision_rule": rule.value, **res.summary})
+        out["decision_rules"].append({"decision_rule": rule.value, **summary(cfg)})
 
     if base.K_p == 0:
         return out  # no warm-up, so no end-of-warm-up checkpoint to score

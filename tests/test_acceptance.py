@@ -262,7 +262,9 @@ class TestAblationDirections:
         grid = {}
         for drop_self in (False, True):
             for drop_sub in (False, True):
-                cfg = ABLATION.replace(drop_self=drop_self, drop_sub=drop_sub)
+                # a dropped loss is a zero weight
+                cfg = ABLATION.replace(w_self=0.0 if drop_self else ABLATION.w_self,
+                                       w_sub=0.0 if drop_sub else ABLATION.w_sub)
                 grid[(drop_self, drop_sub)] = \
                     trainer.train(cfg).summary["auroc"]["subspace"]
         full = grid[(False, False)]

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from osslab import nn
+from osslab import config, nn
 from osslab.betamix import BetaMixtureModel
 from osslab.config import TrainingConfig, load_config, parse_overrides
 from osslab.serialize import Checkpoint, load_checkpoint, save_checkpoint
@@ -30,11 +32,11 @@ class TestTrainingConfig:
                     dict(eval_every=0)):
             with pytest.raises(ValueError):
                 TrainingConfig(**bad)
-
-    def test_drop_flags_zero_loss_weights(self):
-        w = TrainingConfig(drop_self=True, drop_sub=True).loss_weights()
-        assert w.w_self == 0.0 and w.w_sub == 0.0
-        assert TrainingConfig().loss_weights().w_self == 1.0
+        # each of these trained with a meaningless value or failed mid-run
+        for bad in (dict(decision_rule="otsu_threshold", otsu_momentum=2.0),
+                    dict(p_drop=1.5), dict(p_drop=-0.5), dict(lambda_beta=1.5)):
+            with pytest.raises(ValueError):
+                TrainingConfig(**bad)
 
     def test_hash_changes_with_content(self):
         a = TrainingConfig()
@@ -50,15 +52,18 @@ class TestTrainingConfig:
 class TestOverridesAndFiles:
     def test_parse_overrides_types(self):
         cfg = parse_overrides(TrainingConfig(), {
-            "K": "500", "K_p": "100", "eta0": "0.1", "drop_self": "true",
+            "K": "500", "K_p": "100", "eta0": "0.1",
             "hidden": "32,16", "pi": "None", "decision_rule": "otsu_threshold",
         })
         assert cfg.K == 500 and isinstance(cfg.K, int)
         assert cfg.eta0 == 0.1
-        assert cfg.drop_self is True
         assert cfg.hidden == (32, 16)
         assert cfg.pi is None
         assert cfg.decision_rule == "otsu_threshold"
+
+    def test_one_parser_per_field_type(self):
+        # a parser no field uses, or a field type with no parser, fails here
+        assert set(config._PARSERS) == {f.type for f in fields(TrainingConfig)}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(KeyError):

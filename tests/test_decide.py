@@ -17,8 +17,8 @@ class TestSampleMask:
         # every sample is ID or OOD: the subspace weight is m_ood - m_id
         d = decide(DecisionRule(kind=RuleKind.SAMPLED_MASK), np.zeros(100),
                    rng.random(100), rng)
-        assert d.m_id.dtype == bool
-        assert np.array_equal(d.sub_weights, (~d.m_id).astype(float) - d.m_id)
+        assert set(np.unique(d.semi_gate)) <= {0.0, 1.0}
+        assert np.array_equal(d.sub_weights, (1.0 - d.semi_gate) - d.semi_gate)
 
     def test_binomial_concentration(self, rng):
         n = 100_000
@@ -90,7 +90,7 @@ class TestDecide:
         rule = DecisionRule(kind=RuleKind.SAMPLED_MASK)
         d = decide(rule, np.zeros(64), p, np.random.default_rng(5))
         ref = sample_mask(p, np.random.default_rng(5))
-        assert np.array_equal(d.m_id, ref)
+        assert np.array_equal(d.semi_gate, ref)
         m = ref.astype(float)
         assert np.array_equal(d.sub_weights, 1.0 - 2.0 * m)
         assert np.array_equal(d.semi_gate, m)
@@ -100,7 +100,7 @@ class TestDecide:
         d = decide(rule, np.zeros(8), np.full(8, 0.5), rng)
         assert np.allclose(d.sub_weights, 0.0)
         assert np.allclose(d.semi_gate, 0.5)
-        assert d.m_id is None
+        assert np.array_equal(d.semi_gate, np.full(8, 0.5))  # the posteriors, no mask
         assert d.id_rate == 0.5
 
     def test_otsu_momentum_one_freezes_threshold(self, rng):
@@ -116,15 +116,15 @@ class TestDecide:
                             momentum=0.0)
         scores = np.concatenate([np.full(32, 0.1), np.full(32, 0.9)])
         d = decide(rule, scores, scores, rng)
-        assert d.m_id.sum() == 32
-        assert np.array_equal(d.m_id, scores >= rule.ema_threshold)
+        assert d.semi_gate.sum() == 32
+        assert np.array_equal(d.semi_gate, scores >= rule.ema_threshold)
         assert d.id_rate == 0.5
 
     def test_mask_complementarity_all_rules(self, rng):
         for kind in (RuleKind.SAMPLED_MASK, RuleKind.OTSU_THRESHOLD):
             rule = DecisionRule(kind=kind)
             d = decide(rule, rng.random(32), rng.random(32), rng)
-            assert np.array_equal(d.semi_gate, d.m_id.astype(float))
+            assert set(np.unique(d.semi_gate)) <= {0.0, 1.0}
             assert np.array_equal(d.sub_weights, 1.0 - 2.0 * d.semi_gate)
 
     def test_hash_is_stable(self, rng):

@@ -48,10 +48,13 @@ class TestTrain:
         assert steps == list(range(60))
 
     def test_warmup_phases(self, tiny_result):
+        w = tiny_result.config.loss_weights()
         for r in tiny_result.runlog.steps:
             if r.step < 20:
                 assert r.semi == 0.0 and r.sub == 0.0
                 assert r.pseudo_label_count == 0
+                # warm-up drops semi and sub from the total, bit for bit
+                assert r.total == r.sup + w.w_self * r.self_sup + w.w_reg * r.reg
             assert 0.0 <= r.mask_rate <= 1.0
             assert 0.0 <= r.mean_p_id <= 1.0
             assert np.isfinite(r.total)
@@ -126,6 +129,11 @@ class TestSweepAblate:
         want = trainer.sweep(TrainingConfig(**TINY), "pi", [0.4, 0.6])
         assert got == json.loads(json.dumps(want))
 
+    def test_seed_sweep_row_is_the_seed_run(self, tiny_result):
+        rows = trainer.sweep(TrainingConfig(**TINY), "seed", [3, 4])
+        assert rows[0] == {"axis": "seed", "value": 3, **tiny_result.summary}
+        assert rows[1]["seed"] == 4 and rows[1] != rows[0]
+
     def test_sweep_bad_axis(self):
         with pytest.raises(ValueError):
             trainer.sweep(TrainingConfig(**TINY), "eta0", [0.1])
@@ -134,13 +142,33 @@ class TestSweepAblate:
         rows = trainer.sweep(TrainingConfig(**TINY), "pi", [0.5, 2.0])
         assert "error" in rows[1] and "closed_set_accuracy" in rows[0]
 
-    def test_ablate_structure(self):
-        out = trainer.ablate(TrainingConfig(**TINY))
+    @pytest.fixture(scope="class")
+    def ablation(self):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = trainer.train
+            mp.setattr(trainer, "train", lambda cfg: calls.append(cfg) or real(cfg))
+            out = trainer.ablate(TrainingConfig(**TINY))
+        return out, calls
+
+    def test_ablate_structure(self, ablation):
+        out, _ = ablation
         assert len(out["loss_grid"]) == 4
         grid_flags = {(r["drop_self"], r["drop_sub"]) for r in out["loss_grid"]}
         assert grid_flags == {(a, b) for a in (False, True) for b in (False, True)}
         assert len(out["decision_rules"]) == 3
         assert len(out["score_kinds"]) == len(ScoreKind)
+
+    def test_ablate_trains_base_once(self, ablation):
+        out, calls = ablation
+        # 4 grid arms + 3 rules + the warm-up checkpoint, base shared by two
+        assert len(calls) == 7
+        assert calls.count(TrainingConfig(**TINY)) == 1
+        full = next(r for r in out["loss_grid"] if not (r["drop_self"] or r["drop_sub"]))
+        sampled = next(r for r in out["decision_rules"] if r["decision_rule"] == "sampled_mask")
+        strip = ("drop_self", "drop_sub", "decision_rule")
+        assert {k: v for k, v in full.items() if k not in strip} == \
+            {k: v for k, v in sampled.items() if k not in strip}
 
 
 class TestPlotData:

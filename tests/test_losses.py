@@ -231,8 +231,10 @@ class TestLossReg:
 
 class TestTotalLoss:
     def test_warmup_drops_semi_and_sub(self):
+        # During warm-up the trainer passes semi = sub = 0.0, so only the
+        # supervised, self-supervised and regularisation terms remain.
         w = LossWeights(w_semi=1.0, w_self=0.5, w_sub=1.0, w_reg=0.1)
-        total = total_loss(2.0, 99.0, 3.0, 99.0, 4.0, w, warmup=True)
+        total = total_loss(2.0, 0.0, 3.0, 0.0, 4.0, w)
         assert total == pytest.approx(2.0 + 0.5 * 3.0 + 0.1 * 4.0)
 
     def test_all_weights_zero(self):

@@ -57,7 +57,10 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(small_params, tr, grads, d_logits=np.zeros((2, 3)))
 
-    def test_full_loss_matches_finite_differences(self, small_params, rng):
+    @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
+    def test_full_loss_matches_finite_differences(self, rng, activation):
+        small_params = nn.init_params(input_dim=5, hidden=(8,), feature_dim=6,
+                                      num_classes=3, rng=rng, activation=activation)
         X = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, size=4)
 
