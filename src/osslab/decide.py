@@ -78,24 +78,19 @@ def otsu_threshold(scores: np.ndarray, num_bins: int = 128) -> float:
     counts, edges = np.histogram(np.clip(scores, 0.0, 1.0), bins=num_bins, range=(0.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     total = counts.sum()
-    best_edge, best_var = edges[1], -1.0
-    cum = 0.0
-    cum_mean = 0.0
-    grand_mean = float((counts * centers).sum()) / total
-    for b in range(num_bins - 1):
-        cum += counts[b]
-        cum_mean += counts[b] * centers[b]
+    # every interior edge in one pass; cumsum adds left to right like a loop
+    cum = np.cumsum(counts[:-1])
+    cum_mean = np.cumsum(counts[:-1] * centers[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grand_mean = float((counts * centers).sum()) / total
         w0 = cum / total
         w1 = 1.0 - w0
-        if w0 == 0.0 or w1 == 0.0:
-            continue
         mu0 = cum_mean / cum
         mu1 = (grand_mean * total - cum_mean) / (total - cum)
         var_b = w0 * w1 * (mu0 - mu1) ** 2
-        if var_b > best_var:
-            best_var = var_b
-            best_edge = edges[b + 1]
-    return float(best_edge)
+    # an empty side never wins, nor does NaN; argmax keeps the lowest tie
+    var_b[(w0 == 0.0) | (w1 == 0.0) | np.isnan(var_b)] = -np.inf
+    return float(edges[1 + np.argmax(var_b)])
 
 
 def decide(rule: DecisionRule, scores: np.ndarray, posteriors: np.ndarray,

@@ -70,7 +70,6 @@ class MlpParams:
 @dataclass
 class ForwardTrace:
     x: np.ndarray                 # (N, input_dim)
-    pre_acts: list[np.ndarray]    # per hidden layer, (N, width)
     acts: list[np.ndarray]        # inputs to each f layer, acts[0] = x
     z: np.ndarray                 # (N, D)
     logits: np.ndarray            # (N, C)
@@ -78,10 +77,11 @@ class ForwardTrace:
     log_probs: np.ndarray         # (N, C)
 
 
+# (in-place activation, its derivative from the activation's output);
+# relu's act > 0 is the mask pre > 0, NaN included, since act = max(pre, 0)
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda pre, act: 1.0 - act ** 2),
-    "relu": (lambda v: np.maximum(v, 0.0),
-             lambda pre, act: (pre > 0.0).astype(float)),
+    "tanh": (lambda v: np.tanh(v, out=v), lambda act: 1.0 - act ** 2),
+    "relu": (lambda v: np.maximum(v, 0.0, out=v), lambda act: (act > 0.0).astype(float)),
 }
 
 
@@ -109,18 +109,20 @@ def forward(params: MlpParams, X: np.ndarray) -> ForwardTrace:
     """Full forward pass: features, logits, (log-)softmax, cached trace.
 
     The final f layer is linear (no nonlinearity), hidden layers use the
-    configured activation.
+    configured activation. Each layer is one buffer: the product is a new
+    array, and the bias and activation are applied to it in place, so
+    ``X`` is never written.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     act_fn, _ = _ACTIVATIONS[params.activation]
     a = X
     acts = [a]
-    pre_acts = []
     n_layers = len(params.f_weights)
     for i, (W, b) in enumerate(zip(params.f_weights, params.f_biases)):
-        pre = a @ W.T + b
-        pre_acts.append(pre)
-        a = pre if i == n_layers - 1 else act_fn(pre)
+        a = a @ W.T
+        a += b
+        if i < n_layers - 1:
+            act_fn(a)
         acts.append(a)
     z = a
     logits = z @ params.g_weight.T + params.g_bias
@@ -131,7 +133,7 @@ def forward(params: MlpParams, X: np.ndarray) -> ForwardTrace:
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - lse
     probs = np.exp(log_probs)
-    return ForwardTrace(x=X, pre_acts=pre_acts, acts=acts, z=z,
+    return ForwardTrace(x=X, acts=acts, z=z,
                         logits=logits, probs=probs, log_probs=log_probs)
 
 
@@ -165,7 +167,7 @@ def backward(params: MlpParams, trace: ForwardTrace, grads: MlpParams,
     d_a = dz
     for i in range(n_layers - 1, -1, -1):
         # last layer is linear; hidden layers pass through the activation
-        d_pre = d_a if i == n_layers - 1 else d_a * act_grad(trace.pre_acts[i], trace.acts[i + 1])
+        d_pre = d_a if i == n_layers - 1 else d_a * act_grad(trace.acts[i + 1])
         grads.f_weights[i] += d_pre.T @ trace.acts[i]
         grads.f_biases[i] += d_pre.sum(axis=0)
         if i > 0:

@@ -156,8 +156,11 @@ def alt_scores(kind: ScoreKind, Z: np.ndarray | None = None,
         return -np.linalg.norm(Z - proj, axis=1)
     means = table.means[table.initialized]
     if kind is ScoreKind.MIN_EUCLID_TO_MEAN:
-        d = np.linalg.norm(Z[:, None, :] - means[None, :, :], axis=2)
-        return -d.min(axis=1)
+        # a running minimum over the means keeps memory at (N, D), not (N, C, D)
+        d = np.linalg.norm(Z - means[0], axis=1)
+        for m in means[1:]:
+            np.minimum(d, np.linalg.norm(Z - m, axis=1), out=d)
+        return -d
     if kind is ScoreKind.MAX_COSINE_TO_MEAN:
         zn = np.linalg.norm(Z, axis=1, keepdims=True)
         mn = np.linalg.norm(means, axis=1)

@@ -97,24 +97,24 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     """Closed-set accuracy plus AUROC for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
-    accuracy is shared across rows.
+    accuracy is shared across rows. The splits are scored one at a time,
+    so only one split's forward trace is alive at once.
     """
     Xi, yi = dataset.test_id
-    Xo, _ = dataset.test_ood
     tr_id = nn.forward(params, Xi)
-    tr_ood = nn.forward(params, Xo)
     acc = accuracy(tr_id.probs, yi)
     basis = subspace.compute_basis(table)
-    rows = []
-    for kind in ScoreKind:
-        s_id = subspace.alt_scores(kind, Z=tr_id.z, logits=tr_id.logits,
-                                   table=table, basis=basis)
-        s_ood = subspace.alt_scores(kind, Z=tr_ood.z, logits=tr_ood.logits,
-                                    table=table, basis=basis)
-        rows.append(EvalRow(step=step, score_kind=kind.value,
-                            closed_set_accuracy=acc, auroc=auroc(s_id, s_ood),
-                            num_id=len(s_id), num_ood=len(s_ood)))
-    return rows
+
+    def all_scores(tr: nn.ForwardTrace) -> list:
+        return [subspace.alt_scores(kind, Z=tr.z, logits=tr.logits, table=table, basis=basis)
+                for kind in ScoreKind]
+
+    s_id = all_scores(tr_id)
+    del tr_id  # freed before the OOD split is forwarded
+    s_ood = all_scores(nn.forward(params, dataset.test_ood[0]))
+    return [EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
+                    auroc=auroc(a, b), num_id=len(a), num_ood=len(b))
+            for kind, a, b in zip(ScoreKind, s_id, s_ood)]
 
 
 def _result(config: TrainingConfig, k: int, params: nn.MlpParams,

@@ -59,7 +59,72 @@ def brute_force_otsu(scores, num_bins):
     return best_edge
 
 
+def loop_otsu(scores, num_bins):
+    """Bit-exact reference: the one-bin-at-a-time scan that the vectorized
+    ``otsu_threshold`` replaced, with the same clipping and degenerate case."""
+    scores = np.asarray(scores, dtype=float)
+    if np.all(scores == scores[0]):
+        return float(scores[0])
+    counts, edges = np.histogram(np.clip(scores, 0.0, 1.0), bins=num_bins, range=(0.0, 1.0))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    total = counts.sum()
+    best_edge, best_var = edges[1], -1.0
+    cum = 0.0
+    cum_mean = 0.0
+    grand_mean = float((counts * centers).sum()) / total
+    for b in range(num_bins - 1):
+        cum += counts[b]
+        cum_mean += counts[b] * centers[b]
+        w0 = cum / total
+        w1 = 1.0 - w0
+        if w0 == 0.0 or w1 == 0.0:
+            continue
+        mu0 = cum_mean / cum
+        mu1 = (grand_mean * total - cum_mean) / (total - cum)
+        var_b = w0 * w1 * (mu0 - mu1) ** 2
+        if var_b > best_var:
+            best_var = var_b
+            best_edge = edges[b + 1]
+    return float(best_edge)
+
+
+def otsu_score_sets(rng, count):
+    """Beta, quantized (many exact ties), two-cluster and out-of-range sets."""
+    for i in range(count):
+        n = int(rng.integers(2, 400))
+        kind = i % 4
+        if kind == 0:
+            yield rng.beta(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), n)
+        elif kind == 1:
+            yield np.round(rng.random(n) * rng.integers(1, 20)) / 20.0
+        elif kind == 2:
+            yield np.concatenate([rng.normal(0.2, 0.05, n), rng.normal(0.8, 0.05, n)])
+        else:
+            yield rng.normal(0.5, 1.0, n)
+
+
 class TestOtsu:
+    @pytest.mark.parametrize("num_bins", [128, 32, 2])
+    def test_bit_exact_against_the_loop(self, rng, num_bins):
+        for scores in otsu_score_sets(rng, 400):
+            assert otsu_threshold(scores, num_bins) == loop_otsu(scores, num_bins)
+
+    def test_ties_go_to_the_lower_edge(self):
+        # symmetric two-point histogram over four bins: edges 0.25 and 0.75 tie
+        scores = np.array([0.1, 0.1, 0.9, 0.9, 0.4, 0.6])
+        assert otsu_threshold(scores, 4) == loop_otsu(scores, 4)
+        assert otsu_threshold(np.array([0.1, 0.9]), 4) == 0.25
+
+    def test_nan_never_wins(self):
+        scores = np.array([0.1, np.nan, 0.2, 0.85, np.nan, 0.9])
+        t = otsu_threshold(scores, 16)
+        assert t == loop_otsu(scores, 16) and 0.2 < t <= 0.85
+        # every score NaN: no edge has a finite variance, so the first edge
+        assert otsu_threshold(np.full(3, np.nan), 16) == 1.0 / 16
+
+    def test_one_occupied_bin_returns_the_first_edge(self):
+        assert otsu_threshold(np.array([0.5, 0.501]), 8) == loop_otsu([0.5, 0.501], 8) == 0.125
+
     def test_two_point_clusters(self):
         scores = np.array([0.1, 0.1, 0.9, 0.9])
         t = otsu_threshold(scores, num_bins=128)

@@ -2,16 +2,17 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from osslab import trainer
+from osslab import nn, subspace, trainer
 from osslab.betamix import BetaParams
 from osslab.cli import main as cli_main
 from osslab.config import TrainingConfig, load_config
 from osslab.data import export_dataset, generate
-from osslab.evaluation import beta_density_grid
+from osslab.evaluation import accuracy, auroc, beta_density_grid
 from osslab.optim import lr
 from osslab.serialize import load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
@@ -110,6 +111,58 @@ class TestTrain:
             assert os.path.exists(os.path.join(run_dir, name))
         summary = json.load(open(os.path.join(run_dir, "summary.json")))
         assert summary == tiny_result.summary
+
+
+def reference_eval(params, table, dataset, step):
+    """Evaluation as it was with both splits' traces alive at once and the
+    min-Euclid score taken over the full (N, C, D) difference block."""
+    (Xi, yi), (Xo, _) = dataset.test_id, dataset.test_ood
+    tr_id, tr_ood = nn.forward(params, Xi), nn.forward(params, Xo)
+    acc = accuracy(tr_id.probs, yi)
+    basis = subspace.compute_basis(table)
+    means = table.means[table.initialized]
+    rows = []
+    for kind in ScoreKind:
+        s_id, s_ood = (
+            -np.linalg.norm(tr.z[:, None, :] - means[None], axis=2).min(axis=1)
+            if kind is ScoreKind.MIN_EUCLID_TO_MEAN else
+            subspace.alt_scores(kind, Z=tr.z, logits=tr.logits, table=table, basis=basis)
+            for tr in (tr_id, tr_ood))
+        rows.append(trainer.EvalRow(step=step, score_kind=kind.value,
+                                    closed_set_accuracy=acc, auroc=auroc(s_id, s_ood),
+                                    num_id=len(s_id), num_ood=len(s_ood)))
+    return rows
+
+
+class TestEvaluateCheckpoint:
+    def test_rows_equal_a_reference_holding_both_traces(self, tiny_result):
+        ckpt = tiny_result.checkpoint
+        dataset = generate(tiny_result.config.dataset_spec())
+        for params in (ckpt.params, ckpt.ema_params):
+            got = trainer.evaluate_checkpoint(params, ckpt.means, dataset, ckpt.step)
+            assert repr(got) == repr(reference_eval(params, ckpt.means, dataset, ckpt.step))
+
+    def test_peak_memory_is_one_split_of_layer_outputs(self):
+        # the wide_mlp benchmark shapes; numpy reports its buffers to
+        # tracemalloc, so the peak counts every array the call allocates
+        hidden, D, C = (256, 256), 64, 16
+        cfg = TrainingConfig(input_dim=128, hidden=hidden, feature_dim=D,
+                             num_id_classes=C, num_ood_clusters=C)
+        dataset = generate(cfg.dataset_spec())
+        rng = np.random.default_rng(0)
+        params = nn.init_params(128, hidden, D, C, rng)
+        table = subspace.ClassMeanTable(means=rng.normal(size=(C, D)),
+                                        initialized=np.ones(C, dtype=bool))
+        n_test = len(dataset.test_id[0])
+        assert len(dataset.test_ood[0]) == n_test
+        layer_bytes = n_test * (sum(hidden) + D) * 8
+        tracemalloc.start()
+        try:
+            trainer.evaluate_checkpoint(params, table, dataset, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * layer_bytes, f"peak {peak / layer_bytes:.2f}x one split's layers"
 
 
 class TestSweepAblate:

@@ -35,6 +35,19 @@ class TestForward:
         with pytest.raises(nn.NumericalError):
             nn.forward(bad, np.ones((1, 5)))
 
+    @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
+    def test_input_and_parameters_are_not_written(self, rng, activation):
+        # bias and activation go into the layer's own product, in place
+        p = nn.init_params(input_dim=5, hidden=(8, 7), feature_dim=6, num_classes=3,
+                           rng=rng, activation=activation)
+        p.theta[:] = rng.normal(size=p.theta.size)
+        X = rng.normal(size=(9, 5))
+        X_before, theta_before = X.copy(), p.theta.copy()
+        tr = nn.forward(p, X)
+        assert tr.x is X and tr.acts[0] is X
+        assert X.tobytes() == X_before.tobytes()
+        assert p.theta.tobytes() == theta_before.tobytes()
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self, small_params, rng):
@@ -56,6 +69,37 @@ class TestBackward:
         grads = small_params.zeros_like()
         with pytest.raises(ValueError):
             nn.backward(small_params, tr, grads, d_logits=np.zeros((2, 3)))
+
+    def test_relu_mask_from_outputs_equals_pre_activation_mask(self, rng):
+        # backward reads act > 0; the reference masks with pre > 0 on the
+        # pre-activations recomputed here, including exact zeros, -0.0 and
+        # large negatives in the first layer
+        p = nn.init_params(input_dim=4, hidden=(4, 5), feature_dim=3, num_classes=2,
+                           rng=rng, activation="relu")
+        p.f_weights[0][:] = np.eye(4)
+        X = np.array([[0.0, -0.0, -1e300, 2.0], [-0.0, 1.5, 0.0, -7e200],
+                      [3.0, -1e-300, 1e-300, 0.0], *rng.normal(size=(5, 4))])
+        tr = nn.forward(p, X)
+        d_z, d_logits = rng.normal(size=tr.z.shape), rng.normal(size=tr.logits.shape)
+        grads = p.zeros_like()
+        nn.backward(p, tr, grads, d_z=d_z, d_logits=d_logits)
+
+        ref = p.zeros_like()
+        a, acts, pres = X, [X], []
+        for W, b in zip(p.f_weights, p.f_biases):
+            pres.append(a @ W.T + b)
+            a = np.maximum(pres[-1], 0.0) if len(pres) < len(p.f_weights) else pres[-1]
+            acts.append(a)
+        ref.g_weight += d_logits.T @ a
+        ref.g_bias += d_logits.sum(axis=0)
+        d_a = d_z + d_logits @ p.g_weight
+        for i in range(len(p.f_weights) - 1, -1, -1):
+            d_pre = d_a if i == len(p.f_weights) - 1 else d_a * (pres[i] > 0.0).astype(float)
+            ref.f_weights[i] += d_pre.T @ acts[i]
+            ref.f_biases[i] += d_pre.sum(axis=0)
+            d_a = d_pre @ p.f_weights[i]
+        assert (pres[0] == 0.0).any() and (pres[0] < -1e200).any()
+        assert grads.theta.tobytes() == ref.theta.tobytes()
 
     @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
     def test_full_loss_matches_finite_differences(self, rng, activation):

@@ -237,6 +237,22 @@ class TestAltScores:
                        table=table)
         assert s[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, c, d", [(50, 1, 1), (40, 5, 1), (100, 16, 64),
+                                         (7, 3, 129), (30, 7, 200)])
+    def test_min_euclid_running_minimum_equals_block_reference(self, rng, n, c, d):
+        # the (N, C, D) difference block the running minimum replaced; two
+        # uninitialized rows must be skipped by both
+        means = rng.normal(size=(c + 2, d)) * 10.0
+        initialized = np.ones(c + 2, dtype=bool)
+        initialized[[0, -1]] = False
+        table = ClassMeanTable(means=means, initialized=initialized)
+        Z = rng.normal(size=(n, d)) * 10.0
+        Z[0] = means[1]
+        block = Z[:, None, :] - means[initialized][None, :, :]
+        ref = -np.linalg.norm(block, axis=2).min(axis=1)
+        s = alt_scores(ScoreKind.MIN_EUCLID_TO_MEAN, Z=Z, table=table)
+        assert s.tobytes() == ref.tobytes()
+
     def test_residual_in_span_is_zero(self, rng):
         basis = random_basis(rng, 5, 2)
         z = basis.Q @ rng.normal(size=2)
