@@ -1,0 +1,152 @@
+"""Digests of every file that a fixed set of osslab commands writes.
+
+    python3 scripts/digests.py [--tiny] [--against REV]
+
+Each case is a list of ``osslab`` commands run through ``osslab.cli.main``
+in one fresh temporary ``--out`` directory, in a child process with BLAS on
+one thread. The script prints one line per output file, ``case path
+sha256[:16]``. A command's stdout counts as a file, named with the
+command's exit code, with the output directory written as ``<out>``.
+
+``--tiny`` runs only the cases on the small test config. ``--against REV``
+also runs the cases on the ``src/`` of git revision REV of this repository,
+exported with ``git archive`` (nothing is fetched), prints each file whose
+digest differs or that only one side wrote, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+TINY = {"input_dim": 12, "num_id_classes": 4, "num_ood_clusters": 4,
+        "samples_per_class": 20, "labeled_per_class": 5, "hidden": "16",
+        "feature_dim": 8, "K": 60, "K_p": 20, "B": 8, "mu": 2, "eval_every": 30, "seed": 3}
+
+
+def flags(values: dict) -> list[str]:
+    return [arg for key, value in values.items() for arg in (f"--{key}", str(value))]
+
+
+def workload_cases() -> dict:
+    """The benchmark's workloads (perfbench/run.py), at its first child's seed."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import run  # imports neither numpy nor osslab
+    return {name: [[command, *flags({**values, "seed": run.osslab_seed(5, 0)})]]
+            for name, (command, values) in run.WORKLOADS.items()}
+
+
+# case name -> commands; "{run_dir}" stands for the one run dir written so far
+TINY_CASES = {
+    "tiny": [["generate", *flags(TINY)], ["train", *flags(TINY)],
+             ["eval", "--checkpoint", "{run_dir}/checkpoint.txt",
+              "--dataset", "{run_dir}/dataset.txt"],
+             ["emit-plot-data", *flags(TINY)]],
+    **{f"tiny_ablate_Kp{k_p}": [["ablate", *flags({**TINY, "K_p": k_p})]]
+       for k_p in (0, 20, 25, 60)},
+}
+
+
+SHORT = ["--K", "300", "--K_p", "100"]
+
+
+def all_cases() -> dict:
+    return {**TINY_CASES, **workload_cases(),
+            "tiny_relu": [["train", *flags(TINY), "--activation", "relu"]],  # exits 2
+            "default_K2000": [["train", "--K", "2000", "--K_p", "200", "--seed", "0"]],
+            "short_otsu": [["train", *SHORT, "--decision_rule", "otsu_threshold"]],
+            "short_direct": [["train", *SHORT, "--decision_rule", "direct_weight"]],
+            "short_no_self_no_sub": [["train", *SHORT, "--w_self", "0", "--w_sub", "0"]],
+            "short_epsilon0": [["train", *SHORT, "--epsilon", "0"]],
+            "short_relu": [["train", *SHORT, "--activation", "relu"]],
+            "readme_ablate": [["ablate", "--K", "2000", "--K_p", "1000"]]}
+
+
+def run_commands(out_dir: str, commands: list[list[str]]) -> None:
+    """The child process: run ``commands`` in order, saving each one's stdout."""
+    import osslab
+    from osslab import cli
+    if not os.path.abspath(osslab.__file__).startswith(os.environ["PYTHONPATH"] + os.sep):
+        raise ImportError(f"osslab imported from {osslab.__file__}")
+    for i, argv in enumerate(commands):
+        run_dirs = sorted(d for d in os.listdir(out_dir) if d.startswith("run_"))
+        run_dir = os.path.join(out_dir, run_dirs[0]) if run_dirs else ""
+        argv = [arg.replace("{run_dir}", run_dir) for arg in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["--out", out_dir, *argv])
+        with open(os.path.join(out_dir, f"stdout{i}_{argv[0]}_exit{code}.txt"), "w") as fh:
+            fh.write(stdout.getvalue().replace(out_dir, "<out>"))
+
+
+def digest_case(src: str, commands: list[list[str]]) -> dict[str, str]:
+    """path -> sha256[:16] of every file the commands write, run on ``src``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    with tempfile.TemporaryDirectory() as out_dir:
+        child = subprocess.run([sys.executable, __file__, "--child", out_dir,
+                                json.dumps(commands)], env=env, cwd=out_dir,
+                               stderr=subprocess.PIPE, text=True)
+        if child.returncode:
+            raise RuntimeError(f"{commands} on {src} failed:\n{child.stderr[-2000:]}")
+        found = {}
+        for parent, _, names in os.walk(out_dir):
+            for name in names:
+                path = os.path.join(parent, name)
+                with open(path, "rb") as fh:
+                    found[os.path.relpath(path, out_dir)] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return dict(sorted(found.items()))
+
+
+def digests(src: str, cases: dict) -> dict[tuple[str, str], str]:
+    return {(case, path): digest for case, commands in cases.items()
+            for path, digest in digest_case(src, commands).items()}
+
+
+def export_src(rev: str, into: str) -> str:
+    """REV's ``src/`` under ``into``, from the local repository."""
+    tar = os.path.join(into, "src.tar")
+    subprocess.run(["git", "-C", ROOT, "archive", "-o", tar, rev, "src"], check=True)
+    subprocess.run(["tar", "-xf", tar, "-C", into], check=True)
+    return os.path.join(into, "src")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tiny", action="store_true", help="the small-config cases only")
+    parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        run_commands(args.child[0], json.loads(args.child[1]))
+        return 0
+
+    cases = TINY_CASES if args.tiny else all_cases()
+    here = digests(SRC, cases)
+    for (case, path), digest in here.items():
+        print(f"{case} {path} {digest}")
+    if not args.against:
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        there = digests(export_src(args.against, tmp), cases)
+    differ = [key for key in sorted(here.keys() | there.keys()) if here.get(key) != there.get(key)]
+    for case, path in differ:
+        print(f"differs {case} {path}: {there.get((case, path))} at {args.against}, "
+              f"{here.get((case, path))} here")
+    print(f"{len(here)} files here, {len(there)} at {args.against}, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

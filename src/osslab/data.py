@@ -8,7 +8,7 @@ are small/large jitter (strong adds coordinate dropout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -172,13 +172,49 @@ class AugmentConfig:
                    sigma_strong=0.5 * cluster_spread, p_drop=p_drop)
 
 
+@dataclass
+class _Shuffle:
+    """One pool's current permutation and the next position in it; the first
+    permutation is drawn when the first batch needs rows."""
+    perm: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    pos: int = 0
+
+    def take(self, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        # count <= n; the next shuffle is drawn only once a batch needs rows
+        # past the end of the current one
+        perm, pos = self.perm, self.pos
+        if pos + count <= len(perm):
+            self.pos = pos + count
+            return perm[pos:pos + count]
+        self.perm = rng.permutation(n)
+        self.pos = count - (len(perm) - pos)
+        return np.concatenate([perm[pos:], self.perm[:self.pos]])
+
+
+@dataclass
+class BatchCursor:
+    """Where a batch stream stands: its two generators and each pool's
+    shuffle. ``batches`` advances it in place, so a deep copy taken between
+    two batches continues the stream from there."""
+    order_rng: np.random.Generator
+    aug_rng: np.random.Generator
+    labeled: _Shuffle = field(default_factory=_Shuffle)
+    unlabeled: _Shuffle = field(default_factory=_Shuffle)
+
+    @classmethod
+    def start(cls, seed: int) -> "BatchCursor":
+        return cls(stream(seed, "batch"), stream(seed, "augment"))
+
+
 def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
-            augment: AugmentConfig) -> Iterator[BatchPair]:
+            augment: AugmentConfig, cursor: BatchCursor | None = None) -> Iterator[BatchPair]:
     """Infinite stream of (labeled, unlabeled) batches with augmented views.
 
     Each epoch is a fresh shuffle of the pool; batches run through the
     permutation so every sample appears exactly once per epoch (across
-    epochs samples repeat). Deterministic given ``seed``.
+    epochs samples repeat). Deterministic given ``seed``. The stream's state
+    lives in ``cursor`` (``BatchCursor.start(seed)`` when None), which each
+    batch advances in place.
     """
     Xl, yl = dataset.labeled
     Xu, _ = dataset.unlabeled
@@ -186,29 +222,13 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
         raise ValueError("empty dataset")
     if B > len(Xl) or mu * B > len(Xu):
         raise ValueError("batch size exceeds pool size")
-
-    order_rng = stream(seed, "batch")
-    aug_rng = stream(seed, "augment")
-
-    def index_stream(n: int, count: int) -> Iterator[np.ndarray]:
-        # count <= n; the next shuffle is drawn only once a batch needs rows
-        # past the end of the current one
-        perm, pos = order_rng.permutation(n), 0
-        while True:
-            if pos + count <= n:
-                yield perm[pos:pos + count]
-                pos += count
-            else:
-                head = perm[pos:]
-                perm, pos = order_rng.permutation(n), count - len(head)
-                yield np.concatenate([head, perm[:pos]])
-
-    lab_idx = index_stream(len(Xl), B)
-    unl_idx = index_stream(len(Xu), mu * B)
+    if cursor is None:
+        cursor = BatchCursor.start(seed)
+    order_rng, aug_rng = cursor.order_rng, cursor.aug_rng
 
     while True:
-        li = next(lab_idx)
-        xu = Xu[next(unl_idx)]
+        li = cursor.labeled.take(len(Xl), B, order_rng)
+        xu = Xu[cursor.unlabeled.take(len(Xu), mu * B, order_rng)]
         lw = weak_augment(Xl[li], aug_rng, augment.sigma_weak)
         uw = weak_augment(xu, aug_rng, augment.sigma_weak)
         us = strong_augment(xu, aug_rng, augment.sigma_strong, augment.p_drop)

@@ -9,6 +9,7 @@ frozen quantities.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,6 +66,10 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return self.from_vector(self.theta.copy())
+
+    def __deepcopy__(self, memo) -> "MlpParams":
+        # the copy's layer arrays must view the copy's theta
+        return self.from_vector(copy.deepcopy(self.theta, memo))
 
 
 @dataclass

@@ -10,6 +10,7 @@ before scoring, since no basis exists yet.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import betamix, decide, losses, nn, optim, subspace
 from .config import TrainingConfig, load_config
-from .data import OpenSetDataset, batches, generate
+from .data import BatchCursor, OpenSetDataset, batches, generate
 from .evaluation import accuracy, auroc, beta_density_grid, score_snapshot
 from .rng import stream
 from .serialize import Checkpoint, load_checkpoint, save_checkpoint
@@ -85,11 +86,37 @@ class RunLog:
 
 
 @dataclass
+class RunState:
+    """What a run carries into step ``config.K_p``: a copy of it lets another
+    run with the same warm-up (``warmup_key``) start there."""
+    config: TrainingConfig
+    params: nn.MlpParams
+    opt_state: optim.OptimizerState
+    table: subspace.ClassMeanTable
+    beta_model: betamix.BetaMixtureModel
+    basis: subspace.IdSubspaceBasis | None
+    cursor: BatchCursor
+    runlog: RunLog
+    warmup_inputs: list  # each warm-up step's (scores_u, p_reg), what decide read
+
+
+@dataclass
 class TrainResult:
     config: TrainingConfig
     checkpoint: Checkpoint
     runlog: RunLog
     summary: dict
+    warmup: RunState | None = None  # only when asked for with keep_warmup
+
+
+# Config fields that act only after the warm-up, on the logged decision
+# columns that a resumed run replays, or on evaluation.
+_POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule", "eval_every")
+
+
+def warmup_key(config: TrainingConfig) -> tuple:
+    """Equal for two configs whose first ``K_p`` steps update the same state."""
+    return tuple((k, v) for k, v in asdict(config).items() if k not in _POST_WARMUP_FIELDS)
 
 
 def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
@@ -140,30 +167,64 @@ def _result(config: TrainingConfig, k: int, params: nn.MlpParams,
     return TrainResult(config=config, checkpoint=ckpt, runlog=runlog, summary=summary)
 
 
-def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
-    """Run the full two-phase training loop; see the module docstring."""
+def train(config: TrainingConfig, run_dir: str | None = None, *,
+          start: RunState | None = None, keep_warmup: bool = False) -> TrainResult:
+    """Run the two-phase training loop; see the module docstring.
+
+    With ``start`` (the ``warmup`` of an earlier result whose config has
+    this config's ``warmup_key``), the run begins at step ``K_p`` from a
+    deep copy of that state instead of step 0. It replays its own decision
+    rule over the stored warm-up inputs, with a fresh rule and mask stream,
+    so its ``mask_rate``/``threshold``/``mask_hash`` rows, the Otsu EMA and
+    the mask RNG are what a full run would have; it keeps the warm-up's
+    eval rows that lie on its own ``eval_every`` grid. The result equals
+    that of ``train(config)``. With ``keep_warmup``, the result carries a
+    copy of the state at the top of step ``K_p`` as ``warmup``.
+    """
     spec = config.dataset_spec()
     schedule = config.schedule()
     weights = config.loss_weights()
     dataset = generate(spec)
-
-    init_rng = stream(config.seed, "init")
-    params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
-                            config.num_id_classes, init_rng, config.activation)
-    grads = params.zeros_like()
-    opt_state = optim.OptimizerState.init(params.theta, config.momentum,
-                                          config.ema_momentum)
-    table = subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim,
-                                          config.lambda_means)
-    beta_model = config.beta_model()
     rule = config.decision()
     mask_rng = stream(config.seed, "mask")
-    batch_iter = batches(dataset, config.B, config.mu, config.seed,
-                         config.augment_config())
 
-    runlog = RunLog()
-    basis = None
-    for k in range(config.K):
+    if start is None:
+        init_rng = stream(config.seed, "init")
+        params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
+                                config.num_id_classes, init_rng, config.activation)
+        opt_state = optim.OptimizerState.init(params.theta, config.momentum,
+                                              config.ema_momentum)
+        table = subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim,
+                                              config.lambda_means)
+        beta_model, basis = config.beta_model(), None
+        cursor, runlog, warmup_inputs = BatchCursor.start(config.seed), RunLog(), []
+    else:
+        # the warm-up eval rows this run needs, bar the final one, must be there
+        grid = range(config.eval_every, min(config.K_p + 1, config.K), config.eval_every)
+        if (warmup_key(start.config) != warmup_key(config)
+                or any(s % start.config.eval_every for s in grid)):
+            raise ValueError("start is not the warm-up state of this config")
+        state = copy.deepcopy(start)
+        params, opt_state, table, beta_model, basis = (
+            state.params, state.opt_state, state.table, state.beta_model, state.basis)
+        cursor, runlog, warmup_inputs = state.cursor, state.runlog, state.warmup_inputs
+        for rec, (scores_u, p_reg) in zip(runlog.steps, warmup_inputs):
+            decision = decide.decide(rule, scores_u, p_reg, mask_rng)
+            rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
+            rec.mask_hash = decision.hash()
+        runlog.evals = [r for r in runlog.evals if r.step % config.eval_every == 0]
+    grads = params.zeros_like()
+    batch_iter = batches(dataset, config.B, config.mu, config.seed,
+                         config.augment_config(), cursor)
+
+    def snapshot() -> RunState:
+        return copy.deepcopy(RunState(config, params, opt_state, table, beta_model, basis,
+                                      cursor, runlog, warmup_inputs))
+
+    warm = None
+    for k in range(config.K_p if start else 0, config.K):
+        if keep_warmup and k == config.K_p:
+            warm = snapshot()
         warmup = k < config.K_p
         batch = next(batch_iter)
         try:
@@ -191,6 +252,8 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
                                          densities=densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
             decision = decide.decide(rule, scores_u, p_reg, mask_rng)
+            if keep_warmup and warmup:
+                warmup_inputs.append((scores_u, p_reg))
 
             grads.theta.fill(0.0)
             sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
@@ -249,11 +312,17 @@ def train(config: TrainingConfig, run_dir: str | None = None) -> TrainResult:
             threshold=decision.threshold,
             mask_hash=decision.hash()))
 
-        if (k + 1) % config.eval_every == 0 or k == config.K - 1:
+        if (k + 1) % config.eval_every == 0:
             ema_params = params.from_vector(opt_state.ema_params)
             runlog.evals.extend(evaluate_checkpoint(ema_params, table, dataset, k + 1))
 
+    if keep_warmup and warm is None:  # K == K_p: the whole run is warm-up
+        warm = snapshot()
+    if not runlog.evals or runlog.evals[-1].step != config.K:
+        ema_params = params.from_vector(opt_state.ema_params)
+        runlog.evals.extend(evaluate_checkpoint(ema_params, table, dataset, config.K))
     result = _result(config, config.K, params, opt_state, table, beta_model, runlog)
+    result.warmup = warm
     if run_dir:
         write_run_outputs(result, run_dir)
     return result
@@ -304,12 +373,27 @@ def ablate(base: TrainingConfig) -> dict:
       checkpoint (so closed-set accuracy is identical across score rows).
 
     ``base`` itself is trained once; every arm equal to it reuses that run.
+    Arms that differ only in what acts after the warm-up share it: the
+    first arm of each ``warmup_key`` trains from step 0 and keeps its state
+    at step ``K_p``; the others resume from a copy of that state (see
+    ``train``), so each distinct warm-up is trained once. Every arm's
+    result equals that of training it from step 0.
     """
     out: dict = {"loss_grid": [], "decision_rules": [], "score_kinds": []}
-    base_summary = train(base).summary
+    warm: dict[tuple, RunState] = {}
+
+    def run(cfg: TrainingConfig) -> TrainResult:
+        key = warmup_key(cfg)
+        if key in warm:
+            return train(cfg, start=warm[key])
+        result = train(cfg, keep_warmup=True)
+        warm[key] = result.warmup
+        return result
+
+    base_summary = run(base).summary
 
     def summary(cfg: TrainingConfig) -> dict:
-        return base_summary if cfg == base else train(cfg).summary
+        return base_summary if cfg == base else run(cfg).summary
 
     for drop_self in (False, True):
         for drop_sub in (False, True):
@@ -324,8 +408,7 @@ def ablate(base: TrainingConfig) -> dict:
     if base.K_p == 0:
         return out  # no warm-up, so no end-of-warm-up checkpoint to score
     warm_cfg = base.replace(K=base.K_p, eval_every=base.K_p)
-    warm = train(warm_cfg)
-    for row in warm.runlog.evals:
+    for row in run(warm_cfg).runlog.evals:
         if row.step == warm_cfg.K:
             out["score_kinds"].append(asdict(row))
     return out

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 from osslab.data import (
-    SPLITS, AugmentConfig, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
+    SPLITS, AugmentConfig, BatchCursor, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
     _place_centers, batches, export_dataset, generate, import_dataset, strong_augment,
     weak_augment,
 )
@@ -237,6 +238,22 @@ class TestBatches:
             b, want = next(it), next(ref)
             got = (b.labeled_weak, b.labels, b.unlabeled_weak, b.unlabeled_strong)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # 40 labeled and 400 unlabeled rows, which B = 7 and mu * B = 35 do not
+    # divide: copied mid-epoch, or right after a batch that drew both pools'
+    # second shuffle; either way the next 20 batches cross reshuffles
+    @pytest.mark.parametrize("taken", [3, 12])
+    def test_stream_continues_from_a_copied_cursor(self, taken):
+        cursor = BatchCursor.start(5)
+        it = batches(self.ds, B=7, mu=5, seed=5, augment=self.aug, cursor=cursor)
+        for _ in range(taken):
+            next(it)
+        resumed = batches(self.ds, B=7, mu=5, seed=5, augment=self.aug,
+                          cursor=copy.deepcopy(cursor))
+        for _ in range(20):
+            a, b = next(it), next(resumed)
+            assert [x.tobytes() for x in dataclasses.astuple(a)] == \
+                [x.tobytes() for x in dataclasses.astuple(b)]
 
     def test_no_identity_leakage(self):
         # the training-path batch object must not expose unlabeled identity

@@ -200,7 +200,8 @@ class TestSweepAblate:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             real = trainer.train
-            mp.setattr(trainer, "train", lambda cfg: calls.append(cfg) or real(cfg))
+            mp.setattr(trainer, "train",
+                       lambda cfg, **kw: calls.append(cfg) or real(cfg, **kw))
             out = trainer.ablate(TrainingConfig(**TINY))
         return out, calls
 
@@ -222,6 +223,84 @@ class TestSweepAblate:
         strip = ("drop_self", "drop_sub", "decision_rule")
         assert {k: v for k, v in full.items() if k not in strip} == \
             {k: v for k, v in sampled.items() if k not in strip}
+
+
+def outputs(result, tmp_path) -> tuple:
+    """Everything a run writes, as text."""
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(result.checkpoint, str(path))
+    return (result.runlog.steps_csv(), result.runlog.evals_csv(),
+            json.dumps(result.summary), path.read_text())
+
+
+def reference_ablate(base: TrainingConfig) -> dict:
+    """``ablate`` with every arm trained from step 0."""
+    out = {"loss_grid": [], "decision_rules": [], "score_kinds": []}
+    for drop_self in (False, True):
+        for drop_sub in (False, True):
+            cfg = base.replace(w_self=0.0 if drop_self else base.w_self,
+                               w_sub=0.0 if drop_sub else base.w_sub)
+            out["loss_grid"].append({"drop_self": drop_self, "drop_sub": drop_sub,
+                                     **trainer.train(cfg).summary})
+    for rule in ("sampled_mask", "otsu_threshold", "direct_weight"):
+        out["decision_rules"].append(
+            {"decision_rule": rule, **trainer.train(base.replace(decision_rule=rule)).summary})
+    if base.K_p:
+        warm = trainer.train(base.replace(K=base.K_p, eval_every=base.K_p))
+        out["score_kinds"] = [dataclasses.asdict(r) for r in warm.runlog.evals
+                              if r.step == base.K_p]
+    return out
+
+
+# 25 is off the eval grid (eval_every 30), 60 is the whole run
+@pytest.mark.parametrize("K_p", [0, 20, 25, 60])
+class TestResume:
+    def test_resumed_arms_equal_full_runs(self, K_p, tmp_path):
+        base = TrainingConfig(**{**TINY, "K_p": K_p})
+        warm = trainer.train(base, keep_warmup=True).warmup
+        arms = [base, base.replace(w_semi=0.0, w_sub=0.0), base.replace(tau=0.8, gamma=0.5),
+                base.replace(K=90, eval_every=60), base.replace(decision_rule="otsu_threshold"),
+                base.replace(decision_rule="direct_weight")]
+        if K_p:
+            arms.append(base.replace(K=K_p, eval_every=K_p))
+        for cfg in arms:
+            want = outputs(trainer.train(cfg), tmp_path)
+            # twice, so resuming leaves the start state as it was
+            for _ in range(2):
+                assert outputs(trainer.train(cfg, start=warm), tmp_path) == want, cfg
+
+    def test_ablate_equals_training_every_arm_in_full(self, K_p):
+        base = TrainingConfig(**{**TINY, "K_p": K_p})
+        assert json.dumps(trainer.ablate(base)) == json.dumps(reference_ablate(base))
+
+    def test_ablate_trains_each_warm_up_once(self, K_p, monkeypatch):
+        drawn = []
+        real = trainer.batches
+
+        def counted(*args, **kwargs):
+            for pair in real(*args, **kwargs):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(trainer, "batches", counted)
+        trainer.ablate(TrainingConfig(**{**TINY, "K_p": K_p}))
+        # base and drop_self from step 0; drop_sub, drop_both and the two other
+        # rules from step K_p; the end-of-warm-up arm trains no step
+        K = TINY["K"]
+        assert len(drawn) == 2 * K + 4 * (K - K_p)
+
+    def test_a_foreign_start_is_rejected(self, K_p):
+        base = TrainingConfig(**{**TINY, "K_p": K_p})
+        warm = trainer.train(base, keep_warmup=True).warmup
+        with pytest.raises(ValueError):
+            trainer.train(base.replace(w_self=0.0), start=warm)
+        if K_p >= 14:  # evals at 7 and 14 that the warm-up never ran
+            with pytest.raises(ValueError):
+                trainer.train(base.replace(eval_every=7), start=warm)
+
+
+def test_plain_run_keeps_no_warm_up_state(tiny_result):
+    assert tiny_result.warmup is None
 
 
 class TestPlotData:

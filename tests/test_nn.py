@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,17 @@ class TestOneBuffer:
             assert not np.shares_memory(other.theta, small_params.theta)
             other.theta[:] = 3.0
         assert np.array_equal(small_params.theta, before)
+
+    def test_deep_copy_views_its_own_buffer(self, small_params):
+        # also inside a container, as when a run's state is deep-copied
+        before = small_params.theta.copy()
+        (p,) = copy.deepcopy([small_params])
+        p.theta[0] = 7.0
+        assert p.f_weights[0][0, 0] == 7.0
+        assert small_params.f_weights[0][0, 0] == before[0]
+        assert np.array_equal(small_params.theta, before)
+        assert (p.sizes, p.num_classes, p.activation) == (
+            small_params.sizes, small_params.num_classes, small_params.activation)
 
     def test_unknown_activation_rejected(self, small_params):
         with pytest.raises(ValueError):
