@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: generate, train, sweep, ablate, eval, emit-plot-data.
+Subcommands: train, sweep, ablate, eval, emit-plot-data.
 Any config key can be overridden with ``--key value``; unknown keys are
-rejected. ``emit-plot-data`` trains nothing: it reads the run dir that
-``train`` wrote with the same flags and ``--out``. Exit code 0 on
-success, 1 on invalid input/config (or a missing run dir), 2 on runtime
-failure.
+rejected. ``eval`` and ``emit-plot-data`` train nothing: they read the run
+dir that ``train`` wrote with the same flags and ``--out``, and regenerate
+its dataset from ``config.txt``. Exit code 0 on success, 1 on invalid
+input/config (or a missing run dir), 2 on runtime failure.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import sys
 
 from . import trainer
 from .config import TrainingConfig, load_config, parse_overrides, parse_value
-from .data import export_dataset, generate, import_dataset
-from .serialize import load_checkpoint
 from .trainer import run_dir_name
 
 
@@ -48,17 +46,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory root")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", help="generate and export the dataset")
     sub.add_parser("train", help="run one training")
     p = sub.add_parser("sweep", help="run a hyperparameter sweep")
     p.add_argument("--axis", required=True, choices=trainer.SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated values")
     sub.add_parser("ablate", help="run the ablation matrices")
-    p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset export")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    sub.add_parser("emit-plot-data", help="write plot files from the run dir that "
-                                          "'train' wrote with the same flags")
+    sub.add_parser("eval", help="evaluate the checkpoint of the run dir that 'train' wrote")
+    sub.add_parser("emit-plot-data", help="write plot files from the run dir that 'train' wrote")
 
     args, extra = parser.parse_known_args(argv)
     try:
@@ -79,14 +73,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args, cfg: TrainingConfig) -> int:
     run_dir = os.path.join(args.out, run_dir_name(cfg))
-
-    if args.command == "generate":
-        os.makedirs(run_dir, exist_ok=True)
-        dataset = generate(cfg.dataset_spec())
-        path = os.path.join(run_dir, "dataset.txt")
-        export_dataset(dataset, path)
-        print(path)
-        return 0
+    if args.command in ("eval", "emit-plot-data") and not os.path.isdir(run_dir):
+        raise FileNotFoundError(f"no run dir {run_dir}; run 'train' with the same flags first")
 
     if args.command == "train":
         result = trainer.train(cfg, run_dir=run_dir)
@@ -112,15 +100,12 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
         return 0
 
     if args.command == "eval":
-        ckpt = load_checkpoint(args.checkpoint)
-        dataset = import_dataset(args.dataset)
+        ckpt, dataset = trainer.load_run(run_dir)
         rows = trainer.evaluate_checkpoint(ckpt.ema_params, ckpt.means, dataset, ckpt.step)
         print(json.dumps([trainer.asdict(r) for r in rows], indent=2))
         return 0
 
     if args.command == "emit-plot-data":
-        if not os.path.isdir(run_dir):
-            raise FileNotFoundError(f"no run dir {run_dir}; run 'train' with the same flags first")
         trainer.emit_plot_data(run_dir, os.path.join(run_dir, "plots"))
         print(os.path.join(run_dir, "plots"))
         return 0

@@ -6,11 +6,13 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from . import nn, optim, subspace
 from .betamix import BetaMixtureModel
 from .data import AugmentConfig, DatasetSpec
 from .decide import DecisionRule, RuleKind
 from .losses import LossWeights
-from .optim import Schedule
 
 
 @dataclass
@@ -67,6 +69,10 @@ class TrainingConfig:
         self.loss_weights()
         self.beta_model()
         self.decision()
+        self.mean_table()
+        self.optimizer_state(np.zeros(0))
+        nn.check_architecture((self.input_dim, *self.hidden, self.feature_dim),
+                              self.num_id_classes, self.activation)
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -80,8 +86,8 @@ class TrainingConfig:
     def augment_config(self) -> AugmentConfig:
         return AugmentConfig.from_spread(self.cluster_spread, self.p_drop)
 
-    def schedule(self) -> Schedule:
-        return Schedule(eta0=self.eta0, K=self.K, K_p=self.K_p, gamma=self.gamma)
+    def schedule(self) -> optim.Schedule:
+        return optim.Schedule(eta0=self.eta0, K=self.K, K_p=self.K_p, gamma=self.gamma)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(w_semi=self.w_semi, w_self=self.w_self, w_sub=self.w_sub,
@@ -96,6 +102,13 @@ class TrainingConfig:
 
     def decision(self) -> DecisionRule:
         return DecisionRule(kind=RuleKind(self.decision_rule), momentum=self.otsu_momentum)
+
+    def mean_table(self) -> subspace.ClassMeanTable:
+        return subspace.ClassMeanTable.empty(self.num_id_classes, self.feature_dim,
+                                             self.lambda_means)
+
+    def optimizer_state(self, theta: np.ndarray) -> optim.OptimizerState:
+        return optim.OptimizerState.init(theta, self.momentum, self.ema_momentum)
 
     def to_text(self) -> str:
         lines = []

@@ -46,6 +46,8 @@ class DatasetSpec:
             raise ValueError("labeled_per_class must be <= samples_per_class")
         if self.cluster_spread <= 0 or self.cluster_separation <= 0:
             raise ValueError("cluster_spread and cluster_separation must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -58,9 +60,6 @@ class OpenSetDataset:
     unlabeled: tuple[np.ndarray, np.ndarray]
     test_id: tuple[np.ndarray, np.ndarray]
     test_ood: tuple[np.ndarray, np.ndarray]
-
-
-SPLITS = tuple(OpenSetDataset.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,6 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
     """
     Xl, yl = dataset.labeled
     Xu, _ = dataset.unlabeled
-    if len(Xl) == 0 or len(Xu) == 0:
-        raise ValueError("empty dataset")
     if B > len(Xl) or mu * B > len(Xu):
         raise ValueError("batch size exceeds pool size")
     if cursor is None:
@@ -234,36 +231,3 @@ def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
         us = strong_augment(xu, aug_rng, augment.sigma_strong, augment.p_drop)
         yield BatchPair(labeled_weak=lw, labels=yl[li],
                         unlabeled_weak=uw, unlabeled_strong=us)
-
-
-# --- columnar text export -------------------------------------------------
-# One sample per row: split tag, label, is_id (0/1), then coordinates,
-# whitespace-separated. Lines starting with '#' are comments.
-
-def export_dataset(dataset: OpenSetDataset, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("# osslab dataset v1\n")
-        fh.write("# columns: split label is_id x0 x1 ...\n")
-        for split in SPLITS:
-            X, y = getattr(dataset, split)
-            fh.writelines(f"{split} {label} {int(label >= 0)} {' '.join(map(repr, row))}\n"
-                          for label, row in zip(y.tolist(), X.tolist()))
-
-
-def import_dataset(path: str) -> OpenSetDataset:
-    """Read an ``export_dataset`` file; a row whose is_id flag contradicts
-    its label, or whose split tag is unknown, is a ``ValueError``."""
-    with open(path) as fh:
-        rows = [ln.split() for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    table = np.array(rows)  # ragged rows raise ValueError
-    if table.ndim != 2 or table.shape[1] < 4:
-        raise ValueError(f"{path}: expected rows of 'split label is_id x0 ...'")
-    tags, y, is_id = table[:, 0], table[:, 1].astype(int), table[:, 2].astype(int)
-    unknown = sorted(set(tags.tolist()) - set(SPLITS))
-    if unknown:
-        raise ValueError(f"unknown split tag {unknown[0]!r}")
-    if np.any((is_id != 0) != (y >= 0)):
-        raise ValueError("is_id must match label validity")
-    X = table[:, 3:].astype(float)
-    return OpenSetDataset(**{split: (X[tags == split], y[tags == split])
-                             for split in SPLITS})

@@ -36,8 +36,7 @@ class MlpParams:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_architecture(self.sizes, self.num_classes, self.activation)
         D, C = self.sizes[-1], self.num_classes
         shapes = []
         for n_in, n_out in zip(self.sizes, self.sizes[1:]):
@@ -90,12 +89,21 @@ _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def check_architecture(sizes: tuple[int, ...], num_classes: int, activation: str) -> None:
+    """Raises ``ValueError`` for an unknown activation, an empty layer or fewer
+    features than classes."""
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if min(sizes) < 1:
+        raise ValueError(f"every layer width must be >= 1, got {sizes}")
+    if sizes[-1] < num_classes:
+        raise ValueError("feature_dim must be >= num_classes for a full-rank ID subspace")
+
+
 def init_params(input_dim: int, hidden: tuple[int, ...], feature_dim: int,
                 num_classes: int, rng: np.random.Generator,
                 activation: str = "tanh") -> MlpParams:
     """Uniform init in [-a, a], a = sqrt(6/(fan_in+fan_out)); zero biases."""
-    if feature_dim < num_classes:
-        raise ValueError("feature_dim must be >= num_classes for a full-rank ID subspace")
     sizes = (input_dim, *hidden, feature_dim)
 
     def uni(n_out, n_in):

@@ -42,7 +42,7 @@ class ClassMeanTable:
     @classmethod
     def empty(cls, num_classes: int, feature_dim: int, momentum: float = 0.999) -> "ClassMeanTable":
         if not (0.0 <= momentum <= 1.0):
-            raise ValueError("momentum must be in [0, 1]")
+            raise ValueError("class-mean momentum must be in [0, 1]")
         return cls(means=np.zeros((num_classes, feature_dim)),
                    initialized=np.zeros(num_classes, dtype=bool),
                    momentum=momentum)

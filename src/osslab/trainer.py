@@ -192,10 +192,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         init_rng = stream(config.seed, "init")
         params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
                                 config.num_id_classes, init_rng, config.activation)
-        opt_state = optim.OptimizerState.init(params.theta, config.momentum,
-                                              config.ema_momentum)
-        table = subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim,
-                                              config.lambda_means)
+        opt_state, table = config.optimizer_state(params.theta), config.mean_table()
         beta_model, basis = config.beta_model(), None
         cursor, runlog, warmup_inputs = BatchCursor.start(config.seed), RunLog(), []
     else:
@@ -334,14 +331,10 @@ def run_dir_name(config: TrainingConfig) -> str:
 
 def write_run_outputs(result: TrainResult, run_dir: str) -> None:
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.txt"), "w") as fh:
-        fh.write(result.config.to_text())
-    with open(os.path.join(run_dir, "metrics.csv"), "w") as fh:
-        fh.write(result.runlog.steps_csv())
-    with open(os.path.join(run_dir, "evals.csv"), "w") as fh:
-        fh.write(result.runlog.evals_csv())
-    with open(os.path.join(run_dir, "summary.json"), "w") as fh:
-        json.dump(result.summary, fh, indent=2)
+    _write(os.path.join(run_dir, "config.txt"), result.config.to_text())
+    _write(os.path.join(run_dir, "metrics.csv"), result.runlog.steps_csv())
+    _write(os.path.join(run_dir, "evals.csv"), result.runlog.evals_csv())
+    _write(os.path.join(run_dir, "summary.json"), json.dumps(result.summary, indent=2))
     save_checkpoint(result.checkpoint, os.path.join(run_dir, "checkpoint.txt"))
 
 
@@ -420,6 +413,12 @@ def _read_csv(path: str) -> list[dict[str, str]]:
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
+def load_run(run_dir: str) -> tuple[Checkpoint, OpenSetDataset]:
+    """A run dir's checkpoint, and its dataset regenerated from ``config.txt``."""
+    ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
+    return ckpt, generate(load_config(os.path.join(run_dir, "config.txt")).dataset_spec())
+
+
 def emit_plot_data(run_dir: str, out_dir: str) -> None:
     """Plot files from a run dir that ``train`` wrote; nothing is retrained.
 
@@ -433,8 +432,7 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
     """
     steps = _read_csv(os.path.join(run_dir, "metrics.csv"))
     evals = _read_csv(os.path.join(run_dir, "evals.csv"))
-    ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
-    dataset = generate(load_config(os.path.join(run_dir, "config.txt")).dataset_spec())
+    ckpt, dataset = load_run(run_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     long_rows = [(col, r["step"], cell) for r in steps for col, cell in r.items()
@@ -460,16 +458,3 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
     _write(os.path.join(out_dir, f"hist_step{ckpt.step}.csv"), _csv_text(
         ["bin_lo", "bin_hi", "id_count", "ood_count"],
         zip(edges[:-1].tolist(), edges[1:].tolist(), id_hist.tolist(), ood_hist.tolist())))
-
-
-def read_long_csv(path: str) -> list[tuple[str, int, float]]:
-    """Parser for the tidy long format written by emit_plot_data."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["metric", "step", "value"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for line in fh:
-            metric, step, value = line.strip().split(",")
-            rows.append((metric, int(step), float(value)))
-    return rows

@@ -34,9 +34,14 @@ class TestTrainingConfig:
                 TrainingConfig(**bad)
         # each of these trained with a meaningless value or failed mid-run
         for bad in (dict(decision_rule="otsu_threshold", otsu_momentum=2.0),
-                    dict(p_drop=1.5), dict(p_drop=-0.5), dict(lambda_beta=1.5)):
+                    dict(p_drop=1.5), dict(p_drop=-0.5), dict(lambda_beta=1.5),
+                    dict(hidden=(0,)), dict(hidden=(16, 0)), dict(hidden=(-1,)),
+                    dict(feature_dim=2, num_id_classes=4), dict(activation="foo"),
+                    dict(seed=-1), dict(momentum=1.0), dict(ema_momentum=2.0),
+                    dict(lambda_means=2.0)):
             with pytest.raises(ValueError):
                 TrainingConfig(**bad)
+        TrainingConfig(hidden=())  # a linear backbone is a network
 
     def test_hash_changes_with_content(self):
         a = TrainingConfig()

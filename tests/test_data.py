@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from osslab.data import (
-    SPLITS, AugmentConfig, BatchCursor, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
-    _place_centers, batches, export_dataset, generate, import_dataset, strong_augment,
-    weak_augment,
+    AugmentConfig, BatchCursor, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
+    OpenSetDataset, _place_centers, batches, generate, strong_augment, weak_augment,
 )
 from osslab.rng import stream
+
+SPLITS = [f.name for f in dataclasses.fields(OpenSetDataset)]
 
 
 def per_row_generate(spec):
@@ -81,23 +82,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_spec(labeled_per_class=51)
 
-    def test_sample_consistency(self, tmp_path):
-        # an is_id flag that contradicts the label is malformed input
-        for row in ("labeled 2 0 0.5 1.5", "test_ood -1 1 0.5 1.5"):
-            path = tmp_path / "bad.txt"
-            path.write_text(f"# osslab dataset v1\nlabeled 1 1 0.0 1.0\n{row}\n")
-            with pytest.raises(ValueError):
-                import_dataset(str(path))
-
-    def test_malformed_rows_rejected(self, tmp_path):
-        # unknown split tag, a missing coordinate, no coordinates, no rows
-        for text in ("labeled 1 1 0.0 1.0\ntrain 1 1 0.0 1.0\n",
-                     "labeled 1 1 0.0 1.0\nlabeled 1 1 0.0\n",
-                     "labeled 1 1\n", "# osslab dataset v1\n"):
-            path = tmp_path / "bad.txt"
-            path.write_text(text)
-            with pytest.raises(ValueError):
-                import_dataset(str(path))
 
 
 class TestGenerate:
@@ -263,14 +247,3 @@ class TestBatches:
     def test_empty_or_oversized_rejected(self):
         with pytest.raises(ValueError):
             next(batches(self.ds, B=1000, mu=1, seed=0, augment=self.aug))
-
-
-def test_export_import_roundtrip(tmp_path):
-    ds = generate(make_spec())
-    path = tmp_path / "ds.txt"
-    export_dataset(ds, str(path))
-    back = import_dataset(str(path))
-    for split in SPLITS:
-        (X, y), (Xb, yb) = getattr(ds, split), getattr(back, split)
-        assert Xb.tobytes() == X.tobytes()
-        assert np.array_equal(yb, y)

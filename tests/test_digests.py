@@ -21,8 +21,20 @@ def test_tiny_cases_are_byte_identical_across_runs():
     first = digests.digests(digests.SRC, digests.TINY_CASES)
     assert first == digests.digests(digests.SRC, digests.TINY_CASES)
     # every command of every case exited 0 and wrote its outputs
+    writes = {"train": {"metrics.csv", "evals.csv", "checkpoint.txt"}, "eval": set(),
+              "emit-plot-data": {"metrics_long.csv"}, "ablate": {"ablation.json"}}
     for case, commands in digests.TINY_CASES.items():
         names = {path.rsplit("/", 1)[-1] for c, path in first if c == case}
         assert {f"stdout{i}_{argv[0]}_exit0.txt" for i, argv in enumerate(commands)} <= names
-        assert ({"ablation.json"} if commands[0][0] == "ablate" else
-                {"metrics.csv", "evals.csv", "checkpoint.txt", "metrics_long.csv"}) <= names
+        assert set().union(*(writes[argv[0]] for argv in commands)) <= names
+
+
+def test_a_failed_child_is_reported_and_the_other_cases_run(monkeypatch, capsys):
+    digests = load_script()
+    # an unknown subcommand is an argparse usage error: the child exits 2
+    cases = {"bad": [["no-such-command"]], "good": [["train", *digests.flags(digests.TINY)]]}
+    monkeypatch.setattr(digests, "TINY_CASES", cases)
+    assert digests.main(["--tiny"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"bad {digests.CHILD_FAILED} exit2" in out
+    assert any(line.startswith("good ") and "/metrics.csv " in line for line in out)

@@ -11,7 +11,7 @@ from osslab import nn, subspace, trainer
 from osslab.betamix import BetaParams
 from osslab.cli import main as cli_main
 from osslab.config import TrainingConfig, load_config
-from osslab.data import export_dataset, generate
+from osslab.data import generate
 from osslab.evaluation import accuracy, auroc, beta_density_grid
 from osslab.optim import lr
 from osslab.serialize import load_checkpoint, save_checkpoint
@@ -336,10 +336,6 @@ class TestPlotData:
         header, got = self.read(os.path.join(plots, "metrics_long.csv"))
         assert header == ["metric", "step", "value"]
         assert [tuple(r) for r in got] == want
-        rows = trainer.read_long_csv(os.path.join(plots, "metrics_long.csv"))
-        # repr, so the NaN threshold cells compare equal
-        assert [(m, s, repr(v)) for m, s, v in rows] == [
-            (m, int(s), repr(float(v))) for m, s, v in want]
 
     def test_beta_grids_are_the_mixture_each_eval_saw(self, plots, tiny_result):
         for step in (30, 60):
@@ -357,43 +353,41 @@ class TestPlotData:
         assert sum(int(r[2]) for r in rows) == 80
         assert sum(int(r[3]) for r in rows) == 80
 
-    def test_missing_run_dir_is_an_error(self, tmp_path, capsys):
-        assert cli_main(cli_args(tmp_path, "emit-plot-data")) == 1
+    @pytest.mark.parametrize("command", ["eval", "emit-plot-data"])
+    def test_missing_run_dir_is_an_error(self, tmp_path, capsys, command):
+        assert cli_main(cli_args(tmp_path, command)) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.listdir(tmp_path)
 
-    def test_run_dir_of_a_failed_run(self, tmp_path):
+    def test_run_dir_of_a_failed_run(self, tmp_path, capsys):
         assert cli_main(cli_args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
         assert cli_main(cli_args(tmp_path, "emit-plot-data") + ["--eta0", "1e8"]) == 0
         run_dir = only_run_dir(tmp_path)
         step = load_checkpoint(os.path.join(run_dir, "checkpoint.txt")).step
         assert os.path.exists(os.path.join(run_dir, "plots", f"hist_step{step}.csv"))
+        capsys.readouterr()
+        assert cli_main(cli_args(tmp_path, "eval") + ["--eta0", "1e8"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["step"], r["score_kind"]) for r in rows] == [(step, k.value) for k in ScoreKind]
 
 
 class TestCli:
     args = staticmethod(cli_args)
 
     def test_generate_and_train(self, tmp_path):
-        assert cli_main(self.args(tmp_path, "generate")) == 0
+        # the dataset is generated inside train; no copy of it is written
         assert cli_main(self.args(tmp_path, "train")) == 0
-        run_dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
-        assert run_dirs
-        found = set()
-        for d in run_dirs:
-            found |= set(os.listdir(os.path.join(tmp_path, d)))
-        assert {"dataset.txt", "metrics.csv", "summary.json"} <= found
+        found = set(os.listdir(self.run_dir(tmp_path)))
+        assert found == {"config.txt", "metrics.csv", "evals.csv", "summary.json",
+                         "checkpoint.txt"}
 
     run_dir = staticmethod(only_run_dir)
 
     def test_eval_roundtrip(self, tmp_path, capsys):
-        assert cli_main(self.args(tmp_path, "generate")) == 0
         assert cli_main(self.args(tmp_path, "train")) == 0
         run_dir = self.run_dir(tmp_path)
         capsys.readouterr()
-        rc = cli_main(["eval",
-                       "--checkpoint", os.path.join(run_dir, "checkpoint.txt"),
-                       "--dataset", os.path.join(run_dir, "dataset.txt")])
-        assert rc == 0
+        assert cli_main(self.args(tmp_path, "eval")) == 0
         got = [(r["step"], r["score_kind"], repr(r["closed_set_accuracy"]), repr(r["auroc"]))
                for r in json.loads(capsys.readouterr().out)]
         with open(os.path.join(run_dir, "evals.csv")) as fh:
@@ -482,17 +476,15 @@ _CHECKPOINT_EDITS = {
 class TestCheckpointShape:
     @pytest.mark.parametrize("edit", sorted(_CHECKPOINT_EDITS))
     def test_eval_rejects_mismatched_means(self, tiny_result, tmp_path, capsys, edit):
-        path = tmp_path / "checkpoint.txt"
-        save_checkpoint(tiny_result.checkpoint, str(path))
+        run_dir = tmp_path / trainer.run_dir_name(tiny_result.config)
+        trainer.write_run_outputs(tiny_result, str(run_dir))
+        path = run_dir / "checkpoint.txt"
         lines = path.read_text().splitlines()
         edited = _CHECKPOINT_EDITS[edit](lines)
         assert edited != lines
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(str(path))
-        dataset = tmp_path / "dataset.txt"
-        export_dataset(generate(TrainingConfig(**TINY).dataset_spec()), str(dataset))
         capsys.readouterr()
-        rc = cli_main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)])
-        assert rc == 1
+        assert cli_main(cli_args(tmp_path, "eval")) == 1
         assert capsys.readouterr().err.startswith("error: ")
