@@ -11,6 +11,7 @@ input/config (or a missing run dir), 2 on runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -101,8 +102,8 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
 
     if args.command == "eval":
         ckpt, dataset = trainer.load_run(run_dir)
-        rows = trainer.evaluate_checkpoint(ckpt.ema_params, ckpt.means, dataset, ckpt.step)
-        print(json.dumps([trainer.asdict(r) for r in rows], indent=2))
+        rows = trainer.evaluate_checkpoint(ckpt, dataset)
+        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
         return 0
 
     if args.command == "emit-plot-data":

@@ -63,7 +63,10 @@ class TrainingConfig:
         if min(self.K, self.B, self.mu, self.eval_every) < 1:
             raise ValueError("K, B, mu and eval_every must be >= 1")
         # construct eagerly so invalid configs fail before any work
-        self.dataset_spec()
+        spec = self.dataset_spec()
+        if self.B > spec.n_labeled or self.mu * self.B > spec.n_unlabeled:
+            raise ValueError(f"B and mu * B must fit the pools of {spec.n_labeled} labeled "
+                             f"and {spec.n_unlabeled} unlabeled rows")
         self.augment_config()
         self.schedule()
         self.loss_weights()

@@ -49,6 +49,24 @@ class DatasetSpec:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
+    @property
+    def n_id(self) -> int:
+        """Rows of the ID training set and of each test set."""
+        return self.num_id_classes * self.samples_per_class
+
+    @property
+    def n_labeled(self) -> int:
+        return self.num_id_classes * self.labeled_per_class
+
+    @property
+    def n_ood(self) -> int:
+        """OOD rows of the unlabeled pool: an ``ood_fraction`` share, within one."""
+        return int(round(self.n_id * self.ood_fraction / (1.0 - self.ood_fraction)))
+
+    @property
+    def n_unlabeled(self) -> int:
+        return self.n_id + self.n_ood
+
 
 @dataclass
 class OpenSetDataset:
@@ -122,20 +140,18 @@ def generate(spec: DatasetSpec) -> OpenSetDataset:
     id_counts = np.full(spec.num_id_classes, spec.samples_per_class)
     y_id = np.repeat(np.arange(spec.num_id_classes), spec.samples_per_class)
     X_train = draw(id_centers, id_counts)
-    is_labeled = np.arange(y_id.size) % spec.samples_per_class < spec.labeled_per_class
+    is_labeled = np.arange(spec.n_id) % spec.samples_per_class < spec.labeled_per_class
 
-    f = spec.ood_fraction
-    n_ood = int(round(y_id.size * f / (1.0 - f)))
-    X_ood = draw(ood_centers, ood_counts(n_ood))
+    X_ood = draw(ood_centers, ood_counts(spec.n_ood))
     X_test = draw(id_centers, id_counts)
-    X_test_ood = draw(ood_centers, ood_counts(y_id.size))
+    X_test_ood = draw(ood_centers, ood_counts(spec.n_id))
 
     return OpenSetDataset(
         labeled=(X_train[is_labeled], y_id[is_labeled]),
         unlabeled=(np.concatenate([X_train, X_ood]),
-                   np.concatenate([y_id, np.full(n_ood, OOD_LABEL)])),
+                   np.concatenate([y_id, np.full(spec.n_ood, OOD_LABEL)])),
         test_id=(X_test, y_id.copy()),
-        test_ood=(X_test_ood, np.full(y_id.size, OOD_LABEL)))
+        test_ood=(X_test_ood, np.full(spec.n_id, OOD_LABEL)))
 
 
 def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The training loop and the experiment drivers (sweep, ablation).
 
-Per-step order: forward passes; subspace scores and masks computed from
-the basis and Beta parameters carried over from the end of the previous
+A run is one ``RunState``, which ``train`` builds, advances in place and
+returns. Per-step order: forward passes; subspace scores and masks computed
+from the basis and Beta parameters carried over from the end of the previous
 step; losses and the SGD update; then the class-mean/basis update, the
 streaming IMM update (using this step's scores), and the parameter EMA.
 At step 0 the class means are bootstrapped from the first labeled batch
@@ -87,8 +88,9 @@ class RunLog:
 
 @dataclass
 class RunState:
-    """What a run carries into step ``config.K_p``: a copy of it lets another
-    run with the same warm-up (``warmup_key``) start there."""
+    """Everything a run carries from one step to the next. A copy of it at
+    the top of step ``config.K_p`` lets another run with the same warm-up
+    (``warmup_key``) start there."""
     config: TrainingConfig
     params: nn.MlpParams
     opt_state: optim.OptimizerState
@@ -97,16 +99,42 @@ class RunState:
     basis: subspace.IdSubspaceBasis | None
     cursor: BatchCursor
     runlog: RunLog
-    warmup_inputs: list  # each warm-up step's (scores_u, p_reg), what decide read
+    warmup_inputs: list  # each warm-up step's (scores_u, p_reg); kept only in a stored warm-up
 
+    @classmethod
+    def start(cls, config: TrainingConfig) -> "RunState":
+        """The state at the top of step 0."""
+        params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
+                                config.num_id_classes, stream(config.seed, "init"),
+                                config.activation)
+        return cls(config, params, config.optimizer_state(params.theta), config.mean_table(),
+                   config.beta_model(), None, BatchCursor.start(config.seed), RunLog(), [])
 
-@dataclass
-class TrainResult:
-    config: TrainingConfig
-    checkpoint: Checkpoint
-    runlog: RunLog
-    summary: dict
-    warmup: RunState | None = None  # only when asked for with keep_warmup
+    @property
+    def step(self) -> int:
+        """The number of completed steps."""
+        return len(self.runlog.steps)
+
+    @property
+    def summary(self) -> dict:
+        final_evals = {r.score_kind: r for r in self.runlog.evals if r.step == self.step}
+        beta = self.beta_model
+        return {
+            "config_hash": self.config.config_hash(), "seed": self.config.seed, "steps": self.step,
+            "closed_set_accuracy": next(iter(final_evals.values())).closed_set_accuracy
+            if final_evals else None,
+            "auroc": {kind: row.auroc for kind, row in final_evals.items()},
+            "beta": {"alpha_id": beta.id.alpha, "beta_id": beta.id.beta,
+                     "alpha_ood": beta.ood.alpha, "beta_ood": beta.ood.beta, "pi": beta.pi},
+        }
+
+    @property
+    def checkpoint(self) -> Checkpoint:
+        """It shares the live arrays, so save it before the run moves on."""
+        return Checkpoint(step=self.step, params=self.params,
+                          ema_params=self.params.from_vector(self.opt_state.ema_params),
+                          velocity=self.opt_state.velocity, means=self.table,
+                          beta_model=self.beta_model)
 
 
 # Config fields that act only after the warm-up, on the logged decision
@@ -119,14 +147,14 @@ def warmup_key(config: TrainingConfig) -> tuple:
     return tuple((k, v) for k, v in asdict(config).items() if k not in _POST_WARMUP_FIELDS)
 
 
-def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
-                        dataset: OpenSetDataset, step: int) -> list[EvalRow]:
-    """Closed-set accuracy plus AUROC for every score kind.
+def evaluate_checkpoint(ckpt: Checkpoint, dataset: OpenSetDataset) -> list[EvalRow]:
+    """Closed-set accuracy plus AUROC of ``ckpt.ema_params`` for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
     accuracy is shared across rows. The splits are scored one at a time,
     so only one split's forward trace is alive at once.
     """
+    params, table = ckpt.ema_params, ckpt.means
     Xi, yi = dataset.test_id
     tr_id = nn.forward(params, Xi)
     acc = accuracy(tr_id.probs, yi)
@@ -139,89 +167,59 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable,
     s_id = all_scores(tr_id)
     del tr_id  # freed before the OOD split is forwarded
     s_ood = all_scores(nn.forward(params, dataset.test_ood[0]))
-    return [EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
+    return [EvalRow(step=ckpt.step, score_kind=kind.value, closed_set_accuracy=acc,
                     auroc=auroc(a, b), num_id=len(a), num_ood=len(b))
             for kind, a, b in zip(ScoreKind, s_id, s_ood)]
 
 
-def _result(config: TrainingConfig, k: int, params: nn.MlpParams,
-            opt_state: optim.OptimizerState, table: subspace.ClassMeanTable,
-            beta_model: betamix.BetaMixtureModel, runlog: RunLog) -> TrainResult:
-    """The run after its first ``k`` steps. The checkpoint shares the live
-    arrays, so save it before the run moves on."""
-    final_evals = {r.score_kind: r for r in runlog.evals if r.step == k}
-    summary = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "steps": k,
-        "closed_set_accuracy": next(iter(final_evals.values())).closed_set_accuracy
-        if final_evals else None,
-        "auroc": {kind: row.auroc for kind, row in final_evals.items()},
-        "beta": {"alpha_id": beta_model.id.alpha, "beta_id": beta_model.id.beta,
-                 "alpha_ood": beta_model.ood.alpha, "beta_ood": beta_model.ood.beta,
-                 "pi": beta_model.pi},
-    }
-    ckpt = Checkpoint(step=k, params=params,
-                      ema_params=params.from_vector(opt_state.ema_params),
-                      velocity=opt_state.velocity, means=table, beta_model=beta_model)
-    return TrainResult(config=config, checkpoint=ckpt, runlog=runlog, summary=summary)
-
-
 def train(config: TrainingConfig, run_dir: str | None = None, *,
-          start: RunState | None = None, keep_warmup: bool = False) -> TrainResult:
-    """Run the two-phase training loop; see the module docstring.
+          warmups: dict[tuple, RunState] | None = None) -> RunState:
+    """Run the two-phase training loop (see the module docstring); return
+    its final state.
 
-    With ``start`` (the ``warmup`` of an earlier result whose config has
-    this config's ``warmup_key``), the run begins at step ``K_p`` from a
-    deep copy of that state instead of step 0. It replays its own decision
-    rule over the stored warm-up inputs, with a fresh rule and mask stream,
-    so its ``mask_rate``/``threshold``/``mask_hash`` rows, the Otsu EMA and
-    the mask RNG are what a full run would have; it keeps the warm-up's
-    eval rows that lie on its own ``eval_every`` grid. The result equals
-    that of ``train(config)``. With ``keep_warmup``, the result carries a
-    copy of the state at the top of step ``K_p`` as ``warmup``.
+    ``warmups`` maps a ``warmup_key`` to a copy of a state at the top of step
+    ``K_p``. If it holds this config's key, the run resumes from a deep copy
+    of that state. It replays its own decision rule over the stored warm-up
+    inputs with a fresh rule and mask stream, and keeps the warm-up's eval
+    rows on its own ``eval_every`` grid. Otherwise the run stores its own
+    copy there. Either way the result equals ``train(config)``'s and holds
+    no warm-up inputs.
     """
-    spec = config.dataset_spec()
     schedule = config.schedule()
     weights = config.loss_weights()
-    dataset = generate(spec)
+    dataset = generate(config.dataset_spec())
     rule = config.decision()
     mask_rng = stream(config.seed, "mask")
 
-    if start is None:
-        init_rng = stream(config.seed, "init")
-        params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
-                                config.num_id_classes, init_rng, config.activation)
-        opt_state, table = config.optimizer_state(params.theta), config.mean_table()
-        beta_model, basis = config.beta_model(), None
-        cursor, runlog, warmup_inputs = BatchCursor.start(config.seed), RunLog(), []
+    warm = None if warmups is None else warmups.get(key := warmup_key(config))
+    keep = warmups is not None and warm is None  # store this run's warm-up
+    if warm is None:
+        state = RunState.start(config)
     else:
         # the warm-up eval rows this run needs, bar the final one, must be there
         grid = range(config.eval_every, min(config.K_p + 1, config.K), config.eval_every)
-        if (warmup_key(start.config) != warmup_key(config)
-                or any(s % start.config.eval_every for s in grid)):
-            raise ValueError("start is not the warm-up state of this config")
-        state = copy.deepcopy(start)
-        params, opt_state, table, beta_model, basis = (
-            state.params, state.opt_state, state.table, state.beta_model, state.basis)
-        cursor, runlog, warmup_inputs = state.cursor, state.runlog, state.warmup_inputs
-        for rec, (scores_u, p_reg) in zip(runlog.steps, warmup_inputs):
+        if any(s % warm.config.eval_every for s in grid):
+            raise ValueError("the stored warm-up lacks eval rows on this config's grid")
+        state = copy.deepcopy(warm)
+        state.config = config
+        for rec, (scores_u, p_reg) in zip(state.runlog.steps, state.warmup_inputs):
             decision = decide.decide(rule, scores_u, p_reg, mask_rng)
             rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
             rec.mask_hash = decision.hash()
-        runlog.evals = [r for r in runlog.evals if r.step % config.eval_every == 0]
+        state.warmup_inputs = []
+        state.runlog.evals = [r for r in state.runlog.evals if r.step % config.eval_every == 0]
+    params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
     grads = params.zeros_like()
     batch_iter = batches(dataset, config.B, config.mu, config.seed,
-                         config.augment_config(), cursor)
+                         config.augment_config(), state.cursor)
 
-    def snapshot() -> RunState:
-        return copy.deepcopy(RunState(config, params, opt_state, table, beta_model, basis,
-                                      cursor, runlog, warmup_inputs))
-
-    warm = None
-    for k in range(config.K_p if start else 0, config.K):
-        if keep_warmup and k == config.K_p:
-            warm = snapshot()
+    # one pass more than there are steps, so a run with K == K_p stores its end
+    for k in range(state.step, config.K + 1):
+        if keep and k == config.K_p:  # the top of step K_p
+            warmups[key] = copy.deepcopy(state)
+            state.warmup_inputs = []
+        if k == config.K:
+            break
         warmup = k < config.K_p
         batch = next(batch_iter)
         try:
@@ -229,12 +227,12 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             trace_w = nn.forward(params, batch.unlabeled_weak)
             trace_s = nn.forward(params, batch.unlabeled_strong)
 
-            bootstrapped = False
-            if basis is None:
+            bootstrapped = state.basis is None
+            if bootstrapped:
                 # step 0: no basis exists yet; initialize from this batch
                 subspace.update_class_means(table, trace_l.z, batch.labels)
-                basis = subspace.compute_basis(table)
-                bootstrapped = True
+                state.basis = subspace.compute_basis(table)
+            basis, beta_model = state.basis, state.beta_model
 
             sub_on = not warmup and weights.w_sub > 0.0
             # the weak view is scored once; the gradients come along only when
@@ -249,24 +247,20 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
                                          densities=densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
             decision = decide.decide(rule, scores_u, p_reg, mask_rng)
-            if keep_warmup and warmup:
-                warmup_inputs.append((scores_u, p_reg))
+            if keep and warmup:
+                state.warmup_inputs.append((scores_u, p_reg))
 
             grads.theta.fill(0.0)
             sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
             nn.backward(params, trace_l, grads, d_logits=d_logits_l)
 
-            self_val = 0.0
-            d_z_strong = None
+            self_val, d_z_strong = 0.0, None
             if weights.w_self > 0.0:
                 h_out = nn.h_forward(params, trace_s.z)
                 self_val, d_hout, _ = losses.loss_self(h_out, trace_w.z)
                 d_z_strong = nn.h_backward(params, trace_s.z, weights.w_self * d_hout, grads)
 
-            semi_val = 0.0
-            sub_val = 0.0
-            pseudo_count = 0
-            d_logits_s = None
+            semi_val, sub_val, pseudo_count, d_logits_s = 0.0, 0.0, 0, None
             if not warmup and weights.w_semi > 0.0:
                 semi_val, d_ls, pseudo_count = losses.loss_semi(
                     trace_w.probs, trace_s.log_probs, decision.semi_gate, weights.tau)
@@ -290,14 +284,13 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             # state is exactly the end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
             if run_dir and k > 0:
-                write_run_outputs(_result(config, k, params, opt_state, table,
-                                          beta_model, runlog), run_dir)
+                write_run_outputs(state, run_dir)
             raise
 
         if not bootstrapped:
             subspace.update_class_means(table, trace_l.z, batch.labels)
-        basis = subspace.compute_basis(table)
-        beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id)
+        state.basis = subspace.compute_basis(table)
+        state.beta_model = beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id)
         optim.ema_update(opt_state, params.theta)
 
         runlog.steps.append(StepRecord(
@@ -310,32 +303,26 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             mask_hash=decision.hash()))
 
         if (k + 1) % config.eval_every == 0:
-            ema_params = params.from_vector(opt_state.ema_params)
-            runlog.evals.extend(evaluate_checkpoint(ema_params, table, dataset, k + 1))
+            runlog.evals.extend(evaluate_checkpoint(state.checkpoint, dataset))
 
-    if keep_warmup and warm is None:  # K == K_p: the whole run is warm-up
-        warm = snapshot()
     if not runlog.evals or runlog.evals[-1].step != config.K:
-        ema_params = params.from_vector(opt_state.ema_params)
-        runlog.evals.extend(evaluate_checkpoint(ema_params, table, dataset, config.K))
-    result = _result(config, config.K, params, opt_state, table, beta_model, runlog)
-    result.warmup = warm
+        runlog.evals.extend(evaluate_checkpoint(state.checkpoint, dataset))
     if run_dir:
-        write_run_outputs(result, run_dir)
-    return result
+        write_run_outputs(state, run_dir)
+    return state
 
 
 def run_dir_name(config: TrainingConfig) -> str:
     return f"run_{config.config_hash()}_seed{config.seed}"
 
 
-def write_run_outputs(result: TrainResult, run_dir: str) -> None:
+def write_run_outputs(state: RunState, run_dir: str) -> None:
     os.makedirs(run_dir, exist_ok=True)
-    _write(os.path.join(run_dir, "config.txt"), result.config.to_text())
-    _write(os.path.join(run_dir, "metrics.csv"), result.runlog.steps_csv())
-    _write(os.path.join(run_dir, "evals.csv"), result.runlog.evals_csv())
-    _write(os.path.join(run_dir, "summary.json"), json.dumps(result.summary, indent=2))
-    save_checkpoint(result.checkpoint, os.path.join(run_dir, "checkpoint.txt"))
+    _write(os.path.join(run_dir, "config.txt"), state.config.to_text())
+    _write(os.path.join(run_dir, "metrics.csv"), state.runlog.steps_csv())
+    _write(os.path.join(run_dir, "evals.csv"), state.runlog.evals_csv())
+    _write(os.path.join(run_dir, "summary.json"), json.dumps(state.summary, indent=2))
+    save_checkpoint(state.checkpoint, os.path.join(run_dir, "checkpoint.txt"))
 
 
 SWEEP_AXES = ("pi", "ood_fraction", "w_self", "w_sub", "K_p", "seed")
@@ -366,27 +353,19 @@ def ablate(base: TrainingConfig) -> dict:
       checkpoint (so closed-set accuracy is identical across score rows).
 
     ``base`` itself is trained once; every arm equal to it reuses that run.
-    Arms that differ only in what acts after the warm-up share it: the
-    first arm of each ``warmup_key`` trains from step 0 and keeps its state
-    at step ``K_p``; the others resume from a copy of that state (see
-    ``train``), so each distinct warm-up is trained once. Every arm's
-    result equals that of training it from step 0.
+    Arms that differ only in what acts after the warm-up share it: every
+    arm trains with one ``warmups`` dict (see ``train``), so the first arm
+    of each ``warmup_key`` trains from step 0 and stores its state at step
+    ``K_p``, and the others resume from a copy of it. Each distinct warm-up
+    is trained once, and every arm's result equals that of training it from
+    step 0.
     """
     out: dict = {"loss_grid": [], "decision_rules": [], "score_kinds": []}
-    warm: dict[tuple, RunState] = {}
-
-    def run(cfg: TrainingConfig) -> TrainResult:
-        key = warmup_key(cfg)
-        if key in warm:
-            return train(cfg, start=warm[key])
-        result = train(cfg, keep_warmup=True)
-        warm[key] = result.warmup
-        return result
-
-    base_summary = run(base).summary
+    warmups: dict[tuple, RunState] = {}
+    base_summary = train(base, warmups=warmups).summary
 
     def summary(cfg: TrainingConfig) -> dict:
-        return base_summary if cfg == base else run(cfg).summary
+        return base_summary if cfg == base else train(cfg, warmups=warmups).summary
 
     for drop_self in (False, True):
         for drop_sub in (False, True):
@@ -401,7 +380,7 @@ def ablate(base: TrainingConfig) -> dict:
     if base.K_p == 0:
         return out  # no warm-up, so no end-of-warm-up checkpoint to score
     warm_cfg = base.replace(K=base.K_p, eval_every=base.K_p)
-    for row in run(warm_cfg).runlog.evals:
+    for row in train(warm_cfg, warmups=warmups).runlog.evals:
         if row.step == warm_cfg.K:
             out["score_kinds"].append(asdict(row))
     return out

@@ -42,6 +42,12 @@ class TestTrainingConfig:
             with pytest.raises(ValueError):
                 TrainingConfig(**bad)
         TrainingConfig(hidden=())  # a linear backbone is a network
+        # batches larger than their pools: 4 x 5 labeled rows, 4 x 20 ID + 80 OOD unlabeled
+        pools = dict(num_id_classes=4, samples_per_class=20, labeled_per_class=5)
+        for bad in (dict(B=21), dict(B=20, mu=9)):
+            with pytest.raises(ValueError, match="pool"):
+                TrainingConfig(**pools, **bad)
+        TrainingConfig(**pools, B=20, mu=8)  # both pools exactly full
 
     def test_hash_changes_with_content(self):
         a = TrainingConfig()

@@ -22,7 +22,8 @@ def test_tiny_cases_are_byte_identical_across_runs():
     assert first == digests.digests(digests.SRC, digests.TINY_CASES)
     # every command of every case exited 0 and wrote its outputs
     writes = {"train": {"metrics.csv", "evals.csv", "checkpoint.txt"}, "eval": set(),
-              "emit-plot-data": {"metrics_long.csv"}, "ablate": {"ablation.json"}}
+              "emit-plot-data": {"metrics_long.csv"}, "ablate": {"ablation.json"},
+              "sweep": {"sweep_seed.json"}}
     for case, commands in digests.TINY_CASES.items():
         names = {path.rsplit("/", 1)[-1] for c, path in first if c == case}
         assert {f"stdout{i}_{argv[0]}_exit0.txt" for i, argv in enumerate(commands)} <= names

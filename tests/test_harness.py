@@ -14,7 +14,7 @@ from osslab.config import TrainingConfig, load_config
 from osslab.data import generate
 from osslab.evaluation import accuracy, auroc, beta_density_grid
 from osslab.optim import lr
-from osslab.serialize import load_checkpoint, save_checkpoint
+from osslab.serialize import Checkpoint, load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
 
 
@@ -139,7 +139,8 @@ class TestEvaluateCheckpoint:
         ckpt = tiny_result.checkpoint
         dataset = generate(tiny_result.config.dataset_spec())
         for params in (ckpt.params, ckpt.ema_params):
-            got = trainer.evaluate_checkpoint(params, ckpt.means, dataset, ckpt.step)
+            scored = dataclasses.replace(ckpt, ema_params=params)
+            got = trainer.evaluate_checkpoint(scored, dataset)
             assert repr(got) == repr(reference_eval(params, ckpt.means, dataset, ckpt.step))
 
     def test_peak_memory_is_one_split_of_layer_outputs(self):
@@ -153,12 +154,14 @@ class TestEvaluateCheckpoint:
         params = nn.init_params(128, hidden, D, C, rng)
         table = subspace.ClassMeanTable(means=rng.normal(size=(C, D)),
                                         initialized=np.ones(C, dtype=bool))
+        ckpt = Checkpoint(step=0, params=params, ema_params=params, velocity=params.theta,
+                          means=table, beta_model=cfg.beta_model())
         n_test = len(dataset.test_id[0])
         assert len(dataset.test_ood[0]) == n_test
         layer_bytes = n_test * (sum(hidden) + D) * 8
         tracemalloc.start()
         try:
-            trainer.evaluate_checkpoint(params, table, dataset, 0)
+            trainer.evaluate_checkpoint(ckpt, dataset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,17 +260,20 @@ def reference_ablate(base: TrainingConfig) -> dict:
 class TestResume:
     def test_resumed_arms_equal_full_runs(self, K_p, tmp_path):
         base = TrainingConfig(**{**TINY, "K_p": K_p})
-        warm = trainer.train(base, keep_warmup=True).warmup
         arms = [base, base.replace(w_semi=0.0, w_sub=0.0), base.replace(tau=0.8, gamma=0.5),
                 base.replace(K=90, eval_every=60), base.replace(decision_rule="otsu_threshold"),
                 base.replace(decision_rule="direct_weight")]
         if K_p:
             arms.append(base.replace(K=K_p, eval_every=K_p))
+        warmups = {}
         for cfg in arms:
             want = outputs(trainer.train(cfg), tmp_path)
-            # twice, so resuming leaves the start state as it was
+            # twice, so resuming leaves the stored state as it was
             for _ in range(2):
-                assert outputs(trainer.train(cfg, start=warm), tmp_path) == want, cfg
+                assert outputs(trainer.train(cfg, warmups=warmups), tmp_path) == want, cfg
+        # base stored the one warm-up; every other arm resumed from it
+        assert list(warmups) == [trainer.warmup_key(base)]
+        assert warmups[trainer.warmup_key(base)].config == base
 
     def test_ablate_equals_training_every_arm_in_full(self, K_p):
         base = TrainingConfig(**{**TINY, "K_p": K_p})
@@ -289,18 +295,38 @@ class TestResume:
         K = TINY["K"]
         assert len(drawn) == 2 * K + 4 * (K - K_p)
 
-    def test_a_foreign_start_is_rejected(self, K_p):
+    def test_another_warm_up_trains_from_step_0_and_adds_its_entry(self, K_p, tmp_path):
         base = TrainingConfig(**{**TINY, "K_p": K_p})
-        warm = trainer.train(base, keep_warmup=True).warmup
-        with pytest.raises(ValueError):
-            trainer.train(base.replace(w_self=0.0), start=warm)
-        if K_p >= 14:  # evals at 7 and 14 that the warm-up never ran
+        warmups = {}
+        trainer.train(base, warmups=warmups)
+        other = base.replace(w_self=0.0)
+        assert trainer.warmup_key(other) != trainer.warmup_key(base)
+        got = outputs(trainer.train(other, warmups=warmups), tmp_path)
+        assert got == outputs(trainer.train(other), tmp_path)
+        assert list(warmups) == [trainer.warmup_key(base), trainer.warmup_key(other)]
+        if K_p >= 14:  # evals at 7 and 14 that the stored warm-up never ran
             with pytest.raises(ValueError):
-                trainer.train(base.replace(eval_every=7), start=warm)
+                trainer.train(base.replace(eval_every=7), warmups=warmups)
+
+    def test_no_result_of_ablate_holds_warm_up_inputs(self, K_p, monkeypatch):
+        results = []
+        real = trainer.train
+        monkeypatch.setattr(trainer, "train",
+                            lambda cfg, **kw: results.append(real(cfg, **kw)) or results[-1])
+        trainer.ablate(TrainingConfig(**{**TINY, "K_p": K_p}))
+        assert len(results) == (6 if K_p == 0 else 7)
+        assert all(r.warmup_inputs == [] for r in results)
 
 
-def test_plain_run_keeps_no_warm_up_state(tiny_result):
-    assert tiny_result.warmup is None
+def test_plain_run_keeps_no_warm_up_state(monkeypatch):
+    copied = []
+    real_deepcopy = trainer.copy.deepcopy
+    monkeypatch.setattr(trainer.copy, "deepcopy",
+                        lambda x, *a, **kw: copied.append(type(x)) or real_deepcopy(x, *a, **kw))
+    state = trainer.train(TrainingConfig(**TINY))
+    # only storing or resuming a warm-up empties the list, and neither ran
+    assert state.step == TINY["K"] and state.warmup_inputs == []
+    assert trainer.RunState not in copied
 
 
 class TestPlotData:
@@ -421,6 +447,13 @@ class TestCli:
         assert cli_main(self.args(tmp_path, "train") + [f"--{key}", "abc"]) == 1
         assert "invalid config" in capsys.readouterr().err
         assert not any(d.startswith("run_") for d in os.listdir(tmp_path))
+
+    # TINY has 20 labeled and 160 unlabeled rows
+    @pytest.mark.parametrize("batch", [["--B", "100"], ["--B", "20", "--mu", "9"]])
+    def test_oversized_batch_is_config_error(self, tmp_path, capsys, batch):
+        assert cli_main(self.args(tmp_path, "train") + batch) == 1
+        assert "invalid config" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_blow_up_checkpoint_is_end_of_previous_step(self, tmp_path):
         assert cli_main(self.args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
