@@ -72,6 +72,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _write_json(run_dir: str, name: str, obj) -> int:
+    """Writes ``obj`` to ``run_dir/name`` as indented JSON and prints the same text."""
+    text = json.dumps(obj, indent=2)
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, name), "w") as fh:
+        fh.write(text)
+    print(text)
+    return 0
+
+
 def _dispatch(args, cfg: TrainingConfig) -> int:
     run_dir = os.path.join(args.out, run_dir_name(cfg))
     if args.command in ("eval", "emit-plot-data") and not os.path.isdir(run_dir):
@@ -85,20 +95,10 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
     if args.command == "sweep":
         values = [parse_value(args.axis, v) for v in args.values.split(",")]
         rows = trainer.sweep(cfg, args.axis, values)
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, f"sweep_{args.axis}.json")
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-        print(json.dumps(rows, indent=2))
-        return 0
+        return _write_json(run_dir, f"sweep_{args.axis}.json", rows)
 
     if args.command == "ablate":
-        out = trainer.ablate(cfg)
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "ablation.json"), "w") as fh:
-            json.dump(out, fh, indent=2)
-        print(json.dumps(out, indent=2))
-        return 0
+        return _write_json(run_dir, "ablation.json", trainer.ablate(cfg))
 
     if args.command == "eval":
         ckpt, dataset = trainer.load_run(run_dir)

@@ -221,22 +221,20 @@ class BatchCursor:
         return cls(stream(seed, "batch"), stream(seed, "augment"))
 
 
-def batches(dataset: OpenSetDataset, B: int, mu: int, seed: int,
-            augment: AugmentConfig, cursor: BatchCursor | None = None) -> Iterator[BatchPair]:
+def batches(dataset: OpenSetDataset, B: int, mu: int, augment: AugmentConfig,
+            cursor: BatchCursor) -> Iterator[BatchPair]:
     """Infinite stream of (labeled, unlabeled) batches with augmented views.
 
     Each epoch is a fresh shuffle of the pool; batches run through the
     permutation so every sample appears exactly once per epoch (across
-    epochs samples repeat). Deterministic given ``seed``. The stream's state
-    lives in ``cursor`` (``BatchCursor.start(seed)`` when None), which each
-    batch advances in place.
+    epochs samples repeat). The stream starts where ``cursor`` stands
+    (``BatchCursor.start(seed)`` for a fresh one), and each batch advances it
+    in place.
     """
     Xl, yl = dataset.labeled
     Xu, _ = dataset.unlabeled
     if B > len(Xl) or mu * B > len(Xu):
         raise ValueError("batch size exceeds pool size")
-    if cursor is None:
-        cursor = BatchCursor.start(seed)
     order_rng, aug_rng = cursor.order_rng, cursor.aug_rng
 
     while True:

@@ -210,8 +210,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         state.runlog.evals = [r for r in state.runlog.evals if r.step % config.eval_every == 0]
     params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
     grads = params.zeros_like()
-    batch_iter = batches(dataset, config.B, config.mu, config.seed,
-                         config.augment_config(), state.cursor)
+    batch_iter = batches(dataset, config.B, config.mu, config.augment_config(), state.cursor)
 
     # one pass more than there are steps, so a run with K == K_p stores its end
     for k in range(state.step, config.K + 1):

@@ -128,6 +128,13 @@ class TestCheckpoint:
         assert back.beta_model.pi == 0.42
         assert back.beta_model.epsilon == 0.05
 
+    def test_non_finite_velocity_round_trips_bitwise(self, rng, tmp_path):
+        ckpt = self.make_checkpoint(rng)
+        ckpt.velocity[:4] = [np.inf, -np.inf, np.nan, -0.0]
+        path = str(tmp_path / "ckpt.txt")
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).velocity.tobytes() == ckpt.velocity.tobytes()
+
     def test_save_load_save_stable(self, rng, tmp_path):
         ckpt = self.make_checkpoint(rng)
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")

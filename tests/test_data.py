@@ -178,7 +178,7 @@ class TestBatches:
         self.aug = AugmentConfig(sigma_weak=0.05, sigma_strong=0.25)
 
     def test_batch_sizes(self):
-        it = batches(self.ds, B=4, mu=2, seed=1, augment=self.aug)
+        it = batches(self.ds, B=4, mu=2, augment=self.aug, cursor=BatchCursor.start(1))
         b = next(it)
         assert b.labeled_weak.shape == (4, 6)
         assert b.labels.shape == (4,)
@@ -186,8 +186,8 @@ class TestBatches:
         assert b.unlabeled_strong.shape == (8, 6)
 
     def test_determinism(self):
-        a = batches(self.ds, B=4, mu=2, seed=1, augment=self.aug)
-        b = batches(self.ds, B=4, mu=2, seed=1, augment=self.aug)
+        a = batches(self.ds, B=4, mu=2, augment=self.aug, cursor=BatchCursor.start(1))
+        b = batches(self.ds, B=4, mu=2, augment=self.aug, cursor=BatchCursor.start(1))
         for _ in range(5):
             x, y = next(a), next(b)
             assert np.array_equal(x.labeled_weak, y.labeled_weak)
@@ -195,7 +195,7 @@ class TestBatches:
 
     def test_every_labeled_sample_seen_each_epoch(self):
         # count label multiset over exactly one epoch of labeled draws
-        it = batches(self.ds, B=8, mu=1, seed=3, augment=self.aug)
+        it = batches(self.ds, B=8, mu=1, augment=self.aug, cursor=BatchCursor.start(3))
         n_lab = len(self.ds.labeled[1])
         seen = []
         for _ in range(n_lab // 8):
@@ -217,7 +217,7 @@ class TestBatches:
         ds = self.ds if pools == "generated" else dataclasses.replace(
             self.ds, unlabeled=self.ds.labeled)
         ref = per_index_batches(ds, B, mu, 5, self.aug)
-        it = batches(ds, B=B, mu=mu, seed=5, augment=self.aug)
+        it = batches(ds, B=B, mu=mu, augment=self.aug, cursor=BatchCursor.start(5))
         for _ in range(60):
             b, want = next(it), next(ref)
             got = (b.labeled_weak, b.labels, b.unlabeled_weak, b.unlabeled_strong)
@@ -229,11 +229,10 @@ class TestBatches:
     @pytest.mark.parametrize("taken", [3, 12])
     def test_stream_continues_from_a_copied_cursor(self, taken):
         cursor = BatchCursor.start(5)
-        it = batches(self.ds, B=7, mu=5, seed=5, augment=self.aug, cursor=cursor)
+        it = batches(self.ds, B=7, mu=5, augment=self.aug, cursor=cursor)
         for _ in range(taken):
             next(it)
-        resumed = batches(self.ds, B=7, mu=5, seed=5, augment=self.aug,
-                          cursor=copy.deepcopy(cursor))
+        resumed = batches(self.ds, B=7, mu=5, augment=self.aug, cursor=copy.deepcopy(cursor))
         for _ in range(20):
             a, b = next(it), next(resumed)
             assert [x.tobytes() for x in dataclasses.astuple(a)] == \
@@ -246,4 +245,4 @@ class TestBatches:
 
     def test_empty_or_oversized_rejected(self):
         with pytest.raises(ValueError):
-            next(batches(self.ds, B=1000, mu=1, seed=0, augment=self.aug))
+            next(batches(self.ds, B=1000, mu=1, augment=self.aug, cursor=BatchCursor.start(0)))

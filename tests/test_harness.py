@@ -478,31 +478,37 @@ class TestCli:
                          "train"]) == 0
 
 
-def _drop_last_value(line: str) -> str:
-    return line.rsplit(" ", 1)[0]
+def _json_edit(edit):
+    """A text edit that applies ``edit`` to the checkpoint's JSON object in place."""
+    def apply(text: str) -> str:
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return apply
 
 
-def _edit_means(lines: list[str], edit_header, edit_rows) -> list[str]:
-    i = next(j for j, line in enumerate(lines) if line.startswith("means "))
-    C = int(lines[i].split()[1])
-    return lines[:i] + [edit_header(lines[i])] + edit_rows(lines[i + 1:i + 1 + C]) + lines[i + 1 + C:]
+def _transpose(obj):
+    obj["means"] = [list(col) for col in zip(*obj["means"])]
 
 
-# hand edits of a saved TINY checkpoint (4 classes, feature_dim 8)
+# edits of a saved TINY checkpoint (4 classes, feature_dim 8)
 _CHECKPOINT_EDITS = {
-    "last_line_missing": lambda lines: lines[:-1],
-    "beta_one_value_short": lambda lines: [
-        _drop_last_value(line) if line.startswith("beta ") else line for line in lines],
-    "initialized_one_short": lambda lines: [
-        _drop_last_value(line) if line.startswith("initialized ") else line for line in lines],
-    "means_rows_one_column_short": lambda lines: _edit_means(
-        lines, lambda h: h, lambda rows: [_drop_last_value(r) for r in rows]),
-    "means_one_row_one_column_short": lambda lines: _edit_means(
-        lines, lambda h: h, lambda rows: [_drop_last_value(rows[0])] + rows[1:]),
-    "means_fewer_classes_than_arch": lambda lines: _edit_means(
-        lines, lambda h: "means 3 8", lambda rows: rows[:3]),
-    "means_narrower_than_arch": lambda lines: _edit_means(
-        lines, lambda h: "means 4 7", lambda rows: [_drop_last_value(r) for r in rows]),
+    "last_line_missing": lambda text: "\n".join(text.splitlines()[:-1]),
+    "truncated_not_json": lambda text: text[:len(text) // 2],
+    "beta_one_value_short": _json_edit(lambda obj: obj["beta"].pop("lambda_ema")),
+    "initialized_one_short": _json_edit(lambda obj: obj["initialized"].pop()),
+    "no_class_initialized": _json_edit(
+        lambda obj: obj.update(initialized=[False] * len(obj["initialized"]))),
+    "means_rows_one_column_short": _json_edit(
+        lambda obj: [row.pop() for row in obj["means"]]),
+    "means_one_row_one_column_short": _json_edit(lambda obj: obj["means"][0].pop()),
+    "means_fewer_classes_than_arch": _json_edit(lambda obj: obj["means"].pop()),
+    "means_narrower_than_arch": _json_edit(_transpose),  # 8 rows of 4
+    "step_not_an_int": _json_edit(lambda obj: obj.update(step="x")),
+    "theta_not_a_list": _json_edit(lambda obj: obj.update(theta={})),
+    "sizes_not_ints": _json_edit(lambda obj: obj.update(sizes=[str(n) for n in obj["sizes"]])),
+    "velocity_not_numbers": _json_edit(lambda obj: obj["velocity"].__setitem__(0, "abc")),
+    "key_missing": _json_edit(lambda obj: obj.pop("lambda_means")),
 }
 
 
@@ -512,10 +518,10 @@ class TestCheckpointShape:
         run_dir = tmp_path / trainer.run_dir_name(tiny_result.config)
         trainer.write_run_outputs(tiny_result, str(run_dir))
         path = run_dir / "checkpoint.txt"
-        lines = path.read_text().splitlines()
-        edited = _CHECKPOINT_EDITS[edit](lines)
-        assert edited != lines
-        path.write_text("\n".join(edited) + "\n")
+        text = path.read_text()
+        edited = _CHECKPOINT_EDITS[edit](text)
+        assert edited != text
+        path.write_text(edited)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(str(path))
         capsys.readouterr()
