@@ -60,6 +60,8 @@ TINY_CASES = {
     "tiny_sweep": [["sweep", "--axis", "seed", "--values", "3,4", *flags(TINY)]],
     **{f"tiny_ablate_Kp{k_p}": [["ablate", *flags({**TINY, "K_p": k_p})]]
        for k_p in (0, 20, 25, 60)},
+    # a stored warm-up whose rule is not the default one
+    "tiny_ablate_otsu": [["ablate", *flags(TINY), "--decision_rule", "otsu_threshold"]],
 }
 
 

@@ -62,8 +62,8 @@ class BetaMixtureModel:
     def __post_init__(self):
         if not (0.0 < self.pi < 1.0):
             raise ValueError("pi must be strictly inside (0, 1)")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be nonnegative and finite")
         if not (0.0 <= self.lambda_ema <= 1.0):
             raise ValueError("Beta EMA weight lambda_ema must be in [0, 1]")
 

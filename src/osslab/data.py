@@ -44,8 +44,8 @@ class DatasetSpec:
             raise ValueError("ood_fraction must be strictly inside (0, 1)")
         if self.labeled_per_class > self.samples_per_class:
             raise ValueError("labeled_per_class must be <= samples_per_class")
-        if self.cluster_spread <= 0 or self.cluster_separation <= 0:
-            raise ValueError("cluster_spread and cluster_separation must be positive")
+        if not (0.0 < self.cluster_spread < np.inf and 0.0 < self.cluster_separation < np.inf):
+            raise ValueError("cluster_spread and cluster_separation must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

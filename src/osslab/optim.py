@@ -23,8 +23,8 @@ class Schedule:
     gamma: float = 5.0 / 8.0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not 0.0 < self.eta0 < np.inf:  # NaN fails too
+            raise ValueError("eta0 must be positive and finite")
         # K_p == K is allowed: a pure warm-up run never leaves the
         # constant branch.
         if not (0 <= self.K_p <= self.K):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +21,13 @@ from .subspace import ClassMeanTable
 VERSION = "osslab-checkpoint v2"
 BETA_KEYS = ("alpha_id", "beta_id", "alpha_ood", "beta_ood", "pi", "epsilon", "lambda_ema")
 SEP = (",", ":")  # compact: no space after each of a vector's commas
-_vector = partial(np.fromiter, dtype=float)  # 1-d only: a nested list is a ValueError
+
+
+def _floats(values) -> np.ndarray:
+    """A list of JSON numbers (``NaN``/``Infinity`` too) as a 1-d float array."""
+    if not set(map(type, values)) <= {int, float}:  # no null, string, bool or list
+        raise ValueError("holds a value that is not a number")
+    return np.fromiter(values, dtype=float)
 
 
 @dataclass
@@ -60,7 +65,7 @@ def _get(obj, key: str, kind, convert=None):
         raise ValueError(f"{key!r} has the wrong type {type(value).__name__}")
     try:
         return value if convert is None else convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key!r}: {exc}") from None
 
 
@@ -73,9 +78,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"not a {VERSION} file")
         sizes, C = tuple(_get(obj, "sizes", list)), _get(obj, "num_classes", int)
         activation = _get(obj, "activation", str)
-        params, ema, velocity = (MlpParams(_get(obj, key, list, _vector), sizes, C, activation)
+        params, ema, velocity = (MlpParams(_get(obj, key, list, _floats), sizes, C, activation)
                                  for key in ("theta", "ema", "velocity"))
-        means = _get(obj, "means", list, partial(np.asarray, dtype=float))
+        means = _get(obj, "means", list, lambda rows: np.array([_floats(r) for r in rows]))
         if means.shape != (C, sizes[-1]):
             raise ValueError(f"means are {means.shape}, the arch needs {(C, sizes[-1])}")
         initialized = np.asarray(_get(obj, "initialized", list))
@@ -85,5 +90,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         table = ClassMeanTable(means, initialized, float(_get(obj, "lambda_means", (int, float))))
         return Checkpoint(_get(obj, "step", int), params, ema, velocity.theta, table,
                           BetaMixtureModel(BetaParams(*b[:2]), BetaParams(*b[2:4]), *b[4:]))
-    except (TypeError, ValueError) as exc:  # e.g. a list of strings as ``sizes``
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. strings as ``sizes``
         raise ValueError(f"{path}: {exc}") from None

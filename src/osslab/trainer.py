@@ -1,12 +1,12 @@
 """The training loop and the experiment drivers (sweep, ablation).
 
 A run is one ``RunState``, which ``train`` builds, advances in place and
-returns. Per-step order: forward passes; subspace scores and masks computed
-from the basis and Beta parameters carried over from the end of the previous
-step; losses and the SGD update; then the class-mean/basis update, the
-streaming IMM update (using this step's scores), and the parameter EMA.
-At step 0 the class means are bootstrapped from the first labeled batch
-before scoring, since no basis exists yet.
+returns. Per-step order: forward passes; the basis of the class means carried
+over from the end of the previous step; subspace scores and masks from that
+basis and the carried Beta parameters; losses and the SGD update; then the
+class-mean update, the streaming IMM update (using this step's scores), and
+the parameter EMA. At step 0 the class means are bootstrapped from the first
+labeled batch before the basis is taken, since none are set yet.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import copy
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+
+import numpy as np
 
 from . import betamix, decide, losses, nn, optim, subspace
 from .config import TrainingConfig, load_config
@@ -88,18 +90,18 @@ class RunLog:
 
 @dataclass
 class RunState:
-    """Everything a run carries from one step to the next. A copy of it at
-    the top of step ``config.K_p`` lets another run with the same warm-up
-    (``warmup_key``) start there."""
+    """Everything a run carries from one step to the next, and nothing
+    derived from it. A copy of it at the top of step ``config.K_p`` lets
+    another run with the same warm-up (``warmup_key``) start there."""
     config: TrainingConfig
     params: nn.MlpParams
     opt_state: optim.OptimizerState
     table: subspace.ClassMeanTable
     beta_model: betamix.BetaMixtureModel
-    basis: subspace.IdSubspaceBasis | None
+    rule: decide.DecisionRule  # its ema_threshold is the Otsu EMA
+    mask_rng: np.random.Generator
     cursor: BatchCursor
     runlog: RunLog
-    warmup_inputs: list  # each warm-up step's (scores_u, p_reg); kept only in a stored warm-up
 
     @classmethod
     def start(cls, config: TrainingConfig) -> "RunState":
@@ -108,7 +110,8 @@ class RunState:
                                 config.num_id_classes, stream(config.seed, "init"),
                                 config.activation)
         return cls(config, params, config.optimizer_state(params.theta), config.mean_table(),
-                   config.beta_model(), None, BatchCursor.start(config.seed), RunLog(), [])
+                   config.beta_model(), config.decision(), stream(config.seed, "mask"),
+                   BatchCursor.start(config.seed), RunLog())
 
     @property
     def step(self) -> int:
@@ -137,9 +140,9 @@ class RunState:
                           beta_model=self.beta_model)
 
 
-# Config fields that act only after the warm-up, on the logged decision
-# columns that a resumed run replays, or on evaluation.
-_POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule", "eval_every")
+# Config fields that act only after the warm-up, or on the logged decision
+# columns that a resumed run replays.
+_POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule")
 
 
 def warmup_key(config: TrainingConfig) -> tuple:
@@ -173,41 +176,33 @@ def evaluate_checkpoint(ckpt: Checkpoint, dataset: OpenSetDataset) -> list[EvalR
 
 
 def train(config: TrainingConfig, run_dir: str | None = None, *,
-          warmups: dict[tuple, RunState] | None = None) -> RunState:
+          warmups: dict[tuple, tuple[RunState, list]] | None = None) -> RunState:
     """Run the two-phase training loop (see the module docstring); return
     its final state.
 
     ``warmups`` maps a ``warmup_key`` to a copy of a state at the top of step
-    ``K_p``. If it holds this config's key, the run resumes from a deep copy
-    of that state. It replays its own decision rule over the stored warm-up
-    inputs with a fresh rule and mask stream, and keeps the warm-up's eval
-    rows on its own ``eval_every`` grid. Otherwise the run stores its own
-    copy there. Either way the result equals ``train(config)``'s and holds
-    no warm-up inputs.
+    ``K_p`` and each warm-up step's decision inputs ``(scores_u, p_reg)``. If
+    it holds this config's key, the run resumes from a deep copy of that
+    state with a fresh rule and mask stream, and replays its own rule over
+    the inputs. Otherwise the run stores its own entry there. Either way the
+    result equals ``train(config)``'s.
     """
     schedule = config.schedule()
     weights = config.loss_weights()
     dataset = generate(config.dataset_spec())
-    rule = config.decision()
-    mask_rng = stream(config.seed, "mask")
 
     warm = None if warmups is None else warmups.get(key := warmup_key(config))
     keep = warmups is not None and warm is None  # store this run's warm-up
+    inputs: list = []  # this run's warm-up decision inputs, if it stores them
     if warm is None:
         state = RunState.start(config)
     else:
-        # the warm-up eval rows this run needs, bar the final one, must be there
-        grid = range(config.eval_every, min(config.K_p + 1, config.K), config.eval_every)
-        if any(s % warm.config.eval_every for s in grid):
-            raise ValueError("the stored warm-up lacks eval rows on this config's grid")
-        state = copy.deepcopy(warm)
-        state.config = config
-        for rec, (scores_u, p_reg) in zip(state.runlog.steps, state.warmup_inputs):
-            decision = decide.decide(rule, scores_u, p_reg, mask_rng)
+        state = replace(copy.deepcopy(warm[0]), config=config, rule=config.decision(),
+                        mask_rng=stream(config.seed, "mask"))
+        for rec, (scores_u, p_reg) in zip(state.runlog.steps, warm[1]):
+            decision = decide.decide(state.rule, scores_u, p_reg, state.mask_rng)
             rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
             rec.mask_hash = decision.hash()
-        state.warmup_inputs = []
-        state.runlog.evals = [r for r in state.runlog.evals if r.step % config.eval_every == 0]
     params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
     grads = params.zeros_like()
     batch_iter = batches(dataset, config.B, config.mu, config.augment_config(), state.cursor)
@@ -215,8 +210,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     # one pass more than there are steps, so a run with K == K_p stores its end
     for k in range(state.step, config.K + 1):
         if keep and k == config.K_p:  # the top of step K_p
-            warmups[key] = copy.deepcopy(state)
-            state.warmup_inputs = []
+            warmups[key] = (copy.deepcopy(state), inputs)
         if k == config.K:
             break
         warmup = k < config.K_p
@@ -226,12 +220,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             trace_w = nn.forward(params, batch.unlabeled_weak)
             trace_s = nn.forward(params, batch.unlabeled_strong)
 
-            bootstrapped = state.basis is None
-            if bootstrapped:
-                # step 0: no basis exists yet; initialize from this batch
+            if k == 0:  # no class mean is set yet; initialize them from this batch
                 subspace.update_class_means(table, trace_l.z, batch.labels)
-                state.basis = subspace.compute_basis(table)
-            basis, beta_model = state.basis, state.beta_model
+            basis, beta_model = subspace.compute_basis(table), state.beta_model
 
             sub_on = not warmup and weights.w_sub > 0.0
             # the weak view is scored once; the gradients come along only when
@@ -245,9 +236,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             p_reg = betamix.posterior_id(beta_model, s_u, regularized=True,
                                          densities=densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
-            decision = decide.decide(rule, scores_u, p_reg, mask_rng)
+            decision = decide.decide(state.rule, scores_u, p_reg, state.mask_rng)
             if keep and warmup:
-                state.warmup_inputs.append((scores_u, p_reg))
+                inputs.append((scores_u, p_reg))
 
             grads.theta.fill(0.0)
             sup_val, d_logits_l = losses.loss_sup(trace_l.log_probs, batch.labels)
@@ -279,16 +270,17 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         except nn.NumericalError:
             # Nothing above changes params, velocity or the mixture before it
             # raises (sgd_step checks the gradient before it writes), and the
-            # means change only at the step-0 bootstrap, so for k >= 1 the live
-            # state is exactly the end of step k - 1.
+            # means change only at the step-0 bootstrap, so for k >= 1 the saved
+            # checkpoint is exactly the end of step k - 1. The cursor has drawn
+            # this step's batch and, past the forward passes, decide has moved
+            # state.rule and state.mask_rng; the checkpoint saves none of them.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
             if run_dir and k > 0:
                 write_run_outputs(state, run_dir)
             raise
 
-        if not bootstrapped:
+        if k > 0:
             subspace.update_class_means(table, trace_l.z, batch.labels)
-        state.basis = subspace.compute_basis(table)
         state.beta_model = beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id)
         optim.ema_update(opt_state, params.theta)
 
@@ -360,7 +352,7 @@ def ablate(base: TrainingConfig) -> dict:
     step 0.
     """
     out: dict = {"loss_grid": [], "decision_rules": [], "score_kinds": []}
-    warmups: dict[tuple, RunState] = {}
+    warmups: dict[tuple, tuple[RunState, list]] = {}
     base_summary = train(base, warmups=warmups).summary
 
     def summary(cfg: TrainingConfig) -> dict:
@@ -378,9 +370,8 @@ def ablate(base: TrainingConfig) -> dict:
 
     if base.K_p == 0:
         return out  # no warm-up, so no end-of-warm-up checkpoint to score
-    warm_cfg = base.replace(K=base.K_p, eval_every=base.K_p)
-    for row in train(warm_cfg, warmups=warmups).runlog.evals:
-        if row.step == warm_cfg.K:
+    for row in train(base.replace(K=base.K_p), warmups=warmups).runlog.evals:
+        if row.step == base.K_p:
             out["score_kinds"].append(asdict(row))
     return out
 

@@ -41,6 +41,12 @@ class TestTrainingConfig:
                     dict(lambda_means=2.0)):
             with pytest.raises(ValueError):
                 TrainingConfig(**bad)
+        # NaN passed the range checks: it trained on NaN, failed mid-run or
+        # gated every unlabeled row OOD; infinity failed mid-run
+        for key in ("epsilon", "eta0", "cluster_spread", "cluster_separation"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    TrainingConfig(**{key: value})
         TrainingConfig(hidden=())  # a linear backbone is a network
         # batches larger than their pools: 4 x 5 labeled rows, 4 x 20 ID + 80 OOD unlabeled
         pools = dict(num_id_classes=4, samples_per_class=20, labeled_per_class=5)

@@ -10,10 +10,12 @@ import pytest
 from osslab import nn, subspace, trainer
 from osslab.betamix import BetaParams
 from osslab.cli import main as cli_main
+from osslab.decide import RuleKind
 from osslab.config import TrainingConfig, load_config
 from osslab.data import generate
 from osslab.evaluation import accuracy, auroc, beta_density_grid
 from osslab.optim import lr
+from osslab.rng import stream
 from osslab.serialize import Checkpoint, load_checkpoint, save_checkpoint
 from osslab.subspace import ScoreKind
 
@@ -259,21 +261,25 @@ def reference_ablate(base: TrainingConfig) -> dict:
 @pytest.mark.parametrize("K_p", [0, 20, 25, 60])
 class TestResume:
     def test_resumed_arms_equal_full_runs(self, K_p, tmp_path):
-        base = TrainingConfig(**{**TINY, "K_p": K_p})
-        arms = [base, base.replace(w_semi=0.0, w_sub=0.0), base.replace(tau=0.8, gamma=0.5),
-                base.replace(K=90, eval_every=60), base.replace(decision_rule="otsu_threshold"),
-                base.replace(decision_rule="direct_weight")]
-        if K_p:
-            arms.append(base.replace(K=K_p, eval_every=K_p))
-        warmups = {}
-        for cfg in arms:
-            want = outputs(trainer.train(cfg), tmp_path)
-            # twice, so resuming leaves the stored state as it was
-            for _ in range(2):
-                assert outputs(trainer.train(cfg, warmups=warmups), tmp_path) == want, cfg
-        # base stored the one warm-up; every other arm resumed from it
-        assert list(warmups) == [trainer.warmup_key(base)]
-        assert warmups[trainer.warmup_key(base)].config == base
+        # the stored state carries the base's rule and mask stream, which a
+        # resumed arm must replace, so every rule takes a turn as the base's
+        for rule in RuleKind:
+            base = TrainingConfig(**{**TINY, "K_p": K_p, "decision_rule": rule.value})
+            other_grid = base.replace(eval_every=60)
+            arms = [base, base.replace(w_semi=0.0, w_sub=0.0), base.replace(tau=0.8, gamma=0.5),
+                    base.replace(K=90), *(base.replace(decision_rule=r.value)
+                                          for r in RuleKind if r is not rule), other_grid]
+            if K_p:
+                arms.append(base.replace(K=K_p))
+            warmups = {}
+            for cfg in arms:
+                want = outputs(trainer.train(cfg), tmp_path)
+                # twice, so resuming leaves the stored state as it was
+                for _ in range(2):
+                    assert outputs(trainer.train(cfg, warmups=warmups), tmp_path) == want, cfg
+            # base stored the one warm-up on its eval grid; other_grid stored its own
+            assert list(warmups) == [trainer.warmup_key(base), trainer.warmup_key(other_grid)]
+            assert warmups[trainer.warmup_key(base)][0].config == base
 
     def test_ablate_equals_training_every_arm_in_full(self, K_p):
         base = TrainingConfig(**{**TINY, "K_p": K_p})
@@ -304,9 +310,11 @@ class TestResume:
         got = outputs(trainer.train(other, warmups=warmups), tmp_path)
         assert got == outputs(trainer.train(other), tmp_path)
         assert list(warmups) == [trainer.warmup_key(base), trainer.warmup_key(other)]
-        if K_p >= 14:  # evals at 7 and 14 that the stored warm-up never ran
-            with pytest.raises(ValueError):
-                trainer.train(base.replace(eval_every=7), warmups=warmups)
+        # another eval grid is another warm-up, even when only the grid differs
+        grid = base.replace(eval_every=7)
+        got = outputs(trainer.train(grid, warmups=warmups), tmp_path)
+        assert got == outputs(trainer.train(grid), tmp_path)
+        assert list(warmups)[2:] == [trainer.warmup_key(grid)]
 
     def test_no_result_of_ablate_holds_warm_up_inputs(self, K_p, monkeypatch):
         results = []
@@ -315,7 +323,27 @@ class TestResume:
                             lambda cfg, **kw: results.append(real(cfg, **kw)) or results[-1])
         trainer.ablate(TrainingConfig(**{**TINY, "K_p": K_p}))
         assert len(results) == (6 if K_p == 0 else 7)
-        assert all(r.warmup_inputs == [] for r in results)
+
+
+@pytest.mark.parametrize("rule", list(RuleKind))
+def test_stored_state_holds_the_rule_and_mask_stream_of_step_K_p(rule, tmp_path):
+    cfg = TrainingConfig(**{**TINY, "decision_rule": rule.value})
+    K_p, warmups = cfg.K_p, {}
+    trainer.train(cfg, str(tmp_path), warmups=warmups)
+    stored, inputs = warmups[trainer.warmup_key(cfg)]
+    assert stored.step == len(inputs) == K_p
+    with open(tmp_path / "metrics.csv") as fh:
+        header, *rows = fh.read().splitlines()
+    threshold = float(dict(zip(header.split(","), rows[K_p - 1].split(",")))["threshold"])
+    if rule is RuleKind.OTSU_THRESHOLD:
+        assert stored.rule.ema_threshold == threshold
+    else:  # no Otsu step ran, so the EMA holds its start value
+        assert stored.rule.ema_threshold == cfg.decision().ema_threshold
+    # only the sampled mask draws, mu * B uniforms per step
+    mask_rng = stream(cfg.seed, "mask")
+    for _ in range(K_p if rule is RuleKind.SAMPLED_MASK else 0):
+        mask_rng.random(size=cfg.mu * cfg.B)
+    assert stored.mask_rng.bit_generator.state == mask_rng.bit_generator.state
 
 
 def test_plain_run_keeps_no_warm_up_state(monkeypatch):
@@ -324,9 +352,23 @@ def test_plain_run_keeps_no_warm_up_state(monkeypatch):
     monkeypatch.setattr(trainer.copy, "deepcopy",
                         lambda x, *a, **kw: copied.append(type(x)) or real_deepcopy(x, *a, **kw))
     state = trainer.train(TrainingConfig(**TINY))
-    # only storing or resuming a warm-up empties the list, and neither ran
-    assert state.step == TINY["K"] and state.warmup_inputs == []
+    assert state.step == TINY["K"]
     assert trainer.RunState not in copied
+
+
+def test_run_state_holds_exactly_what_a_step_carries():
+    assert [f.name for f in dataclasses.fields(trainer.RunState)] == [
+        "config", "params", "opt_state", "table", "beta_model", "rule", "mask_rng", "cursor",
+        "runlog"]
+
+
+def test_one_basis_per_step_and_per_eval(monkeypatch):
+    calls = []
+    real = subspace.compute_basis
+    monkeypatch.setattr(subspace, "compute_basis", lambda table: calls.append(1) or real(table))
+    state = trainer.train(TrainingConfig(**TINY))
+    evals = {r.step for r in state.runlog.evals}
+    assert len(calls) == TINY["K"] + len(evals) == 62
 
 
 class TestPlotData:
@@ -509,6 +551,11 @@ _CHECKPOINT_EDITS = {
     "sizes_not_ints": _json_edit(lambda obj: obj.update(sizes=[str(n) for n in obj["sizes"]])),
     "velocity_not_numbers": _json_edit(lambda obj: obj["velocity"].__setitem__(0, "abc")),
     "key_missing": _json_edit(lambda obj: obj.pop("lambda_means")),
+    "theta_holds_null": _json_edit(lambda obj: obj["theta"].__setitem__(0, None)),
+    "means_holds_string": _json_edit(lambda obj: obj["means"][0].__setitem__(0, "2.5")),
+    "velocity_holds_bool": _json_edit(lambda obj: obj["velocity"].__setitem__(0, True)),
+    "epsilon_is_nan": _json_edit(lambda obj: obj["beta"].update(epsilon=float("nan"))),
+    "theta_holds_huge_int": _json_edit(lambda obj: obj["theta"].__setitem__(0, 10**400)),
 }
 
 
