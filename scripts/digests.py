@@ -71,6 +71,9 @@ SHORT = ["--K", "300", "--K_p", "100"]
 def all_cases() -> dict:
     return {**TINY_CASES, **workload_cases(),
             "tiny_relu": [["train", *flags(TINY), "--activation", "relu"]],  # exits 2
+            # a run that blows up (train exits 2), and what reads its run dir
+            "tiny_blowup": [[command, *flags({**TINY, "eta0": 1e8})]
+                            for command in ("train", "eval", "emit-plot-data")],
             "default_K2000": [["train", "--K", "2000", "--K_p", "200", "--seed", "0"]],
             "short_otsu": [["train", *SHORT, "--decision_rule", "otsu_threshold"]],
             "short_direct": [["train", *SHORT, "--decision_rule", "direct_weight"]],

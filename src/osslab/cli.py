@@ -2,10 +2,10 @@
 
 Subcommands: train, sweep, ablate, eval, emit-plot-data.
 Any config key can be overridden with ``--key value``; unknown keys are
-rejected. ``eval`` and ``emit-plot-data`` train nothing: they read the run
-dir that ``train`` wrote with the same flags and ``--out``, and regenerate
-its dataset from ``config.txt``. Exit code 0 on success, 1 on invalid
-input/config (or a missing run dir), 2 on runtime failure.
+rejected. ``eval`` and ``emit-plot-data`` train nothing: they load the
+``RunState`` that ``train`` wrote with the same flags and ``--out``, and
+regenerate its dataset from ``config.txt``. Exit code 0 on success, 1 on
+invalid input/config (or a missing run dir), 2 on runtime failure.
 """
 
 from __future__ import annotations
@@ -19,24 +19,14 @@ import sys
 
 from . import trainer
 from .config import TrainingConfig, load_config, parse_overrides, parse_value
-from .trainer import run_dir_name
+from .data import generate
 
 
 def _split_overrides(extra: list[str]) -> dict[str, str]:
-    pairs = {}
-    i = 0
-    while i < len(extra):
-        key = extra[i]
-        if not key.startswith("--") or i + 1 >= len(extra):
-            raise ValueError(f"expected '--key value' pairs, got {extra[i:]}")
-        pairs[key[2:]] = extra[i + 1]
-        i += 2
-    return pairs
-
-
-def _build_config(args, extra: list[str]) -> TrainingConfig:
-    cfg = load_config(args.config) if args.config else TrainingConfig()
-    return parse_overrides(cfg, _split_overrides(extra))
+    keys, values = extra[::2], extra[1::2]
+    if len(keys) != len(values) or not all(key.startswith("--") for key in keys):
+        raise ValueError(f"expected '--key value' pairs, got {extra}")
+    return {key[2:]: value for key, value in zip(keys, values)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,7 +47,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args, extra = parser.parse_known_args(argv)
     try:
-        cfg = _build_config(args, extra)
+        cfg = parse_overrides(load_config(args.config) if args.config else TrainingConfig(),
+                              _split_overrides(extra))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
@@ -83,7 +74,7 @@ def _write_json(run_dir: str, name: str, obj) -> int:
 
 
 def _dispatch(args, cfg: TrainingConfig) -> int:
-    run_dir = os.path.join(args.out, run_dir_name(cfg))
+    run_dir = os.path.join(args.out, trainer.run_dir_name(cfg))
     if args.command in ("eval", "emit-plot-data") and not os.path.isdir(run_dir):
         raise FileNotFoundError(f"no run dir {run_dir}; run 'train' with the same flags first")
 
@@ -101,8 +92,9 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
         return _write_json(run_dir, "ablation.json", trainer.ablate(cfg))
 
     if args.command == "eval":
-        ckpt, dataset = trainer.load_run(run_dir)
-        rows = trainer.evaluate_checkpoint(ckpt, dataset)
+        state = trainer.load_run(run_dir)
+        rows = trainer.evaluate_checkpoint(state.ema_params, state.table, state.step,
+                                           generate(state.config.dataset_spec()))
         print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
         return 0
 

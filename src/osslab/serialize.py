@@ -1,59 +1,61 @@
-"""Checkpoints as one JSON object with the keys ``version``, ``step``,
-``activation``, ``sizes`` (input, hidden..., feature widths), ``num_classes``,
-``theta``, ``ema`` and ``velocity`` (flat parameter vectors), ``means`` (C rows
-of D floats), ``initialized`` (C bools), ``lambda_means`` and ``beta``
-(``alpha_id``, ``beta_id``, ``alpha_ood``, ``beta_ood``, ``pi``, ``epsilon``,
-``lambda_ema``). ``json`` writes each float as its shortest repr,
-``NaN``/``Infinity`` included, so reloads are bit-exact.
+"""Checkpoints: what a ``trainer.RunState`` holds beyond ``config.txt`` and the
+runlog CSVs, as one JSON object with the keys ``version``, ``theta``, ``ema``,
+``velocity`` (flat parameter vectors), ``means`` (C rows of D floats),
+``initialized`` (C bools), ``beta`` (``alpha_id``, ``beta_id``, ``alpha_ood``,
+``beta_ood``), ``threshold`` (the Otsu EMA), ``mask_rng``, ``order_rng``,
+``aug_rng`` (``bit_generator.state`` dicts), and ``labeled``, ``unlabeled``
+(each pool's shuffle: ``perm`` and ``pos``). ``json`` writes each float as its
+shortest repr, ``NaN``/``Infinity`` included, so reloads are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .betamix import BetaMixtureModel, BetaParams
-from .nn import MlpParams
-from .subspace import ClassMeanTable
+from .betamix import BetaParams
 
-VERSION = "osslab-checkpoint v2"
-BETA_KEYS = ("alpha_id", "beta_id", "alpha_ood", "beta_ood", "pi", "epsilon", "lambda_ema")
+VERSION = "osslab-checkpoint v3"
+BETA_KEYS = ("alpha_id", "beta_id", "alpha_ood", "beta_ood")
+POOLS = ("labeled", "unlabeled")
 SEP = (",", ":")  # compact: no space after each of a vector's commas
 
 
-def _floats(values) -> np.ndarray:
-    """A list of JSON numbers (``NaN``/``Infinity`` too) as a 1-d float array."""
-    if not set(map(type, values)) <= {int, float}:  # no null, string, bool or list
-        raise ValueError("holds a value that is not a number")
-    return np.fromiter(values, dtype=float)
+def _rngs(state) -> dict:
+    return {"mask_rng": state.mask_rng, "order_rng": state.cursor.order_rng,
+            "aug_rng": state.cursor.aug_rng}
 
 
-@dataclass
-class Checkpoint:
-    step: int
-    params: MlpParams
-    ema_params: MlpParams
-    velocity: np.ndarray
-    means: ClassMeanTable
-    beta_model: BetaMixtureModel
-
-
-def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    p, b, table = ckpt.params, ckpt.beta_model, ckpt.means
-    beta = (b.id.alpha, b.id.beta, b.ood.alpha, b.ood.beta, b.pi, b.epsilon, b.lambda_ema)
-    fields = {"version": VERSION, "step": int(ckpt.step), "activation": p.activation,
-              "sizes": [int(n) for n in p.sizes], "num_classes": int(p.num_classes),
-              "theta": p.theta, "ema": ckpt.ema_params.theta, "velocity": ckpt.velocity,
-              "means": table.means, "initialized": table.initialized,
-              "lambda_means": float(table.momentum), "beta": dict(zip(BETA_KEYS, map(float, beta)))}
+def save_checkpoint(state, path: str) -> None:
+    b = state.beta_model
+    beta = dict(zip(BETA_KEYS, map(float, (b.id.alpha, b.id.beta, b.ood.alpha, b.ood.beta))))
+    fields = {"version": VERSION, "theta": state.params.theta, "ema": state.opt_state.ema_params,
+              "velocity": state.opt_state.velocity, "means": state.table.means,
+              "initialized": state.table.initialized, "beta": beta,
+              "threshold": float(state.rule.ema_threshold),
+              **{key: rng.bit_generator.state for key, rng in _rngs(state).items()},
+              **{pool: {"perm": getattr(state.cursor, pool).perm.tolist(),
+                        "pos": getattr(state.cursor, pool).pos} for pool in POOLS}}
     with open(path, "w") as fh:
         # one array's list at a time; json.dumps is the C encoder, json.dump is not
         for i, (key, value) in enumerate(fields.items()):
             value = value.tolist() if isinstance(value, np.ndarray) else value
             fh.write(f"{',' if i else '{'}\n{json.dumps(key)}: {json.dumps(value, separators=SEP)}")
         fh.write("\n}\n")
+
+
+def _values(values, kinds: set, dtype, what: str) -> np.ndarray:
+    """A list of JSON values whose types are all in ``kinds`` as a 1-d array."""
+    if not set(map(type, values)) <= kinds:  # a bool is not an int here
+        raise ValueError(f"holds a value that is not {what}")
+    return np.fromiter(values, dtype=dtype)
+
+
+_floats = partial(_values, kinds={int, float}, dtype=float, what="a number")  # NaN/Infinity too
+_ints = partial(_values, kinds={int}, dtype=np.intp, what="an int")
+_bools = partial(_values, kinds={bool}, dtype=bool, what="a bool")
 
 
 def _get(obj, key: str, kind, convert=None):
@@ -69,26 +71,43 @@ def _get(obj, key: str, kind, convert=None):
         raise ValueError(f"{key!r}: {exc}") from None
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Reads ``path``; a bad or missing field is a ``ValueError`` that names it."""
+def _fill(into: np.ndarray, key: str, values: np.ndarray) -> None:
+    if values.shape != into.shape:
+        raise ValueError(f"{key!r} is {values.shape}, the config needs {into.shape}")
+    into[...] = values
+
+
+def load_checkpoint(path: str, state) -> None:
+    """Writes the values of ``path`` into ``state``, which ``RunState.start``
+    built from the run's config; a bad or missing field is a ``ValueError``
+    that names ``path``."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
         if _get(obj, "version", str) != VERSION:
             raise ValueError(f"not a {VERSION} file")
-        sizes, C = tuple(_get(obj, "sizes", list)), _get(obj, "num_classes", int)
-        activation = _get(obj, "activation", str)
-        params, ema, velocity = (MlpParams(_get(obj, key, list, _floats), sizes, C, activation)
-                                 for key in ("theta", "ema", "velocity"))
-        means = _get(obj, "means", list, lambda rows: np.array([_floats(r) for r in rows]))
-        if means.shape != (C, sizes[-1]):
-            raise ValueError(f"means are {means.shape}, the arch needs {(C, sizes[-1])}")
-        initialized = np.asarray(_get(obj, "initialized", list))
-        if initialized.dtype != bool or initialized.shape != (C,) or not initialized.any():
-            raise ValueError(f"'initialized' must be {C} bools, at least one of them true")
+        opt, table = state.opt_state, state.table
+        for key, into in (("theta", state.params.theta), ("ema", opt.ema_params),
+                          ("velocity", opt.velocity)):
+            _fill(into, key, _get(obj, key, list, _floats))
+        _fill(table.means, "means",
+              _get(obj, "means", list, lambda rows: np.array([_floats(r) for r in rows])))
+        _fill(table.initialized, "initialized", _get(obj, "initialized", list, _bools))
+        if not table.initialized.any():
+            raise ValueError("no class mean is initialized")
         b = [float(_get(_get(obj, "beta", dict), key, (int, float))) for key in BETA_KEYS]
-        table = ClassMeanTable(means, initialized, float(_get(obj, "lambda_means", (int, float))))
-        return Checkpoint(_get(obj, "step", int), params, ema, velocity.theta, table,
-                          BetaMixtureModel(BetaParams(*b[:2]), BetaParams(*b[2:4]), *b[4:]))
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. strings as ``sizes``
+        state.beta_model.id, state.beta_model.ood = BetaParams(*b[:2]), BetaParams(*b[2:])
+        state.rule.ema_threshold = float(_get(obj, "threshold", (int, float)))
+        for key, rng in _rngs(state).items():
+            rng.bit_generator.state = _get(obj, key, dict)
+        spec = state.config.dataset_spec()
+        for pool, n in zip(POOLS, (spec.n_labeled, spec.n_unlabeled)):
+            entry = _get(obj, pool, dict)
+            perm, pos = _get(entry, "perm", list, _ints), _get(entry, "pos", int)
+            if len(perm) and not np.array_equal(np.sort(perm), np.arange(n)):
+                raise ValueError(f"{pool!r} perm is not a permutation of its {n} rows")
+            if not 0 <= pos <= len(perm):
+                raise ValueError(f"{pool!r} pos {pos} is outside [0, {len(perm)}]")
+            getattr(state.cursor, pool).perm, getattr(state.cursor, pool).pos = perm, pos
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:  # e.g. a malformed rng state
         raise ValueError(f"{path}: {exc}") from None

@@ -15,7 +15,7 @@ import copy
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .config import TrainingConfig, load_config
 from .data import BatchCursor, OpenSetDataset, batches, generate
 from .evaluation import accuracy, auroc, beta_density_grid, score_snapshot
 from .rng import stream
-from .serialize import Checkpoint, load_checkpoint, save_checkpoint
+from .serialize import load_checkpoint, save_checkpoint
 from .subspace import ScoreKind
 
 log = logging.getLogger(__name__)
@@ -132,12 +132,9 @@ class RunState:
         }
 
     @property
-    def checkpoint(self) -> Checkpoint:
-        """It shares the live arrays, so save it before the run moves on."""
-        return Checkpoint(step=self.step, params=self.params,
-                          ema_params=self.params.from_vector(self.opt_state.ema_params),
-                          velocity=self.opt_state.velocity, means=self.table,
-                          beta_model=self.beta_model)
+    def ema_params(self) -> nn.MlpParams:
+        """The EMA shadow of the parameters, the ones that are evaluated; a view."""
+        return self.params.from_vector(self.opt_state.ema_params)
 
 
 # Config fields that act only after the warm-up, or on the logged decision
@@ -150,14 +147,14 @@ def warmup_key(config: TrainingConfig) -> tuple:
     return tuple((k, v) for k, v in asdict(config).items() if k not in _POST_WARMUP_FIELDS)
 
 
-def evaluate_checkpoint(ckpt: Checkpoint, dataset: OpenSetDataset) -> list[EvalRow]:
-    """Closed-set accuracy plus AUROC of ``ckpt.ema_params`` for every score kind.
+def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable, step: int,
+                        dataset: OpenSetDataset) -> list[EvalRow]:
+    """Closed-set accuracy plus AUROC of ``params`` at ``step`` for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
     accuracy is shared across rows. The splits are scored one at a time,
     so only one split's forward trace is alive at once.
     """
-    params, table = ckpt.ema_params, ckpt.means
     Xi, yi = dataset.test_id
     tr_id = nn.forward(params, Xi)
     acc = accuracy(tr_id.probs, yi)
@@ -170,7 +167,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, dataset: OpenSetDataset) -> list[EvalR
     s_id = all_scores(tr_id)
     del tr_id  # freed before the OOD split is forwarded
     s_ood = all_scores(nn.forward(params, dataset.test_ood[0]))
-    return [EvalRow(step=ckpt.step, score_kind=kind.value, closed_set_accuracy=acc,
+    return [EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
                     auroc=auroc(a, b), num_id=len(a), num_ood=len(b))
             for kind, a, b in zip(ScoreKind, s_id, s_ood)]
 
@@ -206,6 +203,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
     grads = params.zeros_like()
     batch_iter = batches(dataset, config.B, config.mu, config.augment_config(), state.cursor)
+    movers = (state.rule, state.cursor.labeled, state.cursor.unlabeled)
+    rngs = (state.mask_rng, state.cursor.order_rng, state.cursor.aug_rng)
 
     # one pass more than there are steps, so a run with K == K_p stores its end
     for k in range(state.step, config.K + 1):
@@ -214,6 +213,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         if k == config.K:
             break
         warmup = k < config.K_p
+        # a failed step writes these back (a shuffle's perm is replaced, never written)
+        top = [dict(vars(m)) for m in movers], [g.bit_generator.state for g in rngs]
         batch = next(batch_iter)
         try:
             trace_l = nn.forward(params, batch.labeled_weak)
@@ -270,11 +271,15 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         except nn.NumericalError:
             # Nothing above changes params, velocity or the mixture before it
             # raises (sgd_step checks the gradient before it writes), and the
-            # means change only at the step-0 bootstrap, so for k >= 1 the saved
-            # checkpoint is exactly the end of step k - 1. The cursor has drawn
-            # this step's batch and, past the forward passes, decide has moved
-            # state.rule and state.mask_rng; the checkpoint saves none of them.
+            # means change only at the step-0 bootstrap. The batch draw and
+            # decide moved the rule, the generators and the cursor, which are
+            # written back here, so for k >= 1 the saved state is exactly the
+            # end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
+            for mover, saved in zip(movers, top[0]):
+                vars(mover).update(saved)
+            for g, saved in zip(rngs, top[1]):
+                g.bit_generator.state = saved
             if run_dir and k > 0:
                 write_run_outputs(state, run_dir)
             raise
@@ -294,10 +299,10 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             mask_hash=decision.hash()))
 
         if (k + 1) % config.eval_every == 0:
-            runlog.evals.extend(evaluate_checkpoint(state.checkpoint, dataset))
+            runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, state.step, dataset))
 
     if not runlog.evals or runlog.evals[-1].step != config.K:
-        runlog.evals.extend(evaluate_checkpoint(state.checkpoint, dataset))
+        runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, state.step, dataset))
     if run_dir:
         write_run_outputs(state, run_dir)
     return state
@@ -313,7 +318,7 @@ def write_run_outputs(state: RunState, run_dir: str) -> None:
     _write(os.path.join(run_dir, "metrics.csv"), state.runlog.steps_csv())
     _write(os.path.join(run_dir, "evals.csv"), state.runlog.evals_csv())
     _write(os.path.join(run_dir, "summary.json"), json.dumps(state.summary, indent=2))
-    save_checkpoint(state.checkpoint, os.path.join(run_dir, "checkpoint.txt"))
+    save_checkpoint(state, os.path.join(run_dir, "checkpoint.txt"))
 
 
 SWEEP_AXES = ("pi", "ood_fraction", "w_self", "w_sub", "K_p", "seed")
@@ -326,8 +331,7 @@ def sweep(base: TrainingConfig, axis: str, values) -> list[dict]:
     rows = []
     for v in values:
         try:
-            res = train(base.replace(**{axis: v}))
-            rows.append({"axis": axis, "value": v, **res.summary})
+            rows.append({"axis": axis, "value": v, **train(base.replace(**{axis: v})).summary})
         except Exception as exc:  # keep sweeping past individual failures
             log.exception("sweep member %s=%r failed", axis, v)
             rows.append({"axis": axis, "value": v, "error": str(exc)})
@@ -376,54 +380,63 @@ def ablate(base: TrainingConfig) -> dict:
     return out
 
 
-def _read_csv(path: str) -> list[dict[str, str]]:
+def _read_rows(path: str, row_type) -> list:
+    """A ``RunLog`` CSV's rows, each cell parsed by its field's type."""
+    parse = [{"int": int, "float": float, "str": str}[f.type] for f in fields(row_type)]
     with open(path) as fh:
-        header, *lines = fh.read().splitlines()
-    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+        lines = fh.read().splitlines()
+    try:
+        if lines[:1] != [",".join(f.name for f in fields(row_type))]:
+            raise ValueError(f"the header is not the {row_type.__name__} fields")
+        return [row_type(*(f(cell) for f, cell in zip(parse, line.split(","), strict=True)))
+                for line in lines[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def load_run(run_dir: str) -> tuple[Checkpoint, OpenSetDataset]:
-    """A run dir's checkpoint, and its dataset regenerated from ``config.txt``."""
-    ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
-    return ckpt, generate(load_config(os.path.join(run_dir, "config.txt")).dataset_spec())
+def load_run(run_dir: str) -> RunState:
+    """The ``RunState`` that ``write_run_outputs`` wrote to ``run_dir``."""
+    state = RunState.start(load_config(os.path.join(run_dir, "config.txt")))
+    state.runlog = RunLog(_read_rows(os.path.join(run_dir, "metrics.csv"), StepRecord),
+                          _read_rows(os.path.join(run_dir, "evals.csv"), EvalRow))
+    load_checkpoint(os.path.join(run_dir, "checkpoint.txt"), state)
+    return state
 
 
 def emit_plot_data(run_dir: str, out_dir: str) -> None:
     """Plot files from a run dir that ``train`` wrote; nothing is retrained.
 
     - ``metrics_long.csv``: every ``metrics.csv`` and ``evals.csv`` cell,
-      copied verbatim, in tidy long format;
+      in tidy long format;
     - ``beta_step{s}.csv`` for each eval step s: the ID and OOD Beta
       densities of ``metrics.csv`` row s - 1, the mixture that eval saw;
-    - ``hist_step{s}.csv`` for the checkpoint's step s alone: subspace-score
-      histograms of the checkpoint's EMA params and means on the test
-      splits, regenerated from ``config.txt``.
+    - ``hist_step{s}.csv`` for the last step s alone: subspace-score histograms
+      of the EMA params and means on the test splits (from ``config.txt``).
     """
-    steps = _read_csv(os.path.join(run_dir, "metrics.csv"))
-    evals = _read_csv(os.path.join(run_dir, "evals.csv"))
-    ckpt, dataset = load_run(run_dir)
+    state = load_run(run_dir)
+    steps, evals = state.runlog.steps, state.runlog.evals
     os.makedirs(out_dir, exist_ok=True)
 
-    long_rows = [(col, r["step"], cell) for r in steps for col, cell in r.items()
+    long_rows = [(col, r.step, getattr(r, col)) for r in steps for col in _STEP_COLS
                  if col not in ("step", "mask_hash")]
     for e in evals:
-        long_rows.append(("accuracy", e["step"], e["closed_set_accuracy"]))
-        long_rows.append((f"auroc_{e['score_kind']}", e["step"], e["auroc"]))
+        long_rows.append(("accuracy", e.step, e.closed_set_accuracy))
+        long_rows.append((f"auroc_{e.score_kind}", e.step, e.auroc))
     _write(os.path.join(out_dir, "metrics_long.csv"),
            _csv_text(["metric", "step", "value"], long_rows))
 
-    for s in sorted({int(e["step"]) for e in evals}):
+    for s in sorted({e.step for e in evals}):
         r = steps[s - 1]
-        grid = beta_density_grid(
-            betamix.BetaParams(float(r["alpha_id"]), float(r["beta_id"])),
-            betamix.BetaParams(float(r["alpha_ood"]), float(r["beta_ood"])))
+        grid = beta_density_grid(betamix.BetaParams(r.alpha_id, r.beta_id),
+                                 betamix.BetaParams(r.alpha_ood, r.beta_ood))
         _write(os.path.join(out_dir, f"beta_step{s}.csv"),
                _csv_text(["s", "p_id", "p_ood"], grid.tolist()))
 
-    basis = subspace.compute_basis(ckpt.means)
+    basis = subspace.compute_basis(state.table)
+    dataset = generate(state.config.dataset_spec())
     edges, id_hist, ood_hist = score_snapshot(*(
-        subspace.subspace_scores(nn.forward(ckpt.ema_params, X).z, basis)
+        subspace.subspace_scores(nn.forward(state.ema_params, X).z, basis)
         for X, _ in (dataset.test_id, dataset.test_ood)))
-    _write(os.path.join(out_dir, f"hist_step{ckpt.step}.csv"), _csv_text(
+    _write(os.path.join(out_dir, f"hist_step{state.step}.csv"), _csv_text(
         ["bin_lo", "bin_hi", "id_count", "ood_count"],
         zip(edges[:-1].tolist(), edges[1:].tolist(), id_hist.tolist(), ood_hist.tolist())))

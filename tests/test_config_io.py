@@ -3,11 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from osslab import config, nn
-from osslab.betamix import BetaMixtureModel
+from osslab import config, trainer
+from osslab.betamix import BetaParams
 from osslab.config import TrainingConfig, load_config, parse_overrides
-from osslab.serialize import Checkpoint, load_checkpoint, save_checkpoint
-from osslab.subspace import ClassMeanTable
+from osslab.serialize import save_checkpoint
 
 
 class TestTrainingConfig:
@@ -104,46 +103,52 @@ class TestOverridesAndFiles:
 
 
 class TestCheckpoint:
-    def make_checkpoint(self, rng):
-        params = nn.init_params(6, (10,), 4, 3, rng)
-        ema = nn.init_params(6, (10,), 4, 3, rng)
-        table = ClassMeanTable.empty(3, 4, momentum=0.99)
-        table.means[:] = rng.normal(size=(3, 4))
-        table.initialized[:] = [True, True, False]
-        beta = BetaMixtureModel.default_init(pi=0.42, epsilon=0.05,
-                                             lambda_ema=0.9)
-        return Checkpoint(step=123, params=params, ema_params=ema,
-                          velocity=rng.normal(size=params.to_vector().size),
-                          means=table, beta_model=beta)
+    def make_state(self, rng):
+        """A mid-run state whose config has non-default mixture and mean values."""
+        cfg = TrainingConfig(input_dim=6, hidden=(10,), feature_dim=4, num_id_classes=3,
+                             pi=0.42, epsilon=0.05, lambda_means=0.99, lambda_beta=0.9)
+        state = trainer.RunState.start(cfg)
+        for vec in (state.params.theta, state.opt_state.ema_params, state.opt_state.velocity):
+            vec[:] = rng.normal(size=vec.size)
+        state.table.means[:] = rng.normal(size=(3, 4))
+        state.table.initialized[:] = [True, True, False]
+        state.beta_model.id, state.beta_model.ood = BetaParams(3.5, 1.25), BetaParams(0.75, 6.0)
+        state.rule.ema_threshold = 0.3125
+        state.mask_rng.random(7)
+        state.cursor.labeled.perm = rng.permutation(cfg.dataset_spec().n_labeled)
+        state.cursor.labeled.pos = 5
+        return state
+
+    @staticmethod
+    def round_trip(state, run_dir):
+        trainer.write_run_outputs(state, str(run_dir))
+        return trainer.load_run(str(run_dir))
 
     def test_round_trip_bitwise(self, rng, tmp_path):
-        ckpt = self.make_checkpoint(rng)
-        path = str(tmp_path / "ckpt.txt")
-        save_checkpoint(ckpt, path)
-        back = load_checkpoint(path)
-        assert back.step == 123
-        assert np.array_equal(back.params.to_vector(), ckpt.params.to_vector())
-        assert np.array_equal(back.ema_params.to_vector(),
-                              ckpt.ema_params.to_vector())
-        assert np.array_equal(back.velocity, ckpt.velocity)
-        assert np.array_equal(back.means.means, ckpt.means.means)
-        assert np.array_equal(back.means.initialized, ckpt.means.initialized)
-        assert back.means.momentum == ckpt.means.momentum
-        assert back.beta_model.id == ckpt.beta_model.id
-        assert back.beta_model.ood == ckpt.beta_model.ood
-        assert back.beta_model.pi == 0.42
-        assert back.beta_model.epsilon == 0.05
+        state = self.make_state(rng)
+        back = self.round_trip(state, tmp_path)
+        assert back.step == 0
+        for get in (lambda s: s.params.theta, lambda s: s.opt_state.ema_params,
+                    lambda s: s.opt_state.velocity, lambda s: s.table.means):
+            assert get(back).tobytes() == get(state).tobytes()
+        assert np.array_equal(back.table.initialized, [True, True, False])
+        assert back.beta_model == state.beta_model
+        # the values that config.txt holds come back through it
+        assert (back.beta_model.pi, back.beta_model.epsilon, back.beta_model.lambda_ema,
+                back.table.momentum) == (0.42, 0.05, 0.9, 0.99)
+        assert back.rule == state.rule
+        assert back.mask_rng.bit_generator.state == state.mask_rng.bit_generator.state
+        for pool in ("labeled", "unlabeled"):
+            got, want = getattr(back.cursor, pool), getattr(state.cursor, pool)
+            assert np.array_equal(got.perm, want.perm) and got.pos == want.pos
 
     def test_non_finite_velocity_round_trips_bitwise(self, rng, tmp_path):
-        ckpt = self.make_checkpoint(rng)
-        ckpt.velocity[:4] = [np.inf, -np.inf, np.nan, -0.0]
-        path = str(tmp_path / "ckpt.txt")
-        save_checkpoint(ckpt, path)
-        assert load_checkpoint(path).velocity.tobytes() == ckpt.velocity.tobytes()
+        state = self.make_state(rng)
+        state.opt_state.velocity[:4] = [np.inf, -np.inf, np.nan, -0.0]
+        back = self.round_trip(state, tmp_path)
+        assert back.opt_state.velocity.tobytes() == state.opt_state.velocity.tobytes()
 
     def test_save_load_save_stable(self, rng, tmp_path):
-        ckpt = self.make_checkpoint(rng)
-        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        save_checkpoint(ckpt, p1)
-        save_checkpoint(load_checkpoint(p1), p2)
-        assert open(p1).read() == open(p2).read()
+        back = self.round_trip(self.make_state(rng), tmp_path)
+        save_checkpoint(back, str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_text() == (tmp_path / "checkpoint.txt").read_text()

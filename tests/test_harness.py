@@ -16,7 +16,7 @@ from osslab.data import generate
 from osslab.evaluation import accuracy, auroc, beta_density_grid
 from osslab.optim import lr
 from osslab.rng import stream
-from osslab.serialize import Checkpoint, load_checkpoint, save_checkpoint
+from osslab.serialize import save_checkpoint
 from osslab.subspace import ScoreKind
 
 
@@ -98,8 +98,7 @@ class TestTrain:
         again = trainer.train(TrainingConfig(**TINY))
         assert again.runlog.steps_csv() == tiny_result.runlog.steps_csv()
         assert again.runlog.evals_csv() == tiny_result.runlog.evals_csv()
-        assert np.array_equal(again.checkpoint.params.to_vector(),
-                              tiny_result.checkpoint.params.to_vector())
+        assert again.params.theta.tobytes() == tiny_result.params.theta.tobytes()
 
     def test_seed_changes_trajectory(self, tiny_result):
         other = trainer.train(TrainingConfig(**{**TINY, "seed": 4}))
@@ -138,12 +137,11 @@ def reference_eval(params, table, dataset, step):
 
 class TestEvaluateCheckpoint:
     def test_rows_equal_a_reference_holding_both_traces(self, tiny_result):
-        ckpt = tiny_result.checkpoint
-        dataset = generate(tiny_result.config.dataset_spec())
-        for params in (ckpt.params, ckpt.ema_params):
-            scored = dataclasses.replace(ckpt, ema_params=params)
-            got = trainer.evaluate_checkpoint(scored, dataset)
-            assert repr(got) == repr(reference_eval(params, ckpt.means, dataset, ckpt.step))
+        state = tiny_result
+        dataset = generate(state.config.dataset_spec())
+        for params in (state.params, state.ema_params):
+            got = trainer.evaluate_checkpoint(params, state.table, state.step, dataset)
+            assert repr(got) == repr(reference_eval(params, state.table, dataset, state.step))
 
     def test_peak_memory_is_one_split_of_layer_outputs(self):
         # the wide_mlp benchmark shapes; numpy reports its buffers to
@@ -156,14 +154,12 @@ class TestEvaluateCheckpoint:
         params = nn.init_params(128, hidden, D, C, rng)
         table = subspace.ClassMeanTable(means=rng.normal(size=(C, D)),
                                         initialized=np.ones(C, dtype=bool))
-        ckpt = Checkpoint(step=0, params=params, ema_params=params, velocity=params.theta,
-                          means=table, beta_model=cfg.beta_model())
         n_test = len(dataset.test_id[0])
         assert len(dataset.test_ood[0]) == n_test
         layer_bytes = n_test * (sum(hidden) + D) * 8
         tracemalloc.start()
         try:
-            trainer.evaluate_checkpoint(ckpt, dataset)
+            trainer.evaluate_checkpoint(params, table, 0, dataset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,7 +229,7 @@ class TestSweepAblate:
 def outputs(result, tmp_path) -> tuple:
     """Everything a run writes, as text."""
     path = tmp_path / "checkpoint.txt"
-    save_checkpoint(result.checkpoint, str(path))
+    save_checkpoint(result, str(path))
     return (result.runlog.steps_csv(), result.runlog.evals_csv(),
             json.dumps(result.summary), path.read_text())
 
@@ -362,6 +358,52 @@ def test_run_state_holds_exactly_what_a_step_carries():
         "runlog"]
 
 
+def assert_same_state(got, want):
+    """Every ``RunState`` field equal; float arrays as bit patterns."""
+    assert got.config == want.config
+    for get in (lambda s: s.params.theta, lambda s: s.opt_state.ema_params,
+                lambda s: s.opt_state.velocity, lambda s: s.table.means):
+        assert get(got).tobytes() == get(want).tobytes()
+    assert np.array_equal(got.table.initialized, want.table.initialized)
+    assert got.beta_model == want.beta_model
+    assert got.rule == want.rule
+    for get in (lambda s: s.mask_rng, lambda s: s.cursor.order_rng, lambda s: s.cursor.aug_rng):
+        assert get(got).bit_generator.state == get(want).bit_generator.state
+    for pool in ("labeled", "unlabeled"):
+        a, b = getattr(got.cursor, pool), getattr(want.cursor, pool)
+        assert np.array_equal(a.perm, b.perm) and a.pos == b.pos
+    assert repr(got.runlog) == repr(want.runlog)
+    assert got.summary == want.summary
+
+
+@pytest.mark.parametrize("rule", list(RuleKind))
+def test_a_loaded_run_dir_is_the_live_state(rule, tmp_path):
+    cfg = TrainingConfig(**{**TINY, "decision_rule": rule.value})
+    live = trainer.train(cfg, str(tmp_path))
+    loaded = trainer.load_run(str(tmp_path))
+    assert_same_state(loaded, live)
+    # the cursor and the mask generator continue where the live ones do
+    dataset = generate(cfg.dataset_spec())
+    got, want = (next(trainer.batches(dataset, cfg.B, cfg.mu, cfg.augment_config(), s.cursor))
+                 for s in (loaded, live))
+    for f in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    n = cfg.mu * cfg.B
+    assert np.array_equal(loaded.mask_rng.random(n), live.mask_rng.random(n))
+
+
+@pytest.mark.parametrize("rule", list(RuleKind))
+def test_a_loaded_run_continues_as_one_full_run(rule, tmp_path, monkeypatch):
+    # K_p on the eval grid: the first run's only eval row is one of the full run's
+    full = TrainingConfig(**{**TINY, "K_p": 30, "decision_rule": rule.value})
+    trainer.train(full.replace(K=30), str(tmp_path))
+    loaded = dataclasses.replace(trainer.load_run(str(tmp_path)), config=full)
+    monkeypatch.setattr(trainer.RunState, "start", classmethod(lambda cls, config: loaded))
+    assert trainer.train(full) is loaded
+    monkeypatch.undo()
+    assert_same_state(loaded, trainer.train(full))
+
+
 def test_one_basis_per_step_and_per_eval(monkeypatch):
     calls = []
     real = subspace.compute_basis
@@ -431,7 +473,7 @@ class TestPlotData:
         assert cli_main(cli_args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
         assert cli_main(cli_args(tmp_path, "emit-plot-data") + ["--eta0", "1e8"]) == 0
         run_dir = only_run_dir(tmp_path)
-        step = load_checkpoint(os.path.join(run_dir, "checkpoint.txt")).step
+        step = trainer.load_run(run_dir).step
         assert os.path.exists(os.path.join(run_dir, "plots", f"hist_step{step}.csv"))
         capsys.readouterr()
         assert cli_main(cli_args(tmp_path, "eval") + ["--eta0", "1e8"]) == 0
@@ -471,16 +513,16 @@ class TestCli:
         # may already be infinite, so only the step is checked
         assert cli_main(self.args(tmp_path, "train") + ["--eta0", eta0]) == 2
         run_dir = self.run_dir(tmp_path)
-        ckpt = load_checkpoint(os.path.join(run_dir, "checkpoint.txt"))
-        assert 1 <= ckpt.step < TINY["K"]
+        step = trainer.load_run(run_dir).step
+        assert 1 <= step < TINY["K"]
         # the completed steps are recorded like a finished run's
         with open(os.path.join(run_dir, "metrics.csv")) as fh:
             header, *rows = fh.read().splitlines()
-        assert [int(r.split(",")[0]) for r in rows] == list(range(ckpt.step))
+        assert [int(r.split(",")[0]) for r in rows] == list(range(step))
         assert load_config(os.path.join(run_dir, "config.txt")) == TrainingConfig(
             **{**TINY, "eta0": float(eta0)})
         with open(os.path.join(run_dir, "summary.json")) as fh:
-            assert json.load(fh)["steps"] == ckpt.step
+            assert json.load(fh)["steps"] == step
         assert os.path.exists(os.path.join(run_dir, "evals.csv"))
 
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainingConfig)
@@ -498,16 +540,22 @@ class TestCli:
         assert not os.listdir(tmp_path)
 
     def test_blow_up_checkpoint_is_end_of_previous_step(self, tmp_path):
-        assert cli_main(self.args(tmp_path, "train") + ["--eta0", "1e8"]) == 2
-        with open(os.path.join(self.run_dir(tmp_path), "checkpoint.txt")) as fh:
-            saved = fh.read()
-        step = load_checkpoint(os.path.join(self.run_dir(tmp_path), "checkpoint.txt")).step
-        # a failure inside warm-up: a clean run of exactly `step` steps has the
-        # same learning rates, so it must end in the same state
-        assert step <= TINY["K_p"]
-        clean = trainer.train(TrainingConfig(**{**TINY, "eta0": 1e8, "K": step, "K_p": step}))
-        save_checkpoint(clean.checkpoint, str(tmp_path / "clean.txt"))
-        assert (tmp_path / "clean.txt").read_text() == saved
+        # every rule, since each moves another part of the state before the
+        # step fails: the mask generator, the Otsu EMA, or neither
+        for rule in RuleKind:
+            out = tmp_path / rule.value
+            flags = ["--eta0", "1e8", "--decision_rule", rule.value]
+            assert cli_main(self.args(out, "train") + flags) == 2
+            with open(os.path.join(self.run_dir(out), "checkpoint.txt")) as fh:
+                saved = fh.read()
+            step = trainer.load_run(self.run_dir(out)).step
+            # a failure inside warm-up: a clean run of exactly `step` steps has
+            # the same learning rates, so it must end in the same state
+            assert 1 <= step <= TINY["K_p"]
+            clean = trainer.train(TrainingConfig(**{**TINY, "eta0": 1e8, "K": step, "K_p": step,
+                                                    "decision_rule": rule.value}))
+            save_checkpoint(clean, str(out / "clean.txt"))
+            assert (out / "clean.txt").read_text() == saved, rule
 
     def test_unknown_key_is_config_error(self, tmp_path):
         assert cli_main(["--out", str(tmp_path), "train", "--bogus", "1"]) == 1
@@ -533,11 +581,22 @@ def _transpose(obj):
     obj["means"] = [list(col) for col in zip(*obj["means"])]
 
 
+def _perm_edit(edit):
+    """A checkpoint edit of the labeled pool's permutation (20 rows in TINY)."""
+    return _json_edit(lambda obj: edit(obj["labeled"]["perm"]))
+
+
+def _retype(value, new):
+    """A perm edit that replaces the index ``value`` with ``new``, another JSON type."""
+    return _perm_edit(lambda perm: perm.__setitem__(perm.index(value), new))
+
+
 # edits of a saved TINY checkpoint (4 classes, feature_dim 8)
 _CHECKPOINT_EDITS = {
     "last_line_missing": lambda text: "\n".join(text.splitlines()[:-1]),
     "truncated_not_json": lambda text: text[:len(text) // 2],
-    "beta_one_value_short": _json_edit(lambda obj: obj["beta"].pop("lambda_ema")),
+    "version_2": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v2")),
+    "beta_one_value_short": _json_edit(lambda obj: obj["beta"].pop("alpha_ood")),
     "initialized_one_short": _json_edit(lambda obj: obj["initialized"].pop()),
     "no_class_initialized": _json_edit(
         lambda obj: obj.update(initialized=[False] * len(obj["initialized"]))),
@@ -546,31 +605,56 @@ _CHECKPOINT_EDITS = {
     "means_one_row_one_column_short": _json_edit(lambda obj: obj["means"][0].pop()),
     "means_fewer_classes_than_arch": _json_edit(lambda obj: obj["means"].pop()),
     "means_narrower_than_arch": _json_edit(_transpose),  # 8 rows of 4
-    "step_not_an_int": _json_edit(lambda obj: obj.update(step="x")),
+    "pos_not_an_int": _json_edit(lambda obj: obj["labeled"].update(pos="x")),
+    "pos_past_the_end": _json_edit(lambda obj: obj["labeled"].update(pos=21)),
+    "perm_one_short": _perm_edit(lambda perm: perm.pop()),
+    "perm_repeats_an_index": _perm_edit(lambda perm: perm.__setitem__(0, perm[1])),
+    "perm_holds_bool": _retype(1, True),
+    "perm_holds_string": _retype(3, "3"),
+    "perm_holds_float": _retype(2, 2.0),
+    "mask_rng_of_another_bit_generator": _json_edit(
+        lambda obj: obj["mask_rng"].update(bit_generator="MT19937")),
+    "order_rng_not_a_dict": _json_edit(lambda obj: obj.update(order_rng=[1, 2])),
+    "threshold_not_a_number": _json_edit(lambda obj: obj.update(threshold="0.5")),
     "theta_not_a_list": _json_edit(lambda obj: obj.update(theta={})),
-    "sizes_not_ints": _json_edit(lambda obj: obj.update(sizes=[str(n) for n in obj["sizes"]])),
     "velocity_not_numbers": _json_edit(lambda obj: obj["velocity"].__setitem__(0, "abc")),
-    "key_missing": _json_edit(lambda obj: obj.pop("lambda_means")),
+    "key_missing": _json_edit(lambda obj: obj.pop("velocity")),
     "theta_holds_null": _json_edit(lambda obj: obj["theta"].__setitem__(0, None)),
     "means_holds_string": _json_edit(lambda obj: obj["means"][0].__setitem__(0, "2.5")),
     "velocity_holds_bool": _json_edit(lambda obj: obj["velocity"].__setitem__(0, True)),
-    "epsilon_is_nan": _json_edit(lambda obj: obj["beta"].update(epsilon=float("nan"))),
+    "alpha_id_is_nan": _json_edit(lambda obj: obj["beta"].update(alpha_id=float("nan"))),
     "theta_holds_huge_int": _json_edit(lambda obj: obj["theta"].__setitem__(0, 10**400)),
+}
+
+# edits of the run dir's other files: (file, text edit or None to delete it, file named)
+_RUN_DIR_EDITS = {
+    # a 16-wide hidden layer's theta does not fit an 8-wide one
+    "config_narrower_than_checkpoint": (
+        "config.txt", lambda text: text.replace("hidden = 16", "hidden = 8"), "checkpoint.txt"),
+    "metrics_missing": ("metrics.csv", None, "metrics.csv"),
+    "metrics_row_unparsable": (
+        "metrics.csv", lambda text: text.replace("\n0,", "\nzero,", 1), "metrics.csv"),
 }
 
 
 class TestCheckpointShape:
-    @pytest.mark.parametrize("edit", sorted(_CHECKPOINT_EDITS))
+    @pytest.mark.parametrize("edit", sorted(_CHECKPOINT_EDITS.keys() | _RUN_DIR_EDITS.keys()))
     def test_eval_rejects_mismatched_means(self, tiny_result, tmp_path, capsys, edit):
         run_dir = tmp_path / trainer.run_dir_name(tiny_result.config)
         trainer.write_run_outputs(tiny_result, str(run_dir))
-        path = run_dir / "checkpoint.txt"
-        text = path.read_text()
-        edited = _CHECKPOINT_EDITS[edit](text)
-        assert edited != text
-        path.write_text(edited)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            load_checkpoint(str(path))
+        name, text_edit, named = _RUN_DIR_EDITS.get(
+            edit, ("checkpoint.txt", _CHECKPOINT_EDITS.get(edit), "checkpoint.txt"))
+        path = run_dir / name
+        if text_edit is None:
+            path.unlink()
+        else:
+            text = path.read_text()
+            edited = text_edit(text)
+            assert edited != text
+            path.write_text(edited)
+        with pytest.raises((ValueError, OSError), match=re.escape(str(run_dir / named))):
+            trainer.load_run(str(run_dir))
         capsys.readouterr()
         assert cli_main(cli_args(tmp_path, "eval")) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run_dir / named) in err
