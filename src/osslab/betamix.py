@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class BetaMixtureModel:
         # ID component starts near 1, OOD near 0
         return cls(id=BetaParams(10.0, 2.0), ood=BetaParams(2.0, 10.0),
                    pi=pi, epsilon=epsilon, lambda_ema=lambda_ema)
-
-    def copy(self) -> "BetaMixtureModel":
-        return BetaMixtureModel(id=self.id, ood=self.ood, pi=self.pi,
-                                epsilon=self.epsilon, lambda_ema=self.lambda_ema)
 
 
 def clamp_scores(s: np.ndarray) -> np.ndarray:
@@ -227,12 +223,8 @@ def imm_batch_step(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
     """
     tilde_id, tilde_ood = _imm_iteration(model, unlabeled_scores, labeled_scores, w_id)
     lam = model.lambda_ema
-    new = model.copy()
-    if tilde_id is not None:
-        new.id = _ema(model.id, tilde_id, lam)
-    if tilde_ood is not None:
-        new.ood = _ema(model.ood, tilde_ood, lam)
-    return new
+    return replace(model, id=model.id if tilde_id is None else _ema(model.id, tilde_id, lam),
+                   ood=model.ood if tilde_ood is None else _ema(model.ood, tilde_ood, lam))
 
 
 def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
@@ -249,16 +241,12 @@ def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
     labeled_scores = clamp_scores(np.asarray(labeled_scores, dtype=float))
     if scores.size + labeled_scores.size < 10:
         raise ValueError("need at least 10 scores to fit")
-    model = (init or BetaMixtureModel.default_init(pi)).copy()
+    model = replace(init or BetaMixtureModel.default_init(pi))
     model.pi = pi
     for _ in range(max_iters):
         tilde_id, tilde_ood = _imm_iteration(model, scores, labeled_scores,
                                              posterior_id(model, scores))
-        new = model.copy()
-        if tilde_id is not None:
-            new.id = tilde_id
-        if tilde_ood is not None:
-            new.ood = tilde_ood
+        new = replace(model, id=tilde_id or model.id, ood=tilde_ood or model.ood)
         delta = max(abs(new.id.alpha - model.id.alpha), abs(new.id.beta - model.id.beta),
                     abs(new.ood.alpha - model.ood.alpha), abs(new.ood.beta - model.ood.beta))
         model = new

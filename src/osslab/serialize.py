@@ -1,15 +1,17 @@
 """Checkpoints: what a ``trainer.RunState`` holds beyond ``config.txt`` and the
 runlog CSVs, as one JSON object with the keys ``version``, ``theta``, ``ema``,
-``velocity`` (flat parameter vectors), ``means`` (C rows of D floats),
-``initialized`` (C bools), ``beta`` (``alpha_id``, ``beta_id``, ``alpha_ood``,
-``beta_ood``), ``threshold`` (the Otsu EMA), ``mask_rng``, ``order_rng``,
-``aug_rng`` (``bit_generator.state`` dicts), and ``labeled``, ``unlabeled``
-(each pool's shuffle: ``perm`` and ``pos``). ``json`` writes each float as its
-shortest repr, ``NaN``/``Infinity`` included, so reloads are bit-exact.
+``velocity`` (flat parameter vectors), ``means`` (the C x D class means, row
+by row), ``initialized`` (C bools), ``beta`` (``alpha_id``, ``beta_id``,
+``alpha_ood``, ``beta_ood``), ``threshold`` (the Otsu EMA), ``mask_rng``,
+``order_rng``, ``aug_rng`` (``bit_generator.state`` dicts of ints), and
+``labeled``, ``unlabeled`` (each pool's shuffle: ``perm`` and ``pos``). The
+four float arrays are base64 strings of their little-endian float64 bytes, so
+every bit pattern, NaN payloads and signs included, reloads exactly.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from functools import partial
 
@@ -17,10 +19,10 @@ import numpy as np
 
 from .betamix import BetaParams
 
-VERSION = "osslab-checkpoint v3"
+VERSION = "osslab-checkpoint v4"
 BETA_KEYS = ("alpha_id", "beta_id", "alpha_ood", "beta_ood")
 POOLS = ("labeled", "unlabeled")
-SEP = (",", ":")  # compact: no space after each of a vector's commas
+SEP = (",", ":")  # compact: no space after each of a list's commas
 
 
 def _rngs(state) -> dict:
@@ -28,20 +30,25 @@ def _rngs(state) -> dict:
             "aug_rng": state.cursor.aug_rng}
 
 
+def _float_arrays(state) -> dict:
+    return {"theta": state.params.theta, "ema": state.opt_state.ema_params,
+            "velocity": state.opt_state.velocity, "means": state.table.means}
+
+
 def save_checkpoint(state, path: str) -> None:
     b = state.beta_model
     beta = dict(zip(BETA_KEYS, map(float, (b.id.alpha, b.id.beta, b.ood.alpha, b.ood.beta))))
-    fields = {"version": VERSION, "theta": state.params.theta, "ema": state.opt_state.ema_params,
-              "velocity": state.opt_state.velocity, "means": state.table.means,
-              "initialized": state.table.initialized, "beta": beta,
+    fields = {"version": VERSION, **_float_arrays(state),
+              "initialized": state.table.initialized.tolist(), "beta": beta,
               "threshold": float(state.rule.ema_threshold),
               **{key: rng.bit_generator.state for key, rng in _rngs(state).items()},
               **{pool: {"perm": getattr(state.cursor, pool).perm.tolist(),
                         "pos": getattr(state.cursor, pool).pos} for pool in POOLS}}
     with open(path, "w") as fh:
-        # one array's list at a time; json.dumps is the C encoder, json.dump is not
+        # one array's text at a time; json.dumps is the C encoder, json.dump is not
         for i, (key, value) in enumerate(fields.items()):
-            value = value.tolist() if isinstance(value, np.ndarray) else value
+            if isinstance(value, np.ndarray):  # the float arrays
+                value = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode("ascii")
             fh.write(f"{',' if i else '{'}\n{json.dumps(key)}: {json.dumps(value, separators=SEP)}")
         fh.write("\n}\n")
 
@@ -53,7 +60,6 @@ def _values(values, kinds: set, dtype, what: str) -> np.ndarray:
     return np.fromiter(values, dtype=dtype)
 
 
-_floats = partial(_values, kinds={int, float}, dtype=float, what="a number")  # NaN/Infinity too
 _ints = partial(_values, kinds={int}, dtype=np.intp, what="an int")
 _bools = partial(_values, kinds={bool}, dtype=bool, what="a bool")
 
@@ -71,10 +77,25 @@ def _get(obj, key: str, kind, convert=None):
         raise ValueError(f"{key!r}: {exc}") from None
 
 
+def _int_state(state: dict) -> dict:
+    """A ``bit_generator.state`` whose every value but the generator's name is
+    an int (numpy's setter would truncate a float and take a bool)."""
+    for name, value in state.items():
+        if isinstance(value, dict):
+            _int_state(value)
+        elif name != "bit_generator" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{name!r} is {value!r}, not an int")
+    return state
+
+
+def _float64s(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+
+
 def _fill(into: np.ndarray, key: str, values: np.ndarray) -> None:
-    if values.shape != into.shape:
-        raise ValueError(f"{key!r} is {values.shape}, the config needs {into.shape}")
-    into[...] = values
+    if values.size != into.size:
+        raise ValueError(f"{key!r} holds {values.size} values, the config needs {into.size}")
+    into[...] = values.reshape(into.shape)
 
 
 def load_checkpoint(path: str, state) -> None:
@@ -86,20 +107,16 @@ def load_checkpoint(path: str, state) -> None:
             obj = json.load(fh)
         if _get(obj, "version", str) != VERSION:
             raise ValueError(f"not a {VERSION} file")
-        opt, table = state.opt_state, state.table
-        for key, into in (("theta", state.params.theta), ("ema", opt.ema_params),
-                          ("velocity", opt.velocity)):
-            _fill(into, key, _get(obj, key, list, _floats))
-        _fill(table.means, "means",
-              _get(obj, "means", list, lambda rows: np.array([_floats(r) for r in rows])))
-        _fill(table.initialized, "initialized", _get(obj, "initialized", list, _bools))
-        if not table.initialized.any():
+        for key, into in _float_arrays(state).items():
+            _fill(into, key, _get(obj, key, str, _float64s))
+        _fill(state.table.initialized, "initialized", _get(obj, "initialized", list, _bools))
+        if not state.table.initialized.any():
             raise ValueError("no class mean is initialized")
         b = [float(_get(_get(obj, "beta", dict), key, (int, float))) for key in BETA_KEYS]
         state.beta_model.id, state.beta_model.ood = BetaParams(*b[:2]), BetaParams(*b[2:])
         state.rule.ema_threshold = float(_get(obj, "threshold", (int, float)))
         for key, rng in _rngs(state).items():
-            rng.bit_generator.state = _get(obj, key, dict)
+            rng.bit_generator.state = _get(obj, key, dict, _int_state)
         spec = state.config.dataset_spec()
         for pool, n in zip(POOLS, (spec.n_labeled, spec.n_unlabeled)):
             entry = _get(obj, pool, dict)

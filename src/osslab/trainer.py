@@ -147,26 +147,35 @@ def warmup_key(config: TrainingConfig) -> tuple:
     return tuple((k, v) for k, v in asdict(config).items() if k not in _POST_WARMUP_FIELDS)
 
 
+# Evaluation cuts an N-row split into max(1, N // EVAL_BLOCK) nearly equal row
+# blocks. Not fewer rows: blocks of a few hundred rows do not always get the
+# whole split's matmul bits from OpenBLAS; blocks of 1,024 or more matched.
+EVAL_BLOCK = 1024
+
+
 def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable, step: int,
                         dataset: OpenSetDataset) -> list[EvalRow]:
     """Closed-set accuracy plus AUROC of ``params`` at ``step`` for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
-    accuracy is shared across rows. The splits are scored one at a time,
-    so only one split's forward trace is alive at once.
+    accuracy is shared across rows. Each split is scored in row blocks
+    (``EVAL_BLOCK``), with one block's forward trace alive at a time.
     """
-    Xi, yi = dataset.test_id
-    tr_id = nn.forward(params, Xi)
-    acc = accuracy(tr_id.probs, yi)
     basis = subspace.compute_basis(table)
 
-    def all_scores(tr: nn.ForwardTrace) -> list:
-        return [subspace.alt_scores(kind, Z=tr.z, logits=tr.logits, table=table, basis=basis)
-                for kind in ScoreKind]
+    def probs_and_scores(X: np.ndarray) -> list[np.ndarray]:
+        pieces = []
+        for block in np.array_split(X, max(1, len(X) // EVAL_BLOCK)):
+            tr = nn.forward(params, block)
+            pieces.append([tr.probs, *(subspace.alt_scores(kind, Z=tr.z, logits=tr.logits,
+                                                           table=table, basis=basis)
+                                       for kind in ScoreKind)])
+            del tr  # freed before the next block is forwarded
+        return [np.concatenate(column) for column in zip(*pieces)]
 
-    s_id = all_scores(tr_id)
-    del tr_id  # freed before the OOD split is forwarded
-    s_ood = all_scores(nn.forward(params, dataset.test_ood[0]))
+    probs, *s_id = probs_and_scores(dataset.test_id[0])
+    acc = accuracy(probs, dataset.test_id[1])
+    _, *s_ood = probs_and_scores(dataset.test_ood[0])
     return [EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
                     auroc=auroc(a, b), num_id=len(a), num_ood=len(b))
             for kind, a, b in zip(ScoreKind, s_id, s_ood)]

@@ -144,9 +144,19 @@ class TestCheckpoint:
 
     def test_non_finite_velocity_round_trips_bitwise(self, rng, tmp_path):
         state = self.make_state(rng)
-        state.opt_state.velocity[:4] = [np.inf, -np.inf, np.nan, -0.0]
+        inf = np.array([np.inf])
+        with np.errstate(invalid="ignore"):
+            default_nan = (inf - inf)[0]  # 0xfff8000000000000 on x86
+        bits = np.array([0x7FF0000000000001, 0x0000000000000001], dtype=np.uint64)
+        payload_nan, subnormal = bits.view(np.float64)
+        special = [np.inf, -np.inf, np.nan, default_nan, payload_nan, -0.0, subnormal]
+        arrays = lambda s: (s.params.theta, s.opt_state.ema_params, s.opt_state.velocity,
+                            s.table.means.reshape(-1))
+        for arr in arrays(state):
+            arr[:len(special)] = special
         back = self.round_trip(state, tmp_path)
-        assert back.opt_state.velocity.tobytes() == state.opt_state.velocity.tobytes()
+        for got, want in zip(arrays(back), arrays(state)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_save_load_save_stable(self, rng, tmp_path):
         back = self.round_trip(self.make_state(rng), tmp_path)

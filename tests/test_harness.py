@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -115,8 +116,8 @@ class TestTrain:
 
 
 def reference_eval(params, table, dataset, step):
-    """Evaluation as it was with both splits' traces alive at once and the
-    min-Euclid score taken over the full (N, C, D) difference block."""
+    """Evaluation as it was with both whole splits' traces alive at once and
+    the min-Euclid score taken over the full (N, C, D) difference block."""
     (Xi, yi), (Xo, _) = dataset.test_id, dataset.test_ood
     tr_id, tr_ood = nn.forward(params, Xi), nn.forward(params, Xo)
     acc = accuracy(tr_id.probs, yi)
@@ -135,13 +136,38 @@ def reference_eval(params, table, dataset, step):
     return rows
 
 
+@pytest.fixture(scope="module")
+def tiny_big_split():
+    """TINY with 2,400-row test splits, which evaluation scores in two blocks."""
+    return trainer.train(TrainingConfig(**{**TINY, "samples_per_class": 600}))
+
+
 class TestEvaluateCheckpoint:
-    def test_rows_equal_a_reference_holding_both_traces(self, tiny_result):
-        state = tiny_result
-        dataset = generate(state.config.dataset_spec())
-        for params in (state.params, state.ema_params):
-            got = trainer.evaluate_checkpoint(params, state.table, state.step, dataset)
-            assert repr(got) == repr(reference_eval(params, state.table, dataset, state.step))
+    def test_rows_equal_a_reference_holding_both_traces(self, tiny_result, tiny_big_split):
+        # one block per split, then two
+        for state in (tiny_result, tiny_big_split):
+            dataset = generate(state.config.dataset_spec())
+            for params in (state.params, state.ema_params):
+                got = trainer.evaluate_checkpoint(params, state.table, state.step, dataset)
+                assert repr(got) == repr(reference_eval(params, state.table, dataset, state.step))
+
+    @pytest.mark.parametrize("samples_per_class", [20, 600, 1100])
+    def test_splits_are_forwarded_in_blocks(self, tiny_result, samples_per_class, monkeypatch):
+        rows, real = [], nn.forward
+        monkeypatch.setattr(nn, "forward", lambda params, X: rows.append(len(X)) or real(params, X))
+        cfg = TrainingConfig(**{**TINY, "samples_per_class": samples_per_class})
+        dataset = generate(cfg.dataset_spec())
+        trainer.evaluate_checkpoint(tiny_result.ema_params, tiny_result.table, 0, dataset)
+        for n in (len(dataset.test_id[0]), len(dataset.test_ood[0])):
+            split = []
+            while sum(split) < n:
+                split.append(rows.pop(0))
+            assert sum(split) == n
+            if n < 2 * trainer.EVAL_BLOCK:
+                assert split == [n]
+            else:
+                assert all(trainer.EVAL_BLOCK <= r < 2 * trainer.EVAL_BLOCK for r in split)
+        assert rows == []
 
     def test_peak_memory_is_one_split_of_layer_outputs(self):
         # the wide_mlp benchmark shapes; numpy reports its buffers to
@@ -155,15 +181,16 @@ class TestEvaluateCheckpoint:
         table = subspace.ClassMeanTable(means=rng.normal(size=(C, D)),
                                         initialized=np.ones(C, dtype=bool))
         n_test = len(dataset.test_id[0])
-        assert len(dataset.test_ood[0]) == n_test
-        layer_bytes = n_test * (sum(hidden) + D) * 8
+        assert len(dataset.test_ood[0]) == n_test == 3200  # three blocks
+        # the layers of the largest block that a split can be cut into
+        layer_bytes = (2 * trainer.EVAL_BLOCK - 1) * (sum(hidden) + D) * 8
         tracemalloc.start()
         try:
             trainer.evaluate_checkpoint(params, table, 0, dataset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * layer_bytes, f"peak {peak / layer_bytes:.2f}x one split's layers"
+        assert peak <= layer_bytes, f"peak {peak / layer_bytes:.2f}x one block's layers"
 
 
 class TestSweepAblate:
@@ -577,8 +604,16 @@ def _json_edit(edit):
     return apply
 
 
-def _transpose(obj):
-    obj["means"] = [list(col) for col in zip(*obj["means"])]
+def _bytes_edit(key: str, edit):
+    """A checkpoint edit of the float64 bytes stored as base64 under ``key``."""
+    def apply(obj):
+        obj[key] = base64.b64encode(edit(base64.b64decode(obj[key]))).decode("ascii")
+    return _json_edit(apply)
+
+
+def _means_edit(edit):
+    """An edit of the class means as 4 rows of 8 floats (TINY)."""
+    return _bytes_edit("means", lambda raw: edit(np.frombuffer(raw, "<f8").reshape(4, 8)).tobytes())
 
 
 def _perm_edit(edit):
@@ -600,11 +635,10 @@ _CHECKPOINT_EDITS = {
     "initialized_one_short": _json_edit(lambda obj: obj["initialized"].pop()),
     "no_class_initialized": _json_edit(
         lambda obj: obj.update(initialized=[False] * len(obj["initialized"]))),
-    "means_rows_one_column_short": _json_edit(
-        lambda obj: [row.pop() for row in obj["means"]]),
-    "means_one_row_one_column_short": _json_edit(lambda obj: obj["means"][0].pop()),
-    "means_fewer_classes_than_arch": _json_edit(lambda obj: obj["means"].pop()),
-    "means_narrower_than_arch": _json_edit(_transpose),  # 8 rows of 4
+    "means_rows_one_column_short": _means_edit(lambda rows: rows[:, :-1]),
+    "means_one_row_one_column_short": _bytes_edit("means", lambda raw: raw[:-8]),
+    "means_fewer_classes_than_arch": _means_edit(lambda rows: rows[:-1]),  # one row short
+    "means_narrower_than_arch": _means_edit(lambda rows: rows[:, :4]),  # 4 rows of 4
     "pos_not_an_int": _json_edit(lambda obj: obj["labeled"].update(pos="x")),
     "pos_past_the_end": _json_edit(lambda obj: obj["labeled"].update(pos=21)),
     "perm_one_short": _perm_edit(lambda perm: perm.pop()),
@@ -614,16 +648,28 @@ _CHECKPOINT_EDITS = {
     "perm_holds_float": _retype(2, 2.0),
     "mask_rng_of_another_bit_generator": _json_edit(
         lambda obj: obj["mask_rng"].update(bit_generator="MT19937")),
+    # numpy's setter would truncate the float and take the bool
+    "mask_rng_state_is_float": _json_edit(lambda obj: obj["mask_rng"]["state"].update(state=1.5)),
+    "aug_rng_has_uint32_is_bool": _json_edit(lambda obj: obj["aug_rng"].update(has_uint32=True)),
     "order_rng_not_a_dict": _json_edit(lambda obj: obj.update(order_rng=[1, 2])),
     "threshold_not_a_number": _json_edit(lambda obj: obj.update(threshold="0.5")),
-    "theta_not_a_list": _json_edit(lambda obj: obj.update(theta={})),
-    "velocity_not_numbers": _json_edit(lambda obj: obj["velocity"].__setitem__(0, "abc")),
     "key_missing": _json_edit(lambda obj: obj.pop("velocity")),
-    "theta_holds_null": _json_edit(lambda obj: obj["theta"].__setitem__(0, None)),
-    "means_holds_string": _json_edit(lambda obj: obj["means"][0].__setitem__(0, "2.5")),
-    "velocity_holds_bool": _json_edit(lambda obj: obj["velocity"].__setitem__(0, True)),
     "alpha_id_is_nan": _json_edit(lambda obj: obj["beta"].update(alpha_id=float("nan"))),
-    "theta_holds_huge_int": _json_edit(lambda obj: obj["theta"].__setitem__(0, 10**400)),
+    # a float array is a base64 string of exactly 8 bytes per value
+    "theta_not_a_list": _json_edit(lambda obj: obj.update(theta={})),
+    "velocity_not_numbers": _json_edit(lambda obj: obj.update(velocity=["abc"])),
+    "theta_holds_null": _json_edit(lambda obj: obj.update(theta=None)),
+    "velocity_holds_bool": _json_edit(lambda obj: obj.update(velocity=True)),
+    "theta_holds_huge_int": _json_edit(lambda obj: obj.update(theta=10**400)),
+    "theta_holds_float_list": _json_edit(  # the v3 form
+        lambda obj: obj.update(theta=np.frombuffer(base64.b64decode(obj["theta"])).tolist())),
+    "means_holds_string": _json_edit(lambda obj: obj.update(means="2.5")),  # decimal text
+    "ema_outside_the_alphabet": _json_edit(
+        lambda obj: obj.update(ema=obj["ema"][:40] + "*" + obj["ema"][41:])),
+    "means_broken_padding": _json_edit(lambda obj: obj.update(means=obj["means"][:-1])),
+    "velocity_bytes_not_a_multiple_of_8": _bytes_edit("velocity", lambda raw: raw[:-1]),
+    "theta_one_value_short": _bytes_edit("theta", lambda raw: raw[:-8]),
+    "version_3": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v3")),
 }
 
 # edits of the run dir's other files: (file, text edit or None to delete it, file named)
