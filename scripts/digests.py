@@ -57,9 +57,10 @@ CHILD_FAILED = "child-failed"
 TINY_CASES = {
     "tiny": [["train", *flags(TINY)], ["emit-plot-data", *flags(TINY)]],
     "tiny_eval": [["train", *flags(TINY)], ["eval", *flags(TINY)]],
-    # 2,400-row test splits: evaluation scores each one in two blocks
+    # 2,400-row test splits: evaluation and the plot histogram score each one
+    # in two blocks
     "tiny_big_split": [[command, *flags({**TINY, "samples_per_class": 600})]
-                       for command in ("train", "eval")],
+                       for command in ("train", "eval", "emit-plot-data")],
     "tiny_sweep": [["sweep", "--axis", "seed", "--values", "3,4", *flags(TINY)]],
     **{f"tiny_ablate_Kp{k_p}": [["ablate", *flags({**TINY, "K_p": k_p})]]
        for k_p in (0, 20, 25, 60)},

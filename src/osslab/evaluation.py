@@ -16,36 +16,24 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
 
 
-def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``, tied values sharing their mean rank (the
-    "average" method of ``scipy.stats.rankdata``). Every rank is a
-    half-integer, so it is exact in float64. Any NaN makes every rank NaN."""
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        return np.full(x.size, np.nan)
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    new_group = np.r_[True, xs[1:] != xs[:-1]]
-    dense = np.cumsum(new_group)                          # 1-based tie group per sorted slot
-    start = np.r_[np.flatnonzero(new_group), x.size]      # first slot of each group, then the end
-    ranks = np.empty(x.size)
-    ranks[order] = 0.5 * (start[dense] + start[dense - 1] + 1)
-    return ranks
-
-
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """P(random ID score > random OOD score), ties worth 1/2.
 
-    Mann-Whitney rank form; agrees exactly with the O(n*m) pairwise
-    computation, including on ties.
+    Binary searches in the sorted OOD scores count, for each ID score, the
+    OOD scores below it and those at or below it; half their sum is its wins
+    plus half its ties. Every count is an integer, so the result agrees
+    exactly with the O(n*m) pairwise computation, ties included. Any NaN
+    gives NaN.
     """
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    id_scores = np.sort(np.asarray(id_scores, dtype=float))
+    ood_scores = np.sort(np.asarray(ood_scores, dtype=float))
     n, m = id_scores.size, ood_scores.size
     if n == 0 or m == 0:
         raise ValueError("both score lists must be nonempty")
-    ranks = average_ranks(np.concatenate([id_scores, ood_scores]))
-    u = ranks[:n].sum() - n * (n + 1) / 2.0
+    if np.isnan(id_scores[-1]) or np.isnan(ood_scores[-1]):  # sorting puts NaN last
+        return float("nan")
+    u = (np.searchsorted(ood_scores, id_scores, "left").sum()
+         + np.searchsorted(ood_scores, id_scores, "right").sum()) / 2.0
     return float(u / (n * m))
 
 

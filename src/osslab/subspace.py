@@ -30,9 +30,6 @@ class ScoreKind(enum.Enum):
     MAX_LOGIT = "max_logit"
 
 
-LOGIT_SCORES = (ScoreKind.MSP, ScoreKind.ENERGY, ScoreKind.MAX_LOGIT)
-
-
 @dataclass
 class ClassMeanTable:
     means: np.ndarray        # (C, D)
@@ -92,6 +89,18 @@ def compute_basis(table: ClassMeanTable) -> IdSubspaceBasis:
     return IdSubspaceBasis(Q=Q[:, keep])
 
 
+def _angle_scores(U: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(scores, ||u||, ||z||)`` for rows ``u = Q^T z`` of ``U`` and ``z`` of ``Z``.
+
+    The score is ||u|| / ||z||, clamped to [0, 1]; zero-norm rows score 0.
+    """
+    u_norm = np.linalg.norm(U, axis=1)
+    z_norm = np.linalg.norm(Z, axis=1)
+    # roundoff can push ||Q^T z|| a few ulp above ||z|| for in-span vectors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0), u_norm, z_norm
+
+
 def subspace_scores(Z: np.ndarray, basis: IdSubspaceBasis) -> np.ndarray:
     """Cosine of the angle between each row of Z and the ID subspace.
 
@@ -100,11 +109,7 @@ def subspace_scores(Z: np.ndarray, basis: IdSubspaceBasis) -> np.ndarray:
     rows orthogonal to the subspace score 0.
     """
     Z = np.atleast_2d(Z)
-    u_norm = np.linalg.norm(Z @ basis.Q, axis=1)
-    z_norm = np.linalg.norm(Z, axis=1)
-    # roundoff can push ||Q^T z|| a few ulp above ||z|| for in-span vectors
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0)
+    return _angle_scores(Z @ basis.Q, Z)[0]
 
 
 def subspace_score(z: np.ndarray, basis: IdSubspaceBasis) -> float:
@@ -121,49 +126,38 @@ def subspace_score_grads(Z: np.ndarray, basis: IdSubspaceBasis) -> tuple[np.ndar
     Z = np.atleast_2d(Z)
     U = Z @ basis.Q                       # (N, r)
     proj = U @ basis.Q.T                  # (N, D)
-    u_norm = np.linalg.norm(U, axis=1)
-    z_norm = np.linalg.norm(Z, axis=1)
+    scores, u_norm, z_norm = _angle_scores(U, Z)
     ok = (z_norm > 0) & (u_norm > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0)
         grads = np.where(ok[:, None], proj / (u_norm * z_norm)[:, None]
                          - (scores / z_norm ** 2)[:, None] * Z, 0.0)
     return scores, grads
 
 
-def alt_scores(kind: ScoreKind, Z: np.ndarray | None = None,
-               logits: np.ndarray | None = None,
-               table: ClassMeanTable | None = None,
-               basis: IdSubspaceBasis | None = None) -> np.ndarray:
-    """Batch evaluation of any score variant; higher always means more ID."""
-    if kind in LOGIT_SCORES:
-        if logits is None:
-            raise ValueError(f"{kind.value} requires logits")
-        logits = np.atleast_2d(logits)
-        if kind is ScoreKind.MAX_LOGIT:
-            return logits.max(axis=1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        if kind is ScoreKind.ENERGY:
-            return lse + logits.max(axis=1)  # -E(x): the energy is higher for OOD
-        return np.exp(shifted.max(axis=1) - lse)  # MSP
+def alt_scores(Z: np.ndarray, logits: np.ndarray, table: ClassMeanTable,
+               basis: IdSubspaceBasis) -> dict[ScoreKind, np.ndarray]:
+    """Every score kind of the rows of features ``Z`` and ``logits``, in
+    ``ScoreKind`` order; higher always means more ID.
 
-    Z = np.atleast_2d(Z)
-    if kind is ScoreKind.SUBSPACE:
-        return subspace_scores(Z, basis)
-    if kind is ScoreKind.RESIDUAL_TO_SUBSPACE:
-        proj = (Z @ basis.Q) @ basis.Q.T
-        return -np.linalg.norm(Z - proj, axis=1)
+    The pieces that several kinds share (``Z Q``, ``||z||``, the initialized
+    means, the logit max and log-sum-exp) are computed once.
+    """
+    Z, logits = np.atleast_2d(Z), np.atleast_2d(logits)
+    U = Z @ basis.Q
+    angle, _, z_norm = _angle_scores(U, Z)
     means = table.means[table.initialized]
-    if kind is ScoreKind.MIN_EUCLID_TO_MEAN:
-        # a running minimum over the means keeps memory at (N, D), not (N, C, D)
-        d = np.linalg.norm(Z - means[0], axis=1)
-        for m in means[1:]:
-            np.minimum(d, np.linalg.norm(Z - m, axis=1), out=d)
-        return -d
-    if kind is ScoreKind.MAX_COSINE_TO_MEAN:
-        zn = np.linalg.norm(Z, axis=1, keepdims=True)
-        mn = np.linalg.norm(means, axis=1)
-        cos = (Z @ means.T) / np.where(zn * mn[None, :] > 0, zn * mn[None, :], 1.0)
-        return cos.max(axis=1)
-    raise ValueError(f"unknown score kind {kind!r}")
+    # a running minimum over the means keeps memory at (N, D), not (N, C, D)
+    d = np.linalg.norm(Z - means[0], axis=1)
+    for m in means[1:]:
+        np.minimum(d, np.linalg.norm(Z - m, axis=1), out=d)
+    zm = z_norm[:, None] * np.linalg.norm(means, axis=1)[None, :]
+    top = logits.max(axis=1)
+    shifted = logits - top[:, None]
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return {ScoreKind.SUBSPACE: angle,
+            ScoreKind.MIN_EUCLID_TO_MEAN: -d,
+            ScoreKind.RESIDUAL_TO_SUBSPACE: -np.linalg.norm(Z - U @ basis.Q.T, axis=1),
+            ScoreKind.MAX_COSINE_TO_MEAN: ((Z @ means.T) / np.where(zm > 0, zm, 1.0)).max(axis=1),
+            ScoreKind.MSP: np.exp(shifted.max(axis=1) - lse),
+            ScoreKind.ENERGY: lse + top,  # -E(x): the energy is higher for OOD
+            ScoreKind.MAX_LOGIT: top}

@@ -153,32 +153,39 @@ def warmup_key(config: TrainingConfig) -> tuple:
 EVAL_BLOCK = 1024
 
 
+def score_split(params: nn.MlpParams, table: subspace.ClassMeanTable,
+                basis: subspace.IdSubspaceBasis, X: np.ndarray,
+                ) -> tuple[np.ndarray, dict[ScoreKind, np.ndarray]]:
+    """``(probs, {kind: scores})`` of the rows of ``X`` under ``params``.
+
+    The rows are forwarded in blocks (``EVAL_BLOCK``), with one block's
+    forward trace alive at a time.
+    """
+    probs, scores = [], []
+    for block in np.array_split(X, max(1, len(X) // EVAL_BLOCK)):
+        tr = nn.forward(params, block)
+        probs.append(tr.probs)
+        scores.append(subspace.alt_scores(tr.z, tr.logits, table, basis))
+        del tr  # freed before the next block is forwarded
+    return np.concatenate(probs), {kind: np.concatenate([s[kind] for s in scores])
+                                   for kind in ScoreKind}
+
+
 def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable, step: int,
                         dataset: OpenSetDataset) -> list[EvalRow]:
     """Closed-set accuracy plus AUROC of ``params`` at ``step`` for every score kind.
 
     All kinds are evaluated on the same parameters, so the closed-set
-    accuracy is shared across rows. Each split is scored in row blocks
-    (``EVAL_BLOCK``), with one block's forward trace alive at a time.
+    accuracy is shared across rows.
     """
     basis = subspace.compute_basis(table)
-
-    def probs_and_scores(X: np.ndarray) -> list[np.ndarray]:
-        pieces = []
-        for block in np.array_split(X, max(1, len(X) // EVAL_BLOCK)):
-            tr = nn.forward(params, block)
-            pieces.append([tr.probs, *(subspace.alt_scores(kind, Z=tr.z, logits=tr.logits,
-                                                           table=table, basis=basis)
-                                       for kind in ScoreKind)])
-            del tr  # freed before the next block is forwarded
-        return [np.concatenate(column) for column in zip(*pieces)]
-
-    probs, *s_id = probs_and_scores(dataset.test_id[0])
+    probs, s_id = score_split(params, table, basis, dataset.test_id[0])
     acc = accuracy(probs, dataset.test_id[1])
-    _, *s_ood = probs_and_scores(dataset.test_ood[0])
+    _, s_ood = score_split(params, table, basis, dataset.test_ood[0])
     return [EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
-                    auroc=auroc(a, b), num_id=len(a), num_ood=len(b))
-            for kind, a, b in zip(ScoreKind, s_id, s_ood)]
+                    auroc=auroc(s_id[kind], s_ood[kind]), num_id=len(s_id[kind]),
+                    num_ood=len(s_ood[kind]))
+            for kind in ScoreKind]
 
 
 def train(config: TrainingConfig, run_dir: str | None = None, *,
@@ -444,7 +451,7 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
     basis = subspace.compute_basis(state.table)
     dataset = generate(state.config.dataset_spec())
     edges, id_hist, ood_hist = score_snapshot(*(
-        subspace.subspace_scores(nn.forward(state.ema_params, X).z, basis)
+        score_split(state.ema_params, state.table, basis, X)[1][ScoreKind.SUBSPACE]
         for X, _ in (dataset.test_id, dataset.test_ood)))
     _write(os.path.join(out_dir, f"hist_step{state.step}.csv"), _csv_text(
         ["bin_lo", "bin_hi", "id_count", "ood_count"],

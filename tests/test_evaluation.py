@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from osslab.betamix import BetaMixtureModel
-from osslab.evaluation import (
-    accuracy, auroc, average_ranks, beta_density_grid, score_snapshot,
-)
+from osslab.evaluation import accuracy, auroc, beta_density_grid, score_snapshot
 
 
 def pairwise_auroc(id_scores, ood_scores):
@@ -45,8 +43,12 @@ class TestAuroc:
     def test_perfectly_inverted(self):
         assert auroc(np.array([0.1, 0.2]), np.array([0.9, 0.8])) == 0.0
 
-    def test_identical_scores_give_half(self):
+    def test_identical_scores_give_half(self, rng):
         assert auroc(np.full(5, 0.3), np.full(7, 0.3)) == 0.5
+        for _ in range(20):
+            v = rng.normal()
+            assert auroc(np.full(int(rng.integers(1, 40)), v),
+                         np.full(int(rng.integers(1, 40)), v)) == 0.5
 
     def test_hand_worked_with_tie(self):
         # pairs: (0.5>0.2)=1, (0.5=0.5)=0.5, (0.9>0.2)=1, (0.9>0.5)=1
@@ -66,27 +68,32 @@ class TestAuroc:
         a, b = rng.random(50), rng.random(40)
         assert auroc(a, b) == auroc(np.exp(3 * a), np.exp(3 * b))
 
+    @pytest.mark.parametrize("a, b, want", [(0.7, 0.2, 1.0), (0.2, 0.7, 0.0), (0.4, 0.4, 0.5)])
+    def test_one_row_on_each_side(self, a, b, want):
+        assert auroc(np.array([a]), np.array([b])) == want
+
+    def test_infinite_scores(self):
+        inf = np.inf
+        a, b = np.array([inf, -inf, 0.5, inf]), np.array([-inf, inf, 0.5, 0.1])
+        assert auroc(a, b) == pairwise_auroc(a, b) == 10.0 / 16
+        assert auroc(np.array([inf]), np.array([-inf])) == 1.0
+        assert auroc(np.full(3, -inf), np.full(2, -inf)) == 0.5
+
+    def test_heavy_ties_match_pairwise_oracle_exactly(self, rng):
+        for _ in range(200):
+            # two or three distinct values, so almost every pair ties or inverts
+            levels = rng.normal(size=int(rng.integers(1, 4)))
+            a = levels[rng.integers(0, levels.size, size=int(rng.integers(1, 60)))]
+            b = levels[rng.integers(0, levels.size, size=int(rng.integers(1, 60)))]
+            assert auroc(a, b) == pairwise_auroc(a, b)
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(auroc(np.array([0.9, np.nan]), np.array([0.1, 0.2])))
+        assert np.isnan(auroc(np.array([0.9, 0.8]), np.array([np.nan])))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auroc(np.array([]), np.array([0.5]))
-
-
-class TestAverageRanks:
-    def test_equals_scipy_rankdata_with_heavy_ties(self, rng):
-        from scipy.stats import rankdata
-        for _ in range(200):
-            n = int(rng.integers(0, 80))
-            x = rng.integers(0, rng.integers(1, 8), size=n).astype(float)
-            if rng.random() < 0.25:
-                x = rng.normal(size=n)
-            got, want = average_ranks(x), rankdata(x)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-    def test_nan_gives_nan(self):
-        assert np.isnan(average_ranks(np.array([0.3, np.nan, 0.1]))).all()
-        assert np.isnan(auroc(np.array([0.9, np.nan]), np.array([0.1, 0.2])))
-        assert np.isnan(auroc(np.array([0.9, 0.8]), np.array([np.nan])))
 
 
 class TestSnapshots:

@@ -20,6 +20,8 @@ from osslab.rng import stream
 from osslab.serialize import save_checkpoint
 from osslab.subspace import ScoreKind
 
+from test_subspace import per_kind_scores
+
 
 TINY = dict(input_dim=12, num_id_classes=4, num_ood_clusters=4,
             samples_per_class=20, labeled_per_class=5, hidden=(16,),
@@ -117,23 +119,16 @@ class TestTrain:
 
 def reference_eval(params, table, dataset, step):
     """Evaluation as it was with both whole splits' traces alive at once and
-    the min-Euclid score taken over the full (N, C, D) difference block."""
+    each score kind computed from its own formula (``per_kind_scores``)."""
     (Xi, yi), (Xo, _) = dataset.test_id, dataset.test_ood
     tr_id, tr_ood = nn.forward(params, Xi), nn.forward(params, Xo)
     acc = accuracy(tr_id.probs, yi)
     basis = subspace.compute_basis(table)
-    means = table.means[table.initialized]
-    rows = []
-    for kind in ScoreKind:
-        s_id, s_ood = (
-            -np.linalg.norm(tr.z[:, None, :] - means[None], axis=2).min(axis=1)
-            if kind is ScoreKind.MIN_EUCLID_TO_MEAN else
-            subspace.alt_scores(kind, Z=tr.z, logits=tr.logits, table=table, basis=basis)
-            for tr in (tr_id, tr_ood))
-        rows.append(trainer.EvalRow(step=step, score_kind=kind.value,
-                                    closed_set_accuracy=acc, auroc=auroc(s_id, s_ood),
-                                    num_id=len(s_id), num_ood=len(s_ood)))
-    return rows
+    s_id, s_ood = (per_kind_scores(tr.z, tr.logits, table, basis) for tr in (tr_id, tr_ood))
+    return [trainer.EvalRow(step=step, score_kind=kind.value, closed_set_accuracy=acc,
+                            auroc=auroc(s_id[kind], s_ood[kind]), num_id=len(s_id[kind]),
+                            num_ood=len(s_ood[kind]))
+            for kind in ScoreKind]
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +484,22 @@ class TestPlotData:
         assert header == ["bin_lo", "bin_hi", "id_count", "ood_count"]
         assert sum(int(r[2]) for r in rows) == 80
         assert sum(int(r[3]) for r in rows) == 80
+
+    def test_splits_are_forwarded_in_blocks(self, tiny_big_split, tmp_path, monkeypatch):
+        run_dir = str(tmp_path / "run")
+        trainer.write_run_outputs(tiny_big_split, run_dir)
+        rows, real = [], nn.forward
+        monkeypatch.setattr(nn, "forward", lambda params, X: rows.append(len(X)) or real(params, X))
+        trainer.emit_plot_data(run_dir, str(tmp_path / "plots"))
+        dataset = generate(tiny_big_split.config.dataset_spec())
+        assert all(trainer.EVAL_BLOCK <= r < 2 * trainer.EVAL_BLOCK for r in rows)
+        for n in (len(dataset.test_id[0]), len(dataset.test_ood[0])):
+            assert n == 2400
+            split = []
+            while sum(split) < n:
+                split.append(rows.pop(0))
+            assert sum(split) == n
+        assert rows == []
 
     @pytest.mark.parametrize("command", ["eval", "emit-plot-data"])
     def test_missing_run_dir_is_an_error(self, tmp_path, capsys, command):

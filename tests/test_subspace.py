@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from osslab import subspace
 from osslab.subspace import (
-    LOGIT_SCORES, ClassMeanTable, ScoreKind, SubspaceUndefinedError, alt_scores, compute_basis,
+    ClassMeanTable, ScoreKind, SubspaceUndefinedError, alt_scores, compute_basis,
     subspace_score, subspace_score_grads, subspace_scores, update_class_means,
 )
 
@@ -205,14 +205,72 @@ class TestScoreGradients:
         assert np.array_equal(grads, np.zeros((1, 3)))
 
 
+LOGIT_SCORES = (ScoreKind.MSP, ScoreKind.ENERGY, ScoreKind.MAX_LOGIT)
+
+
+def per_kind_scores(Z, logits, table, basis):
+    """Each score kind from its own formula, sharing nothing with another
+    kind; the min-Euclid score takes the full (N, C, D) difference block."""
+    u_norm = np.linalg.norm(Z @ basis.Q, axis=1)
+    z_norm = np.linalg.norm(Z, axis=1)
+    means = table.means[table.initialized]
+    zn = np.linalg.norm(Z, axis=1, keepdims=True)
+    mn = np.linalg.norm(means, axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        subspace_s = np.where(z_norm > 0, np.minimum(u_norm / z_norm, 1.0), 0.0)
+    return {
+        ScoreKind.SUBSPACE: subspace_s,
+        ScoreKind.MIN_EUCLID_TO_MEAN: -np.linalg.norm(Z[:, None, :] - means[None], axis=2).min(axis=1),
+        ScoreKind.RESIDUAL_TO_SUBSPACE: -np.linalg.norm(Z - (Z @ basis.Q) @ basis.Q.T, axis=1),
+        ScoreKind.MAX_COSINE_TO_MEAN: ((Z @ means.T) / np.where(zn * mn[None, :] > 0,
+                                                                zn * mn[None, :], 1.0)).max(axis=1),
+        ScoreKind.MSP: np.exp(shifted.max(axis=1) - np.log(np.exp(shifted).sum(axis=1))),
+        ScoreKind.ENERGY: np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1),
+        ScoreKind.MAX_LOGIT: logits.max(axis=1),
+    }
+
+
+def some_scores(Z=None, logits=None, table=None, basis=None, num_classes=3, dim=4):
+    """``alt_scores`` with random stand-ins for the inputs a test leaves out."""
+    r = np.random.default_rng(7)
+    Z = r.normal(size=(1, dim)) if Z is None else np.atleast_2d(Z)
+    logits = np.zeros((len(Z), num_classes)) if logits is None else logits
+    table = table_from_means(r.normal(size=(num_classes, Z.shape[1]))) if table is None else table
+    basis = compute_basis(table) if basis is None else basis
+    return alt_scores(Z, logits, table, basis)
+
+
 class TestAltScores:
+    def test_every_kind_in_order(self):
+        assert list(some_scores()) == list(ScoreKind)
+
+    @pytest.mark.parametrize("n, c, d", [(1, 1, 1), (40, 5, 6), (100, 16, 64), (30, 7, 200)])
+    def test_equals_per_kind_formulas_bit_for_bit(self, rng, n, c, d):
+        means = rng.normal(size=(c + 2, d)) * 10.0
+        initialized = np.ones(c + 2, dtype=bool)
+        initialized[[0, -1]] = False  # uninitialized rows are skipped
+        table = ClassMeanTable(means=means, initialized=initialized)
+        basis = compute_basis(table)
+        Z = rng.normal(size=(n + 3, d)) * 10.0
+        Z[0] = 0.0                                      # a zero row
+        Z[1] = basis.Q @ rng.normal(size=basis.rank)    # in the span
+        Z[2] -= basis.Q @ (basis.Q.T @ Z[2])            # orthogonal to the span
+        logits = rng.normal(size=(n + 3, c)) * 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero row divides by 0 silently
+            got = alt_scores(Z, logits, table, basis)
+        want = per_kind_scores(Z, logits, table, basis)
+        for kind in ScoreKind:
+            assert got[kind].tobytes() == want[kind].tobytes(), kind
+
     def test_msp_uniform_logits(self):
-        s = alt_scores(ScoreKind.MSP, logits=np.zeros((1, 5)))
+        s = some_scores(logits=np.zeros((1, 5)), num_classes=5)[ScoreKind.MSP]
         assert s[0] == pytest.approx(0.2)
 
     def test_energy_hand_value(self):
         # the score is -E(x) = logsumexp(logits)
-        s = alt_scores(ScoreKind.ENERGY, logits=np.array([[0.0, 0.0]]))
+        s = some_scores(logits=np.array([[0.0, 0.0]]), num_classes=2)[ScoreKind.ENERGY]
         assert s[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("kind", LOGIT_SCORES)
@@ -222,19 +280,18 @@ class TestAltScores:
         t = np.linspace(0.0, 40.0, 401)
         logits = np.zeros((t.size, num_classes))
         logits[:, 0] = t
-        s = alt_scores(kind, logits=logits)
+        s = some_scores(Z=np.ones((t.size, 4)), logits=logits, num_classes=num_classes)[kind]
         assert np.all(np.diff(s) >= 0.0)
         assert s[-1] > s[0]
 
     def test_max_logit(self, rng):
         logits = rng.normal(size=(7, 4))
-        assert np.array_equal(alt_scores(ScoreKind.MAX_LOGIT, logits=logits),
-                              logits.max(axis=1))
+        s = some_scores(Z=np.ones((7, 4)), logits=logits, num_classes=4)[ScoreKind.MAX_LOGIT]
+        assert np.array_equal(s, logits.max(axis=1))
 
     def test_min_euclid_at_mean_is_maximal_zero(self, rng):
         table = table_from_means(rng.normal(size=(3, 4)))
-        s = alt_scores(ScoreKind.MIN_EUCLID_TO_MEAN, Z=table.means[1][None, :],
-                       table=table)
+        s = some_scores(Z=table.means[1], table=table)[ScoreKind.MIN_EUCLID_TO_MEAN]
         assert s[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, c, d", [(50, 1, 1), (40, 5, 1), (100, 16, 64),
@@ -250,21 +307,16 @@ class TestAltScores:
         Z[0] = means[1]
         block = Z[:, None, :] - means[initialized][None, :, :]
         ref = -np.linalg.norm(block, axis=2).min(axis=1)
-        s = alt_scores(ScoreKind.MIN_EUCLID_TO_MEAN, Z=Z, table=table)
+        s = some_scores(Z=Z, table=table, num_classes=c)[ScoreKind.MIN_EUCLID_TO_MEAN]
         assert s.tobytes() == ref.tobytes()
 
     def test_residual_in_span_is_zero(self, rng):
         basis = random_basis(rng, 5, 2)
         z = basis.Q @ rng.normal(size=2)
-        s = alt_scores(ScoreKind.RESIDUAL_TO_SUBSPACE, Z=z[None, :], basis=basis)
+        s = some_scores(Z=z, basis=basis, dim=5)[ScoreKind.RESIDUAL_TO_SUBSPACE]
         assert s[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_cosine_at_mean_is_one(self, rng):
         table = table_from_means(rng.normal(size=(3, 4)))
-        s = alt_scores(ScoreKind.MAX_COSINE_TO_MEAN, Z=2.0 * table.means[0][None, :],
-                       table=table)
+        s = some_scores(Z=2.0 * table.means[0], table=table)[ScoreKind.MAX_COSINE_TO_MEAN]
         assert s[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_logit_score_without_logits_raises(self):
-        with pytest.raises(ValueError):
-            alt_scores(ScoreKind.ENERGY, Z=np.ones((1, 3)))
