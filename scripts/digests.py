@@ -71,6 +71,11 @@ TINY_CASES = {
 
 SHORT = ["--K", "300", "--K_p", "100"]
 
+# one out-of-range value per range check of TrainingConfig's loss weights,
+# schedule and augmentation; each train exits 1 before it writes anything
+REJECTED = {"p_drop": 1.5, "eta0": "nan", "K_p": 61, "gamma": 0, "w_semi": -1,
+            "w_self": "nan", "w_sub": -1, "w_reg": "inf", "tau": 0}
+
 
 def all_cases() -> dict:
     return {**TINY_CASES, **workload_cases(),
@@ -84,7 +89,9 @@ def all_cases() -> dict:
             "short_no_self_no_sub": [["train", *SHORT, "--w_self", "0", "--w_sub", "0"]],
             "short_epsilon0": [["train", *SHORT, "--epsilon", "0"]],
             "short_relu": [["train", *SHORT, "--activation", "relu"]],
-            "readme_ablate": [["ablate", "--K", "2000", "--K_p", "1000"]]}
+            "readme_ablate": [["ablate", "--K", "2000", "--K_p", "1000"]],
+            "config_rejections": [["train", *flags({**TINY, key: value})]
+                                  for key, value in REJECTED.items()]}
 
 
 def run_commands(out_dir: str, commands: list[list[str]]) -> None:

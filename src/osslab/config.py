@@ -10,9 +10,8 @@ import numpy as np
 
 from . import nn, optim, subspace
 from .betamix import BetaMixtureModel
-from .data import AugmentConfig, DatasetSpec
+from .data import DatasetSpec
 from .decide import DecisionRule, RuleKind
-from .losses import LossWeights
 
 
 @dataclass
@@ -53,7 +52,7 @@ class TrainingConfig:
     ema_momentum: float = 0.999
     decision_rule: str = "sampled_mask"
     otsu_momentum: float = 0.999
-    # augmentation (noise sigmas derived from cluster_spread)
+    # augmentation (noise sigmas derived from cluster_spread in data.batches)
     p_drop: float = 0.2
     # bookkeeping
     eval_every: int = 1000
@@ -67,9 +66,23 @@ class TrainingConfig:
         if self.B > spec.n_labeled or self.mu * self.B > spec.n_unlabeled:
             raise ValueError(f"B and mu * B must fit the pools of {spec.n_labeled} labeled "
                              f"and {spec.n_unlabeled} unlabeled rows")
-        self.augment_config()
-        self.schedule()
-        self.loss_weights()
+        # NaN fails each range check below
+        if not (0.0 <= self.p_drop <= 1.0):
+            raise ValueError("p_drop must be in [0, 1]")
+        if not 0.0 < self.eta0 < np.inf:
+            raise ValueError("eta0 must be positive and finite")
+        # K_p == K is allowed: a pure warm-up run never leaves the
+        # constant branch.
+        if not (0 <= self.K_p <= self.K):
+            raise ValueError("need 0 <= K_p <= K")
+        if not (0.0 < self.gamma <= 1.0):
+            raise ValueError("gamma must be in (0, 1]")
+        for name in ("w_semi", "w_self", "w_sub", "w_reg"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be a nonnegative finite real")
+        if not (0.0 < self.tau <= 1.0):
+            raise ValueError("tau must be in (0, 1]")
         self.beta_model()
         self.decision()
         self.mean_table()
@@ -85,16 +98,6 @@ class TrainingConfig:
             labeled_per_class=self.labeled_per_class,
             ood_fraction=self.ood_fraction, cluster_spread=self.cluster_spread,
             cluster_separation=self.cluster_separation, seed=self.seed)
-
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig.from_spread(self.cluster_spread, self.p_drop)
-
-    def schedule(self) -> optim.Schedule:
-        return optim.Schedule(eta0=self.eta0, K=self.K, K_p=self.K_p, gamma=self.gamma)
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(w_semi=self.w_semi, w_self=self.w_self, w_sub=self.w_sub,
-                           w_reg=self.w_reg, tau=self.tau)
 
     def resolved_pi(self) -> float:
         return 1.0 - self.ood_fraction if self.pi is None else self.pi

@@ -172,22 +172,6 @@ def strong_augment(x: np.ndarray, rng: np.random.Generator, sigma: float,
 
 
 @dataclass
-class AugmentConfig:
-    sigma_weak: float
-    sigma_strong: float
-    p_drop: float = 0.2
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_drop <= 1.0):
-            raise ValueError("p_drop must be in [0, 1]")
-
-    @classmethod
-    def from_spread(cls, cluster_spread: float, p_drop: float = 0.2) -> "AugmentConfig":
-        return cls(sigma_weak=0.1 * cluster_spread,
-                   sigma_strong=0.5 * cluster_spread, p_drop=p_drop)
-
-
-@dataclass
 class _Shuffle:
     """One pool's current permutation and the next position in it; the first
     permutation is drawn when the first batch needs rows."""
@@ -221,27 +205,28 @@ class BatchCursor:
         return cls(stream(seed, "batch"), stream(seed, "augment"))
 
 
-def batches(dataset: OpenSetDataset, B: int, mu: int, augment: AugmentConfig,
-            cursor: BatchCursor) -> Iterator[BatchPair]:
+def batches(dataset: OpenSetDataset, config, cursor: BatchCursor) -> Iterator[BatchPair]:
     """Infinite stream of (labeled, unlabeled) batches with augmented views.
 
-    Each epoch is a fresh shuffle of the pool; batches run through the
-    permutation so every sample appears exactly once per epoch (across
-    epochs samples repeat). The stream starts where ``cursor`` stands
-    (``BatchCursor.start(seed)`` for a fresh one), and each batch advances it
-    in place.
+    ``config`` gives the batch sizes ``B`` and ``mu * B``, the dropout rate
+    ``p_drop``, and ``cluster_spread``, which scales the noise: weak views
+    get 0.1 times it, strong views 0.5 times. Each epoch is a fresh shuffle of
+    the pool; batches run through the permutation so every sample appears
+    exactly once per epoch (across epochs samples repeat). The stream starts
+    where ``cursor`` stands (``BatchCursor.start(seed)`` for a fresh one), and
+    each batch advances it in place.
     """
     Xl, yl = dataset.labeled
     Xu, _ = dataset.unlabeled
-    if B > len(Xl) or mu * B > len(Xu):
-        raise ValueError("batch size exceeds pool size")
+    B, n_u, p_drop = config.B, config.mu * config.B, config.p_drop
+    sigma_weak, sigma_strong = 0.1 * config.cluster_spread, 0.5 * config.cluster_spread
     order_rng, aug_rng = cursor.order_rng, cursor.aug_rng
 
     while True:
         li = cursor.labeled.take(len(Xl), B, order_rng)
-        xu = Xu[cursor.unlabeled.take(len(Xu), mu * B, order_rng)]
-        lw = weak_augment(Xl[li], aug_rng, augment.sigma_weak)
-        uw = weak_augment(xu, aug_rng, augment.sigma_weak)
-        us = strong_augment(xu, aug_rng, augment.sigma_strong, augment.p_drop)
+        xu = Xu[cursor.unlabeled.take(len(Xu), n_u, order_rng)]
+        lw = weak_augment(Xl[li], aug_rng, sigma_weak)
+        uw = weak_augment(xu, aug_rng, sigma_weak)
+        us = strong_augment(xu, aug_rng, sigma_strong, p_drop)
         yield BatchPair(labeled_weak=lw, labels=yl[li],
                         unlabeled_weak=uw, unlabeled_strong=us)

@@ -8,30 +8,11 @@ the subspace basis) is treated as constant by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # trainer calls the gradient kernel through this module, so the binding
 # stays here as an explicit re-export
 from .subspace import subspace_score_grads as subspace_score_grads
-
-
-@dataclass
-class LossWeights:
-    w_semi: float = 1.0
-    w_self: float = 1.0
-    w_sub: float = 1.0
-    w_reg: float = 5e-4
-    tau: float = 0.95
-
-    def __post_init__(self):
-        for name in ("w_semi", "w_self", "w_sub", "w_reg"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be a nonnegative finite real")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must be in (0, 1]")
 
 
 def loss_sup(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -104,8 +85,8 @@ def loss_reg(theta: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def total_loss(sup: float, semi: float, self_sup: float, sub: float, reg: float,
-               weights: LossWeights) -> float:
-    """Weighted sum of the terms. During warm-up the trainer passes
-    ``semi = sub = 0.0``, so those terms add nothing."""
-    return (sup + weights.w_semi * semi + weights.w_self * self_sup
-            + weights.w_sub * sub + weights.w_reg * reg)
+               config) -> float:
+    """Sum of the terms weighted by ``config.w_*``. During warm-up the trainer
+    passes ``semi = sub = 0.0``, so those terms add nothing."""
+    return (sup + config.w_semi * semi + config.w_self * self_sup
+            + config.w_sub * sub + config.w_reg * reg)

@@ -15,34 +15,17 @@ import numpy as np
 from .nn import NumericalError
 
 
-@dataclass(frozen=True)
-class Schedule:
-    eta0: float
-    K: int
-    K_p: int
-    gamma: float = 5.0 / 8.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta0 < np.inf:  # NaN fails too
-            raise ValueError("eta0 must be positive and finite")
-        # K_p == K is allowed: a pure warm-up run never leaves the
-        # constant branch.
-        if not (0 <= self.K_p <= self.K):
-            raise ValueError("need 0 <= K_p <= K")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must be in (0, 1]")
-
-
-def lr(schedule: Schedule, k: int) -> float:
-    """Constant eta0 during warm-up, cosine decay afterwards."""
-    if not (0 <= k <= schedule.K):
-        raise ValueError(f"step {k} outside [0, {schedule.K}]")
-    if k < schedule.K_p:
-        return schedule.eta0
-    if schedule.K == schedule.K_p:
+def lr(config, k: int) -> float:
+    """Constant ``config.eta0`` during the ``K_p`` warm-up steps, cosine decay
+    afterwards."""
+    if not (0 <= k <= config.K):
+        raise ValueError(f"step {k} outside [0, {config.K}]")
+    if k < config.K_p:
+        return config.eta0
+    if config.K == config.K_p:
         raise ValueError("cosine branch undefined for a pure warm-up schedule")
-    frac = (k - schedule.K_p) / (schedule.K - schedule.K_p)
-    return schedule.eta0 * float(np.cos(schedule.gamma * np.pi * frac / 2.0))
+    frac = (k - config.K_p) / (config.K - config.K_p)
+    return config.eta0 * float(np.cos(config.gamma * np.pi * frac / 2.0))
 
 
 @dataclass

@@ -112,10 +112,6 @@ def subspace_scores(Z: np.ndarray, basis: IdSubspaceBasis) -> np.ndarray:
     return _angle_scores(Z @ basis.Q, Z)[0]
 
 
-def subspace_score(z: np.ndarray, basis: IdSubspaceBasis) -> float:
-    return float(subspace_scores(z[None, :], basis)[0])
-
-
 def subspace_score_grads(Z: np.ndarray, basis: IdSubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
     """Scores and their gradients w.r.t. each feature row.
 

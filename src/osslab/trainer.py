@@ -200,8 +200,6 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     the inputs. Otherwise the run stores its own entry there. Either way the
     result equals ``train(config)``'s.
     """
-    schedule = config.schedule()
-    weights = config.loss_weights()
     dataset = generate(config.dataset_spec())
 
     warm = None if warmups is None else warmups.get(key := warmup_key(config))
@@ -218,7 +216,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             rec.mask_hash = decision.hash()
     params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
     grads = params.zeros_like()
-    batch_iter = batches(dataset, config.B, config.mu, config.augment_config(), state.cursor)
+    batch_iter = batches(dataset, config, state.cursor)
     movers = (state.rule, state.cursor.labeled, state.cursor.unlabeled)
     rngs = (state.mask_rng, state.cursor.order_rng, state.cursor.aug_rng)
 
@@ -241,7 +239,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
                 subspace.update_class_means(table, trace_l.z, batch.labels)
             basis, beta_model = subspace.compute_basis(table), state.beta_model
 
-            sub_on = not warmup and weights.w_sub > 0.0
+            sub_on = not warmup and config.w_sub > 0.0
             # the weak view is scored once; the gradients come along only when
             # the subspace loss will use them
             scores_u, d_scores_u = (losses.subspace_score_grads(trace_w.z, basis) if sub_on
@@ -262,27 +260,27 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             nn.backward(params, trace_l, grads, d_logits=d_logits_l)
 
             self_val, d_z_strong = 0.0, None
-            if weights.w_self > 0.0:
+            if config.w_self > 0.0:
                 h_out = nn.h_forward(params, trace_s.z)
                 self_val, d_hout, _ = losses.loss_self(h_out, trace_w.z)
-                d_z_strong = nn.h_backward(params, trace_s.z, weights.w_self * d_hout, grads)
+                d_z_strong = nn.h_backward(params, trace_s.z, config.w_self * d_hout, grads)
 
             semi_val, sub_val, pseudo_count, d_logits_s = 0.0, 0.0, 0, None
-            if not warmup and weights.w_semi > 0.0:
+            if not warmup and config.w_semi > 0.0:
                 semi_val, d_ls, pseudo_count = losses.loss_semi(
-                    trace_w.probs, trace_s.log_probs, decision.semi_gate, weights.tau)
-                d_logits_s = weights.w_semi * d_ls
+                    trace_w.probs, trace_s.log_probs, decision.semi_gate, config.tau)
+                d_logits_s = config.w_semi * d_ls
             if d_z_strong is not None or d_logits_s is not None:
                 nn.backward(params, trace_s, grads, d_z=d_z_strong, d_logits=d_logits_s)
             if sub_on:
                 sub_val, d_zw = losses.loss_sub(scores_u, d_scores_u, decision.sub_weights)
-                nn.backward(params, trace_w, grads, d_z=weights.w_sub * d_zw)
+                nn.backward(params, trace_w, grads, d_z=config.w_sub * d_zw)
 
             reg_val, d_reg = losses.loss_reg(params.theta)
-            grads.theta += weights.w_reg * d_reg
-            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val, weights)
+            grads.theta += config.w_reg * d_reg
+            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val, config)
 
-            step_lr = optim.lr(schedule, k)
+            step_lr = optim.lr(config, k)
             optim.sgd_step(params.theta, grads.theta, opt_state, step_lr)
         except nn.NumericalError:
             # Nothing above changes params, velocity or the mixture before it
@@ -411,10 +409,21 @@ def _read_rows(path: str, row_type) -> list:
 
 
 def load_run(run_dir: str) -> RunState:
-    """The ``RunState`` that ``write_run_outputs`` wrote to ``run_dir``."""
+    """The ``RunState`` that ``write_run_outputs`` wrote to ``run_dir``.
+
+    Row i of ``metrics.csv`` must be step i, with at most ``K`` rows, and
+    every ``evals.csv`` step must name one of those rows (1-based).
+    """
     state = RunState.start(load_config(os.path.join(run_dir, "config.txt")))
-    state.runlog = RunLog(_read_rows(os.path.join(run_dir, "metrics.csv"), StepRecord),
-                          _read_rows(os.path.join(run_dir, "evals.csv"), EvalRow))
+    steps_path, evals_path = (os.path.join(run_dir, name) for name in ("metrics.csv", "evals.csv"))
+    state.runlog = RunLog(_read_rows(steps_path, StepRecord), _read_rows(evals_path, EvalRow))
+    n = state.step
+    if n > state.config.K or any(r.step != i for i, r in enumerate(state.runlog.steps)):
+        raise ValueError(f"{steps_path}: the rows are not steps 0, 1, ... of at most "
+                         f"K = {state.config.K} steps")
+    if any(not 1 <= e.step <= n for e in state.runlog.evals):
+        raise ValueError(f"{evals_path}: an eval step lies outside [1, {n}], "
+                         "the steps of metrics.csv")
     load_checkpoint(os.path.join(run_dir, "checkpoint.txt"), state)
     return state
 

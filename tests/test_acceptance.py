@@ -22,11 +22,11 @@ from osslab.data import generate
 from osslab.decide import sample_mask
 from osslab.evaluation import auroc
 from osslab.losses import (
-    LossWeights, loss_reg, loss_self, loss_semi, loss_sub, loss_sup,
+    loss_reg, loss_self, loss_semi, loss_sub, loss_sup,
 )
 from osslab.rng import stream
 from osslab.subspace import (
-    IdSubspaceBasis, subspace_score, subspace_score_grads, subspace_scores,
+    IdSubspaceBasis, subspace_score_grads, subspace_scores,
 )
 
 
@@ -60,7 +60,7 @@ class TestGradientSuite:
     def test_all_losses_and_composite(self):
         t0 = time.time()
         rng = np.random.default_rng(7)
-        weights = LossWeights(w_semi=1.0, w_self=0.7, w_sub=1.0, w_reg=1e-3)
+        w_semi, w_self, w_sub, w_reg = 1.0, 0.7, 1.0, 1e-3
         worst = 0.0
         for trial in range(20):
             params = nn.init_params(6, (10,), 5, 4, rng)
@@ -113,9 +113,8 @@ class TestGradientSuite:
 
             def lg_composite(p):
                 total, grad = 0.0, np.zeros(p.to_vector().size)
-                for w, lg in ((1.0, lg_sup), (weights.w_semi, lg_semi),
-                              (weights.w_self, lg_self), (weights.w_sub, lg_sub),
-                              (weights.w_reg, lg_reg)):
+                for w, lg in ((1.0, lg_sup), (w_semi, lg_semi), (w_self, lg_self),
+                              (w_sub, lg_sub), (w_reg, lg_reg)):
                     v, gv = lg(p)
                     total += w * v
                     grad += w * gv
@@ -144,18 +143,18 @@ class TestScoreProperties:
             Q, _ = np.linalg.qr(rng.normal(size=(dim, rank)))
             basis = IdSubspaceBasis(Q=Q)
             z = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 4)
-            s = subspace_score(z, basis)
+            s = subspace_scores(z[None], basis)[0]
             assert 0.0 <= s <= 1.0
-            assert subspace_score(3.7 * z, basis) == pytest.approx(s, rel=1e-12)
+            assert subspace_scores((3.7 * z)[None], basis)[0] == pytest.approx(s, rel=1e-12)
             in_span = Q @ rng.normal(size=rank)
             if np.linalg.norm(in_span) > 1e-8:
-                assert subspace_score(in_span, basis) == pytest.approx(1.0, abs=1e-10)
+                assert subspace_scores(in_span[None], basis)[0] == pytest.approx(1.0, abs=1e-10)
             if rank < dim:
                 resid = z - Q @ (Q.T @ z)
                 if np.linalg.norm(resid) > 1e-8:
-                    assert subspace_score(resid, basis) == pytest.approx(0.0, abs=1e-10)
+                    assert subspace_scores(resid[None], basis)[0] == pytest.approx(0.0, abs=1e-10)
             R, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            s_rot = subspace_score(R @ z, IdSubspaceBasis(Q=R @ Q))
+            s_rot = subspace_scores((R @ z)[None], IdSubspaceBasis(Q=R @ Q))[0]
             worst_rot = max(worst_rot, abs(s_rot - s))
         report("score properties",
                worst_rot < 1e-9,

@@ -42,9 +42,24 @@ class TestTrainingConfig:
                 TrainingConfig(**bad)
         # NaN passed the range checks: it trained on NaN, failed mid-run or
         # gated every unlabeled row OOD; infinity failed mid-run
+        nan, inf = float("nan"), float("inf")
         for key in ("epsilon", "eta0", "cluster_spread", "cluster_separation"):
-            for value in (float("nan"), float("inf")):
+            for value in (nan, inf):
                 with pytest.raises(ValueError):
+                    TrainingConfig(**{key: value})
+        # the range checks of the loss weights, the schedule and the augmentation
+        for key in ("w_semi", "w_self", "w_sub", "w_reg"):
+            for value in (-1.0, nan, inf):
+                with pytest.raises(ValueError, match=f"{key} must be a nonnegative finite real"):
+                    TrainingConfig(**{key: value})
+        for key, values, message in (
+                ("tau", (0.0, 1.5, nan), r"tau must be in \(0, 1\]"),
+                ("gamma", (0.0, 1.5, nan), r"gamma must be in \(0, 1\]"),
+                ("K_p", (-1,), "need 0 <= K_p <= K"),
+                ("eta0", (0.0, -1.0, nan), "eta0 must be positive and finite"),
+                ("p_drop", (-0.5, 1.5, nan), r"p_drop must be in \[0, 1\]")):
+            for value in values:
+                with pytest.raises(ValueError, match=message):
                     TrainingConfig(**{key: value})
         TrainingConfig(hidden=())  # a linear backbone is a network
         # batches larger than their pools: 4 x 5 labeled rows, 4 x 20 ID + 80 OOD unlabeled

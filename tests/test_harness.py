@@ -54,21 +54,20 @@ class TestTrain:
         assert steps == list(range(60))
 
     def test_warmup_phases(self, tiny_result):
-        w = tiny_result.config.loss_weights()
+        cfg = tiny_result.config
         for r in tiny_result.runlog.steps:
             if r.step < 20:
                 assert r.semi == 0.0 and r.sub == 0.0
                 assert r.pseudo_label_count == 0
                 # warm-up drops semi and sub from the total, bit for bit
-                assert r.total == r.sup + w.w_self * r.self_sup + w.w_reg * r.reg
+                assert r.total == r.sup + cfg.w_self * r.self_sup + cfg.w_reg * r.reg
             assert 0.0 <= r.mask_rate <= 1.0
             assert 0.0 <= r.mean_p_id <= 1.0
             assert np.isfinite(r.total)
 
     def test_lr_column_matches_schedule(self, tiny_result):
-        sched = tiny_result.config.schedule()
         for r in tiny_result.runlog.steps:
-            assert r.lr == lr(sched, r.step)
+            assert r.lr == lr(tiny_result.config, r.step)
 
     def test_eval_rows_at_expected_steps(self, tiny_result):
         by_step = {}
@@ -406,7 +405,7 @@ def test_a_loaded_run_dir_is_the_live_state(rule, tmp_path):
     assert_same_state(loaded, live)
     # the cursor and the mask generator continue where the live ones do
     dataset = generate(cfg.dataset_spec())
-    got, want = (next(trainer.batches(dataset, cfg.B, cfg.mu, cfg.augment_config(), s.cursor))
+    got, want = (next(trainer.batches(dataset, cfg, s.cursor))
                  for s in (loaded, live))
     for f in dataclasses.fields(got):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
@@ -683,6 +682,12 @@ _CHECKPOINT_EDITS = {
     "version_3": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v3")),
 }
 
+
+def _lines_edit(edit):
+    """A text edit that applies ``edit`` to the list of lines, header first."""
+    return lambda text: "".join(edit(text.splitlines(keepends=True)))
+
+
 # edits of the run dir's other files: (file, text edit or None to delete it, file named)
 _RUN_DIR_EDITS = {
     # a 16-wide hidden layer's theta does not fit an 8-wide one
@@ -691,6 +696,20 @@ _RUN_DIR_EDITS = {
     "metrics_missing": ("metrics.csv", None, "metrics.csv"),
     "metrics_row_unparsable": (
         "metrics.csv", lambda text: text.replace("\n0,", "\nzero,", 1), "metrics.csv"),
+    # a run log that disagrees with itself: metrics.csv row i must be step i,
+    # of at most K = 60 steps, and each eval step must name one of those rows
+    "metrics_first_row_deleted": ("metrics.csv", _lines_edit(lambda rows: rows[:1] + rows[2:]),
+                                  "metrics.csv"),
+    "metrics_rows_swapped": (
+        "metrics.csv", _lines_edit(lambda rows: [rows[0], rows[2], rows[1], *rows[3:]]),
+        "metrics.csv"),
+    "metrics_row_past_K": (  # a copy of the last row as step 60
+        "metrics.csv", _lines_edit(lambda rows: rows + ["60" + rows[-1][rows[-1].index(","):]]),
+        "metrics.csv"),
+    "metrics_last_row_deleted": ("metrics.csv", _lines_edit(lambda rows: rows[:-1]),
+                                 "evals.csv"),
+    "evals_step_past_run": (
+        "evals.csv", lambda text: text.replace("\n60,", "\n61,"), "evals.csv"),
 }
 
 
@@ -712,6 +731,8 @@ class TestCheckpointShape:
         with pytest.raises((ValueError, OSError), match=re.escape(str(run_dir / named))):
             trainer.load_run(str(run_dir))
         capsys.readouterr()
-        assert cli_main(cli_args(tmp_path, "eval")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(run_dir / named) in err
+        for command in ("eval", "emit-plot-data"):
+            assert cli_main(cli_args(tmp_path, command)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(run_dir / named) in err
+        assert not (run_dir / "plots").exists()

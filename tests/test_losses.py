@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from osslab import nn
+from osslab.config import TrainingConfig
 from osslab.losses import (
-    LossWeights, loss_reg, loss_self, loss_semi, loss_sub, loss_sup, total_loss,
+    loss_reg, loss_self, loss_semi, loss_sub, loss_sup, total_loss,
 )
 from osslab.subspace import IdSubspaceBasis, subspace_score_grads
 
@@ -233,17 +234,17 @@ class TestTotalLoss:
     def test_warmup_drops_semi_and_sub(self):
         # During warm-up the trainer passes semi = sub = 0.0, so only the
         # supervised, self-supervised and regularisation terms remain.
-        w = LossWeights(w_semi=1.0, w_self=0.5, w_sub=1.0, w_reg=0.1)
+        w = TrainingConfig(w_semi=1.0, w_self=0.5, w_sub=1.0, w_reg=0.1)
         total = total_loss(2.0, 0.0, 3.0, 0.0, 4.0, w)
         assert total == pytest.approx(2.0 + 0.5 * 3.0 + 0.1 * 4.0)
 
     def test_all_weights_zero(self):
-        w = LossWeights(w_semi=0.0, w_self=0.0, w_sub=0.0, w_reg=0.0)
+        w = TrainingConfig(w_semi=0.0, w_self=0.0, w_sub=0.0, w_reg=0.0)
         total = total_loss(1.7, 5.0, 5.0, 5.0, 5.0, w)
         assert total == pytest.approx(1.7)
 
     def test_breakdown_identity(self, rng):
-        w = LossWeights(w_semi=0.7, w_self=0.3, w_sub=1.1, w_reg=0.01)
+        w = TrainingConfig(w_semi=0.7, w_self=0.3, w_sub=1.1, w_reg=0.01)
         parts = rng.normal(size=5)
         total = total_loss(*parts, w)
         expect = (parts[0] + w.w_semi * parts[1] + w.w_self * parts[2]
@@ -252,6 +253,6 @@ class TestTotalLoss:
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            LossWeights(w_semi=-1.0)
+            TrainingConfig(w_semi=-1.0)
         with pytest.raises(ValueError):
-            LossWeights(tau=0.0)
+            TrainingConfig(tau=0.0)

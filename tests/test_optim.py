@@ -1,52 +1,53 @@
 import numpy as np
 import pytest
 
+from osslab.config import TrainingConfig
 from osslab.nn import NumericalError
-from osslab.optim import OptimizerState, Schedule, ema_update, lr, sgd_step
+from osslab.optim import OptimizerState, ema_update, lr, sgd_step
 
 
 class TestSchedule:
     def test_constant_during_warmup(self):
-        s = Schedule(eta0=0.5, K=100, K_p=20)
+        s = TrainingConfig(eta0=0.5, K=100, K_p=20)
         for k in range(20):
             assert lr(s, k) == 0.5
 
     def test_cosine_endpoints(self):
-        s = Schedule(eta0=1.0, K=100, K_p=20, gamma=0.625)
+        s = TrainingConfig(eta0=1.0, K=100, K_p=20, gamma=0.625)
         assert lr(s, 20) == pytest.approx(1.0)
         assert lr(s, 100) == pytest.approx(np.cos(0.625 * np.pi / 2))
 
     def test_hand_computed_midpoint(self):
-        s = Schedule(eta0=2.0, K=120, K_p=20, gamma=0.5)
+        s = TrainingConfig(eta0=2.0, K=120, K_p=20, gamma=0.5)
         # k = 70: progress (70-20)/(2*(120-20)) = 0.25, cos(0.5*pi*0.25)
         assert lr(s, 70) == pytest.approx(2.0 * np.cos(0.125 * np.pi))
 
     def test_monotone_nonincreasing(self):
-        s = Schedule(eta0=0.03, K=500, K_p=50)
+        s = TrainingConfig(eta0=0.03, K=500, K_p=50)
         vals = [lr(s, k) for k in range(501)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.0  # gamma < 1 keeps the final rate positive
 
     def test_out_of_range_rejected(self):
-        s = Schedule(eta0=0.1, K=10, K_p=2)
+        s = TrainingConfig(eta0=0.1, K=10, K_p=2)
         with pytest.raises(ValueError):
             lr(s, -1)
         with pytest.raises(ValueError):
             lr(s, 11)
 
     def test_pure_warmup_schedule(self):
-        s = Schedule(eta0=0.1, K=10, K_p=10)
+        s = TrainingConfig(eta0=0.1, K=10, K_p=10)
         assert lr(s, 9) == 0.1
         with pytest.raises(ValueError):
             lr(s, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Schedule(eta0=0.0, K=10, K_p=1)
+            TrainingConfig(eta0=0.0, K=10, K_p=1)
         with pytest.raises(ValueError):
-            Schedule(eta0=0.1, K=10, K_p=11)
+            TrainingConfig(eta0=0.1, K=10, K_p=11)
         with pytest.raises(ValueError):
-            Schedule(eta0=0.1, K=10, K_p=1, gamma=0.0)
+            TrainingConfig(eta0=0.1, K=10, K_p=1, gamma=0.0)
 
 
 class TestSgdStep:

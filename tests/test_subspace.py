@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from osslab import subspace
 from osslab.subspace import (
     ClassMeanTable, ScoreKind, SubspaceUndefinedError, alt_scores, compute_basis,
-    subspace_score, subspace_score_grads, subspace_scores, update_class_means,
+    subspace_score_grads, subspace_scores, update_class_means,
 )
 
 
@@ -131,17 +131,18 @@ class TestSubspaceScore:
     def test_in_span_scores_one(self, rng):
         basis = random_basis(rng, 5, 2)
         z = basis.Q @ rng.normal(size=2)
-        assert subspace_score(z, basis) == pytest.approx(1.0, abs=1e-10)
+        assert subspace_scores(z[None], basis)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_scores_zero(self):
         basis = subspace.IdSubspaceBasis(Q=np.eye(3)[:, :2])
-        assert subspace_score(np.array([0.0, 0.0, 2.0]), basis) == pytest.approx(0.0, abs=1e-10)
+        z = np.array([0.0, 0.0, 2.0])
+        assert subspace_scores(z[None], basis)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_hand_worked_projection(self):
         # span{e1, e2} in 3 dims, z = (1, 1, sqrt 2): s = 1/sqrt 2
         basis = subspace.IdSubspaceBasis(Q=np.eye(3)[:, :2])
         z = np.array([1.0, 1.0, np.sqrt(2.0)])
-        assert subspace_score(z, basis) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert subspace_scores(z[None], basis)[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_zero_vector_clamps_to_zero(self, rng):
         basis = random_basis(rng, 4, 2)
@@ -153,15 +154,15 @@ class TestSubspaceScore:
         r = np.random.default_rng(seed)
         basis = random_basis(r, 6, int(r.integers(1, 5)))
         z = r.normal(size=6) * 10.0 ** float(r.integers(-3, 4))
-        s = subspace_score(z, basis)
+        s = subspace_scores(z[None], basis)[0]
         assert 0.0 <= s <= 1.0
 
     def test_scale_invariance(self, rng):
         basis = random_basis(rng, 6, 3)
         z = rng.normal(size=6)
         for alpha in (1e-6, 0.5, 3.0, 1e6):
-            assert subspace_score(alpha * z, basis) == pytest.approx(
-                subspace_score(z, basis), rel=1e-12)
+            assert subspace_scores((alpha * z)[None], basis)[0] == pytest.approx(
+                subspace_scores(z[None], basis)[0], rel=1e-12)
 
     def test_projection_idempotent(self, rng):
         basis = random_basis(rng, 6, 3)
@@ -173,15 +174,15 @@ class TestSubspaceScore:
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = subspace.IdSubspaceBasis(Q=basis.Q @ R)
         z = rng.normal(size=6)
-        assert subspace_score(z, rotated) == pytest.approx(
-            subspace_score(z, basis), abs=1e-9)
+        assert subspace_scores(z[None], rotated)[0] == pytest.approx(
+            subspace_scores(z[None], basis)[0], abs=1e-9)
 
     def test_orientation_near_means_scores_higher(self, rng):
         table = table_from_means(np.eye(4)[:2])
         basis = compute_basis(table)
         near = table.means[0] + 0.05 * rng.normal(size=4)
         ortho = np.array([0.0, 0.0, 1.0, 1.0])
-        assert subspace_score(near, basis) > subspace_score(ortho, basis)
+        assert subspace_scores(near[None], basis)[0] > subspace_scores(ortho[None], basis)[0]
 
 
 class TestScoreGradients:
@@ -195,7 +196,8 @@ class TestScoreGradients:
                 zp, zm = Z[i].copy(), Z[i].copy()
                 zp[j] += eps
                 zm[j] -= eps
-                fd = (subspace_score(zp, basis) - subspace_score(zm, basis)) / (2 * eps)
+                fd = (subspace_scores(zp[None], basis)[0]
+                      - subspace_scores(zm[None], basis)[0]) / (2 * eps)
                 assert grads[i, j] == pytest.approx(fd, abs=1e-7)
 
     def test_zero_projection_gives_zero_grad(self):
