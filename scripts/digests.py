@@ -6,7 +6,10 @@ Each case is a list of ``osslab`` commands run through ``osslab.cli.main``
 in one fresh temporary ``--out`` directory, in a child process with BLAS on
 one thread. The script prints one line per output file, ``case path
 sha256[:16]``. A command's stdout counts as a file, named with the
-command's exit code, with the output directory written as ``<out>``.
+command's exit code, with the output directory written as ``<out>``. So do
+its stderr lines that start with ``error: `` or ``runtime failure: `` (the
+CLI's messages for exit codes 1 and 2), if there are any; log records and
+tracebacks are left out, since they carry source paths and line numbers.
 
 A case whose child process fails (an uncaught exception, or an argparse
 usage error from a command that side does not know) is reported as one file,
@@ -26,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -94,18 +98,32 @@ def all_cases() -> dict:
                                   for key, value in REJECTED.items()]}
 
 
+# the stderr lines that are saved: the CLI's messages for exit codes 1 and 2
+MESSAGE_PREFIXES = ("error: ", "runtime failure: ")
+
+
 def run_commands(out_dir: str, commands: list[list[str]]) -> None:
-    """The child process: run ``commands`` in order, saving each one's stdout."""
+    """The child process: run ``commands`` in order, saving each one's stdout,
+    and its stderr's ``MESSAGE_PREFIXES`` lines if it printed any."""
     import osslab
     from osslab import cli
     if not os.path.abspath(osslab.__file__).startswith(os.environ["PYTHONPATH"] + os.sep):
         raise ImportError(f"osslab imported from {osslab.__file__}")
+    # bound to the real stderr here, so cli.main's basicConfig adds no handler
+    # and log records (which carry source paths) stay out of the captured text
+    logging.basicConfig(level=logging.INFO)
     for i, argv in enumerate(commands):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(["--out", out_dir, *argv])
-        with open(os.path.join(out_dir, f"stdout{i}_{argv[0]}_exit{code}.txt"), "w") as fh:
-            fh.write(stdout.getvalue().replace(out_dir, "<out>"))
+        files = {"stdout": stdout.getvalue()}
+        messages = [line for line in stderr.getvalue().splitlines(keepends=True)
+                    if line.startswith(MESSAGE_PREFIXES)]
+        if messages:
+            files["stderr"] = "".join(messages)
+        for stream, text in files.items():
+            with open(os.path.join(out_dir, f"{stream}{i}_{argv[0]}_exit{code}.txt"), "w") as fh:
+                fh.write(text.replace(out_dir, "<out>"))
 
 
 def digest_case(src: str, commands: list[list[str]]) -> dict[str, str]:

@@ -81,11 +81,20 @@ class ForwardTrace:
     log_probs: np.ndarray         # (N, C)
 
 
-# (in-place activation, its derivative from the activation's output);
-# relu's act > 0 is the mask pre > 0, NaN included, since act = max(pre, 0)
+def _tanh_grad(d: np.ndarray, act: np.ndarray) -> None:
+    """``d *= 1 - act ** 2`` in place, with one scratch buffer."""
+    g = np.square(act)
+    np.subtract(1.0, g, out=g)
+    d *= g
+
+
+# (in-place activation, in-place product of an upstream gradient with its
+# derivative, taken from the activation's output); relu's act > 0 is the
+# mask pre > 0, NaN included, since act = max(pre, 0)
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (lambda v: np.tanh(v, out=v), lambda act: 1.0 - act ** 2),
-    "relu": (lambda v: np.maximum(v, 0.0, out=v), lambda act: (act > 0.0).astype(float)),
+    "tanh": (lambda v: np.tanh(v, out=v), _tanh_grad),
+    "relu": (lambda v: np.maximum(v, 0.0, out=v),
+             lambda d, act: np.multiply(d, act > 0.0, out=d)),
 }
 
 
@@ -160,8 +169,8 @@ def backward(params: MlpParams, trace: ForwardTrace, grads: MlpParams,
     """Accumulate exact gradients into ``grads`` from upstream gradients.
 
     ``d_z`` and ``d_logits`` are gradients of the loss w.r.t. the trace's
-    features and logits (batch-shaped). Outputs the caller treats as
-    constants simply receive no upstream gradient here.
+    features and logits (batch-shaped); neither is written. Outputs the
+    caller treats as constants simply receive no upstream gradient here.
     """
     dz = np.zeros_like(trace.z) if d_z is None else np.asarray(d_z, dtype=float)
     if dz.shape != trace.z.shape:
@@ -179,12 +188,14 @@ def backward(params: MlpParams, trace: ForwardTrace, grads: MlpParams,
     n_layers = len(params.f_weights)
     d_a = dz
     for i in range(n_layers - 1, -1, -1):
-        # last layer is linear; hidden layers pass through the activation
-        d_pre = d_a if i == n_layers - 1 else d_a * act_grad(trace.acts[i + 1])
-        grads.f_weights[i] += d_pre.T @ trace.acts[i]
-        grads.f_biases[i] += d_pre.sum(axis=0)
+        # the last layer is linear, and its d_a may be the caller's d_z; a
+        # hidden layer's d_a is this call's own product, scaled in place
+        if i < n_layers - 1:
+            act_grad(d_a, trace.acts[i + 1])
+        grads.f_weights[i] += d_a.T @ trace.acts[i]
+        grads.f_biases[i] += d_a.sum(axis=0)
         if i > 0:
-            d_a = d_pre @ params.f_weights[i]
+            d_a = d_a @ params.f_weights[i]
 
 
 def h_backward(params: MlpParams, Z_in: np.ndarray, d_out: np.ndarray,

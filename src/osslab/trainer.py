@@ -311,6 +311,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             mask_rate=decision.id_rate, mean_p_id=float(p_reg.mean()),
             threshold=decision.threshold,
             mask_hash=decision.hash()))
+        del batch, trace_l, trace_w, trace_s, d_scores_u  # freed before the next draw
 
         if (k + 1) % config.eval_every == 0:
             runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, state.step, dataset))

@@ -3,6 +3,7 @@
 No digest is pinned: they depend on the numpy and BLAS build.
 """
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -39,3 +40,14 @@ def test_a_failed_child_is_reported_and_the_other_cases_run(monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert f"bad {digests.CHILD_FAILED} exit2" in out
     assert any(line.startswith("good ") and "/metrics.csv " in line for line in out)
+
+
+def test_an_error_message_is_a_file(monkeypatch, capsys):
+    digests = load_script()
+    cases = {"rejected": [["train", *digests.flags({**digests.TINY, "p_drop": 1.5})]]}
+    monkeypatch.setattr(digests, "TINY_CASES", cases)
+    assert digests.main(["--tiny"]) == 0
+    message = b"error: invalid config: p_drop must be in [0, 1]\n"
+    assert capsys.readouterr().out.splitlines() == [
+        f"rejected stderr0_train_exit1.txt {hashlib.sha256(message).hexdigest()[:16]}",
+        f"rejected stdout0_train_exit1.txt {hashlib.sha256(b'').hexdigest()[:16]}"]

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -371,6 +372,33 @@ def test_plain_run_keeps_no_warm_up_state(monkeypatch):
     state = trainer.train(TrainingConfig(**TINY))
     assert state.step == TINY["K"]
     assert trainer.RunState not in copied
+
+
+def test_a_steps_traces_die_with_the_step(monkeypatch):
+    # counted at every batch draw, which comes before the step's forwards:
+    # any trace still alive then is an earlier step's (or an eval block's)
+    traces, alive_at_draw = [], []
+    real_forward, real_batches = nn.forward, trainer.batches
+
+    def forward(params, X):
+        tr = real_forward(params, X)
+        traces.append(weakref.ref(tr))
+        return tr
+
+    def batches(*args, **kwargs):
+        for batch in real_batches(*args, **kwargs):
+            alive_at_draw.append(sum(ref() is not None for ref in traces))
+            yield batch
+
+    monkeypatch.setattr(nn, "forward", forward)
+    monkeypatch.setattr(trainer, "batches", batches)
+    base = TrainingConfig(**TINY)
+    warmups = {}
+    trainer.train(base, warmups=warmups)
+    assert alive_at_draw == [0] * TINY["K"] and len(traces) > 3 * TINY["K"]
+    alive_at_draw.clear()
+    trainer.train(base.replace(tau=0.8), warmups=warmups)  # resumes at K_p
+    assert alive_at_draw == [0] * (TINY["K"] - TINY["K_p"])
 
 
 def test_run_state_holds_exactly_what_a_step_carries():

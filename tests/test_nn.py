@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,31 @@ from osslab import nn
 def quadratic_loss(params):
     theta = params.to_vector()
     return 0.5 * theta @ theta, theta
+
+
+def reference_grads(p, X, d_z, d_logits, derivative):
+    """``backward``'s gradients from a forward pass recomputed here, keeping
+    each layer's pre-activation; a hidden layer's gradient is ``d_a *
+    derivative(pre, act)``, a new array. Returns them and the pre-activations."""
+    act_fn = {"tanh": np.tanh, "relu": lambda v: np.maximum(v, 0.0)}[p.activation]
+    ref = p.zeros_like()
+    last = len(p.f_weights) - 1
+    a, acts, pres = X, [X], []
+    for i, (W, b) in enumerate(zip(p.f_weights, p.f_biases)):
+        pres.append(a @ W.T + b)
+        a = act_fn(pres[-1]) if i < last else pres[-1]
+        acts.append(a)
+    d_a = d_z
+    if d_logits is not None:
+        ref.g_weight += d_logits.T @ a
+        ref.g_bias += d_logits.sum(axis=0)
+        d_a = d_z + d_logits @ p.g_weight
+    for i in range(last, -1, -1):
+        d_pre = d_a if i == last else d_a * derivative(pres[i], acts[i + 1])
+        ref.f_weights[i] += d_pre.T @ acts[i]
+        ref.f_biases[i] += d_pre.sum(axis=0)
+        d_a = d_pre @ p.f_weights[i]
+    return ref, pres
 
 
 class TestForward:
@@ -85,23 +111,53 @@ class TestBackward:
         d_z, d_logits = rng.normal(size=tr.z.shape), rng.normal(size=tr.logits.shape)
         grads = p.zeros_like()
         nn.backward(p, tr, grads, d_z=d_z, d_logits=d_logits)
-
-        ref = p.zeros_like()
-        a, acts, pres = X, [X], []
-        for W, b in zip(p.f_weights, p.f_biases):
-            pres.append(a @ W.T + b)
-            a = np.maximum(pres[-1], 0.0) if len(pres) < len(p.f_weights) else pres[-1]
-            acts.append(a)
-        ref.g_weight += d_logits.T @ a
-        ref.g_bias += d_logits.sum(axis=0)
-        d_a = d_z + d_logits @ p.g_weight
-        for i in range(len(p.f_weights) - 1, -1, -1):
-            d_pre = d_a if i == len(p.f_weights) - 1 else d_a * (pres[i] > 0.0).astype(float)
-            ref.f_weights[i] += d_pre.T @ acts[i]
-            ref.f_biases[i] += d_pre.sum(axis=0)
-            d_a = d_pre @ p.f_weights[i]
+        ref, pres = reference_grads(p, X, d_z, d_logits,
+                                    lambda pre, act: (pre > 0.0).astype(float))
         assert (pres[0] == 0.0).any() and (pres[0] < -1e200).any()
         assert grads.theta.tobytes() == ref.theta.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
+    @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
+    def test_in_place_derivative_equals_the_formula(self, rng, activation, hidden):
+        # backward scales a hidden layer's gradient in place; the reference
+        # multiplies by a new derivative array, with or without d_logits (then
+        # the last layer's gradient is the caller's d_z itself)
+        derivative = {"tanh": lambda pre, act: 1.0 - act ** 2,
+                      "relu": lambda pre, act: (act > 0.0).astype(float)}[activation]
+        p = nn.init_params(input_dim=5, hidden=hidden, feature_dim=6, num_classes=3,
+                           rng=rng, activation=activation)
+        p.theta[:] = rng.normal(size=p.theta.size)  # saturates some tanh units
+        X = rng.normal(size=(9, 5))
+        tr = nn.forward(p, X)
+        d_z, d_logits = rng.normal(size=tr.z.shape), rng.normal(size=tr.logits.shape)
+        d_z_before, d_logits_before = d_z.copy(), d_logits.copy()
+        for upstream in (d_logits, None):
+            grads = p.zeros_like()
+            nn.backward(p, tr, grads, d_z=d_z, d_logits=upstream)
+            ref, _ = reference_grads(p, X, d_z, upstream, derivative)
+            assert grads.theta.tobytes() == ref.theta.tobytes()
+            assert d_z.tobytes() == d_z_before.tobytes()
+            assert d_logits.tobytes() == d_logits_before.tobytes()
+
+    @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
+    def test_peak_memory_of_one_backward(self, rng, activation):
+        # the wide_mlp benchmark shapes, a strong-view batch (mu * B = 896
+        # rows) with both upstream gradients; numpy reports its buffers to
+        # tracemalloc, so the peak counts every array the call allocates
+        N, hidden = 896, (256, 256)
+        p = nn.init_params(input_dim=128, hidden=hidden, feature_dim=64, num_classes=16,
+                           rng=rng, activation=activation)
+        tr = nn.forward(p, rng.normal(size=(N, 128)))
+        d_z, d_logits = rng.normal(size=tr.z.shape), rng.normal(size=tr.logits.shape)
+        grads = p.zeros_like()
+        layer_bytes = N * max(hidden) * 8
+        tracemalloc.start()
+        try:
+            nn.backward(p, tr, grads, d_z=d_z, d_logits=d_logits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * layer_bytes, f"peak {peak / layer_bytes:.2f}x one hidden layer"
 
     @pytest.mark.parametrize("activation", sorted(nn._ACTIVATIONS))
     def test_full_loss_matches_finite_differences(self, rng, activation):
