@@ -66,6 +66,8 @@ TINY_CASES = {
     "tiny_big_split": [[command, *flags({**TINY, "samples_per_class": 600})]
                        for command in ("train", "eval", "emit-plot-data")],
     "tiny_sweep": [["sweep", "--axis", "seed", "--values", "3,4", *flags(TINY)]],
+    # any config key is a sweep axis
+    "tiny_sweep_eta0": [["sweep", "--axis", "eta0", "--values", "0.01,0.03", *flags(TINY)]],
     **{f"tiny_ablate_Kp{k_p}": [["ablate", *flags({**TINY, "K_p": k_p})]]
        for k_p in (0, 20, 25, 60)},
     # a stored warm-up whose rule is not the default one
@@ -76,9 +78,11 @@ TINY_CASES = {
 SHORT = ["--K", "300", "--K_p", "100"]
 
 # one out-of-range value per range check of TrainingConfig's loss weights,
-# schedule and augmentation; each train exits 1 before it writes anything
+# schedule, augmentation and dataset; each train exits 1 before it writes anything
 REJECTED = {"p_drop": 1.5, "eta0": "nan", "K_p": 61, "gamma": 0, "w_semi": -1,
-            "w_self": "nan", "w_sub": -1, "w_reg": "inf", "tau": 0}
+            "w_self": "nan", "w_sub": -1, "w_reg": "inf", "tau": 0,
+            "ood_fraction": 1.0, "labeled_per_class": 21, "cluster_spread": 0,
+            "cluster_separation": "inf", "num_ood_clusters": 0, "seed": -1}
 
 
 def all_cases() -> dict:

@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("train", help="run one training")
     p = sub.add_parser("sweep", help="run a hyperparameter sweep")
-    p.add_argument("--axis", required=True, choices=trainer.SWEEP_AXES)
+    p.add_argument("--axis", required=True, help="any config key")
     p.add_argument("--values", required=True, help="comma-separated values")
     sub.add_parser("ablate", help="run the ablation matrices")
     sub.add_parser("eval", help="evaluate the checkpoint of the run dir that 'train' wrote")
@@ -94,7 +94,7 @@ def _dispatch(args, cfg: TrainingConfig) -> int:
     if args.command == "eval":
         state = trainer.load_run(run_dir)
         rows = trainer.evaluate_checkpoint(state.ema_params, state.table, state.step,
-                                           generate(state.config.dataset_spec()))
+                                           generate(state.config))
         print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
         return 0
 

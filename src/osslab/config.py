@@ -10,7 +10,6 @@ import numpy as np
 
 from . import nn, optim, subspace
 from .betamix import BetaMixtureModel
-from .data import DatasetSpec
 from .decide import DecisionRule, RuleKind
 
 
@@ -61,11 +60,20 @@ class TrainingConfig:
     def __post_init__(self):
         if min(self.K, self.B, self.mu, self.eval_every) < 1:
             raise ValueError("K, B, mu and eval_every must be >= 1")
-        # construct eagerly so invalid configs fail before any work
-        spec = self.dataset_spec()
-        if self.B > spec.n_labeled or self.mu * self.B > spec.n_unlabeled:
-            raise ValueError(f"B and mu * B must fit the pools of {spec.n_labeled} labeled "
-                             f"and {spec.n_unlabeled} unlabeled rows")
+        if min(self.input_dim, self.num_id_classes, self.num_ood_clusters,
+               self.samples_per_class, self.labeled_per_class) < 1:
+            raise ValueError("all counts must be >= 1")
+        if not (0.0 < self.ood_fraction < 1.0):
+            raise ValueError("ood_fraction must be strictly inside (0, 1)")
+        if self.labeled_per_class > self.samples_per_class:
+            raise ValueError("labeled_per_class must be <= samples_per_class")
+        if not (0.0 < self.cluster_spread < np.inf and 0.0 < self.cluster_separation < np.inf):
+            raise ValueError("cluster_spread and cluster_separation must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.B > self.n_labeled or self.mu * self.B > self.n_unlabeled:
+            raise ValueError(f"B and mu * B must fit the pools of {self.n_labeled} labeled "
+                             f"and {self.n_unlabeled} unlabeled rows")
         # NaN fails each range check below
         if not (0.0 <= self.p_drop <= 1.0):
             raise ValueError("p_drop must be in [0, 1]")
@@ -83,6 +91,7 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be a nonnegative finite real")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must be in (0, 1]")
+        # construct eagerly so invalid configs fail before any work
         self.beta_model()
         self.decision()
         self.mean_table()
@@ -90,14 +99,23 @@ class TrainingConfig:
         nn.check_architecture((self.input_dim, *self.hidden, self.feature_dim),
                               self.num_id_classes, self.activation)
 
-    def dataset_spec(self) -> DatasetSpec:
-        return DatasetSpec(
-            input_dim=self.input_dim, num_id_classes=self.num_id_classes,
-            num_ood_clusters=self.num_ood_clusters,
-            samples_per_class=self.samples_per_class,
-            labeled_per_class=self.labeled_per_class,
-            ood_fraction=self.ood_fraction, cluster_spread=self.cluster_spread,
-            cluster_separation=self.cluster_separation, seed=self.seed)
+    @property
+    def n_id(self) -> int:
+        """Rows of the ID training set and of each test set."""
+        return self.num_id_classes * self.samples_per_class
+
+    @property
+    def n_labeled(self) -> int:
+        return self.num_id_classes * self.labeled_per_class
+
+    @property
+    def n_ood(self) -> int:
+        """OOD rows of the unlabeled pool: an ``ood_fraction`` share, within one."""
+        return int(round(self.n_id * self.ood_fraction / (1.0 - self.ood_fraction)))
+
+    @property
+    def n_unlabeled(self) -> int:
+        return self.n_id + self.n_ood
 
     def resolved_pi(self) -> float:
         return 1.0 - self.ood_fraction if self.pi is None else self.pi
@@ -144,7 +162,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(TrainingConfig)}
 
 
 def parse_value(name: str, raw: str) -> object:
-    """``raw`` parsed by the declared type of field ``name``."""
+    """``raw`` parsed by the declared type of field ``name``; an unknown name
+    is a ``KeyError``."""
+    if name not in _FIELD_TYPES:
+        raise KeyError(f"unknown config key {name!r}")
     kind = _FIELD_TYPES[name]
     try:
         return _PARSERS[kind](raw.strip())
@@ -155,12 +176,7 @@ def parse_value(name: str, raw: str) -> object:
 def parse_overrides(config: TrainingConfig, pairs: dict[str, str]) -> TrainingConfig:
     """Apply string key/value overrides, each parsed by its field's declared
     type; unknown keys are errors."""
-    updates = {}
-    for key, raw in pairs.items():
-        if key not in _FIELD_TYPES:
-            raise KeyError(f"unknown config key {key!r}")
-        updates[key] = parse_value(key, raw)
-    return config.replace(**updates)
+    return config.replace(**{key: parse_value(key, raw) for key, raw in pairs.items()})
 
 
 def load_config(path: str) -> TrainingConfig:

@@ -24,50 +24,6 @@ class InfeasibleSpecError(ValueError):
     """Center placement cannot satisfy the separation constraint."""
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    input_dim: int
-    num_id_classes: int
-    num_ood_clusters: int
-    samples_per_class: int
-    labeled_per_class: int
-    ood_fraction: float
-    cluster_spread: float
-    cluster_separation: float
-    seed: int
-
-    def __post_init__(self):
-        if min(self.input_dim, self.num_id_classes, self.num_ood_clusters,
-               self.samples_per_class, self.labeled_per_class) < 1:
-            raise ValueError("all counts must be >= 1")
-        if not (0.0 < self.ood_fraction < 1.0):
-            raise ValueError("ood_fraction must be strictly inside (0, 1)")
-        if self.labeled_per_class > self.samples_per_class:
-            raise ValueError("labeled_per_class must be <= samples_per_class")
-        if not (0.0 < self.cluster_spread < np.inf and 0.0 < self.cluster_separation < np.inf):
-            raise ValueError("cluster_spread and cluster_separation must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-    @property
-    def n_id(self) -> int:
-        """Rows of the ID training set and of each test set."""
-        return self.num_id_classes * self.samples_per_class
-
-    @property
-    def n_labeled(self) -> int:
-        return self.num_id_classes * self.labeled_per_class
-
-    @property
-    def n_ood(self) -> int:
-        """OOD rows of the unlabeled pool: an ``ood_fraction`` share, within one."""
-        return int(round(self.n_id * self.ood_fraction / (1.0 - self.ood_fraction)))
-
-    @property
-    def n_unlabeled(self) -> int:
-        return self.n_id + self.n_ood
-
-
 @dataclass
 class OpenSetDataset:
     """One ``(X, y)`` array pair per split; ``y`` is the class index of an ID
@@ -113,45 +69,47 @@ def _place_centers(n: int, dim: int, separation: float, rng: np.random.Generator
     return np.asarray(centers)
 
 
-def generate(spec: DatasetSpec) -> OpenSetDataset:
-    """Generate a reproducible open-set dataset from ``spec``.
+def generate(config) -> OpenSetDataset:
+    """Generate a reproducible open-set dataset from ``config``'s nine dataset
+    fields (``input_dim`` through ``cluster_separation``, and ``seed``) and its
+    pool sizes ``n_id`` and ``n_ood``; nothing else of it is read.
 
     The unlabeled pool contains every ID training sample (including
     unlabeled copies of the labeled ones) plus OOD samples sized so the
-    pool's OOD fraction matches ``spec.ood_fraction`` within one sample.
+    pool's OOD fraction matches ``config.ood_fraction`` within one sample.
     """
-    rng = stream(spec.seed, "data")
-    n_centers = spec.num_id_classes + spec.num_ood_clusters
-    centers = _place_centers(n_centers, spec.input_dim, spec.cluster_separation, rng)
-    id_centers = centers[: spec.num_id_classes]
-    ood_centers = centers[spec.num_id_classes:]
+    rng = stream(config.seed, "data")
+    n_centers = config.num_id_classes + config.num_ood_clusters
+    centers = _place_centers(n_centers, config.input_dim, config.cluster_separation, rng)
+    id_centers = centers[: config.num_id_classes]
+    ood_centers = centers[config.num_id_classes:]
 
     def draw(cluster_centers: np.ndarray, counts) -> np.ndarray:
         # clusters in order, one (n, input_dim) normal draw each
         return np.concatenate([
-            c + rng.normal(0.0, spec.cluster_spread, size=(int(n), spec.input_dim))
+            c + rng.normal(0.0, config.cluster_spread, size=(int(n), config.input_dim))
             for c, n in zip(cluster_centers, counts)])
 
     def ood_counts(n: int) -> np.ndarray:
-        per_cluster = np.full(spec.num_ood_clusters, n // spec.num_ood_clusters)
-        per_cluster[: n % spec.num_ood_clusters] += 1
+        per_cluster = np.full(config.num_ood_clusters, n // config.num_ood_clusters)
+        per_cluster[: n % config.num_ood_clusters] += 1
         return per_cluster
 
-    id_counts = np.full(spec.num_id_classes, spec.samples_per_class)
-    y_id = np.repeat(np.arange(spec.num_id_classes), spec.samples_per_class)
+    id_counts = np.full(config.num_id_classes, config.samples_per_class)
+    y_id = np.repeat(np.arange(config.num_id_classes), config.samples_per_class)
     X_train = draw(id_centers, id_counts)
-    is_labeled = np.arange(spec.n_id) % spec.samples_per_class < spec.labeled_per_class
+    is_labeled = np.arange(config.n_id) % config.samples_per_class < config.labeled_per_class
 
-    X_ood = draw(ood_centers, ood_counts(spec.n_ood))
+    X_ood = draw(ood_centers, ood_counts(config.n_ood))
     X_test = draw(id_centers, id_counts)
-    X_test_ood = draw(ood_centers, ood_counts(spec.n_id))
+    X_test_ood = draw(ood_centers, ood_counts(config.n_id))
 
     return OpenSetDataset(
         labeled=(X_train[is_labeled], y_id[is_labeled]),
         unlabeled=(np.concatenate([X_train, X_ood]),
-                   np.concatenate([y_id, np.full(spec.n_ood, OOD_LABEL)])),
+                   np.concatenate([y_id, np.full(config.n_ood, OOD_LABEL)])),
         test_id=(X_test, y_id.copy()),
-        test_ood=(X_test_ood, np.full(spec.n_id, OOD_LABEL)))
+        test_ood=(X_test_ood, np.full(config.n_id, OOD_LABEL)))
 
 
 def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:

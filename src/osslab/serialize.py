@@ -115,10 +115,11 @@ def load_checkpoint(path: str, state) -> None:
         b = [float(_get(_get(obj, "beta", dict), key, (int, float))) for key in BETA_KEYS]
         state.beta_model.id, state.beta_model.ood = BetaParams(*b[:2]), BetaParams(*b[2:])
         state.rule.ema_threshold = float(_get(obj, "threshold", (int, float)))
+        if not 0.0 <= state.rule.ema_threshold <= 1.0:  # NaN included
+            raise ValueError(f"'threshold' {state.rule.ema_threshold} is outside [0, 1]")
         for key, rng in _rngs(state).items():
             rng.bit_generator.state = _get(obj, key, dict, _int_state)
-        spec = state.config.dataset_spec()
-        for pool, n in zip(POOLS, (spec.n_labeled, spec.n_unlabeled)):
+        for pool, n in zip(POOLS, (state.config.n_labeled, state.config.n_unlabeled)):
             entry = _get(obj, pool, dict)
             perm, pos = _get(entry, "perm", list, _ints), _get(entry, "pos", int)
             if len(perm) and not np.array_equal(np.sort(perm), np.arange(n)):

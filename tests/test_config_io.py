@@ -57,10 +57,28 @@ class TestTrainingConfig:
                 ("gamma", (0.0, 1.5, nan), r"gamma must be in \(0, 1\]"),
                 ("K_p", (-1,), "need 0 <= K_p <= K"),
                 ("eta0", (0.0, -1.0, nan), "eta0 must be positive and finite"),
-                ("p_drop", (-0.5, 1.5, nan), r"p_drop must be in \[0, 1\]")):
+                ("p_drop", (-0.5, 1.5, nan), r"p_drop must be in \[0, 1\]"),
+                # the dataset's range checks
+                *((key, (0, -1), "all counts must be >= 1")
+                  for key in ("input_dim", "num_id_classes", "num_ood_clusters",
+                              "samples_per_class", "labeled_per_class")),
+                ("ood_fraction", (0.0, 1.0, nan), r"ood_fraction must be strictly inside \(0, 1\)"),
+                ("labeled_per_class", (201,), "labeled_per_class must be <= samples_per_class"),
+                *((key, (0.0, -1.0, nan, inf),
+                   "cluster_spread and cluster_separation must be positive and finite")
+                  for key in ("cluster_spread", "cluster_separation")),
+                ("seed", (-1,), "seed must be >= 0")):
             for value in values:
                 with pytest.raises(ValueError, match=message):
                     TrainingConfig(**{key: value})
+        # the dataset's checks run in their old place: after the K, B, mu and
+        # eval_every check, before the pool check and the loss checks
+        for bad, message in ((dict(K=0, ood_fraction=1.0), "K, B, mu and eval_every"),
+                             (dict(ood_fraction=1.0, p_drop=2.0), "ood_fraction"),
+                             (dict(seed=-1, B=10_000), "seed"),
+                             (dict(cluster_spread=0.0, seed=-1), "cluster_spread")):
+            with pytest.raises(ValueError, match=message):
+                TrainingConfig(**bad)
         TrainingConfig(hidden=())  # a linear backbone is a network
         # batches larger than their pools: 4 x 5 labeled rows, 4 x 20 ID + 80 OOD unlabeled
         pools = dict(num_id_classes=4, samples_per_class=20, labeled_per_class=5)
@@ -130,7 +148,7 @@ class TestCheckpoint:
         state.beta_model.id, state.beta_model.ood = BetaParams(3.5, 1.25), BetaParams(0.75, 6.0)
         state.rule.ema_threshold = 0.3125
         state.mask_rng.random(7)
-        state.cursor.labeled.perm = rng.permutation(cfg.dataset_spec().n_labeled)
+        state.cursor.labeled.perm = rng.permutation(cfg.n_labeled)
         state.cursor.labeled.pos = 5
         return state
 

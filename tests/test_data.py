@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from osslab.config import TrainingConfig
 from osslab.data import (
-    BatchCursor, BatchPair, DatasetSpec, InfeasibleSpecError, OOD_LABEL,
+    BatchCursor, BatchPair, InfeasibleSpecError, OOD_LABEL,
     OpenSetDataset, _place_centers, batches, generate, strong_augment, weak_augment,
 )
 from osslab.rng import stream
@@ -22,31 +23,31 @@ def batch_config(B, mu):
     return SimpleNamespace(B=B, mu=mu, cluster_spread=0.5, p_drop=P_DROP)
 
 
-def per_row_generate(spec):
+def per_row_generate(config):
     """Reference: the documented draw order, one row at a time."""
-    rng = stream(spec.seed, "data")
-    centers = _place_centers(spec.num_id_classes + spec.num_ood_clusters,
-                             spec.input_dim, spec.cluster_separation, rng)
-    id_centers, ood_centers = centers[:spec.num_id_classes], centers[spec.num_id_classes:]
+    rng = stream(config.seed, "data")
+    centers = _place_centers(config.num_id_classes + config.num_ood_clusters,
+                             config.input_dim, config.cluster_separation, rng)
+    id_centers, ood_centers = centers[:config.num_id_classes], centers[config.num_id_classes:]
     rows = {split: [] for split in SPLITS}
 
     def draw(center, n):
-        return center + rng.normal(0.0, spec.cluster_spread, size=(n, spec.input_dim))
+        return center + rng.normal(0.0, config.cluster_spread, size=(n, config.input_dim))
 
     def add_ood(n, split):
-        k = spec.num_ood_clusters
+        k = config.num_ood_clusters
         for j in range(k):
             rows[split] += [(x, OOD_LABEL) for x in draw(ood_centers[j], n // k + (j < n % k))]
 
-    for c in range(spec.num_id_classes):
-        for i, x in enumerate(draw(id_centers[c], spec.samples_per_class)):
-            if i < spec.labeled_per_class:
+    for c in range(config.num_id_classes):
+        for i, x in enumerate(draw(id_centers[c], config.samples_per_class)):
+            if i < config.labeled_per_class:
                 rows["labeled"].append((x, c))
             rows["unlabeled"].append((x, c))
-    f = spec.ood_fraction
+    f = config.ood_fraction
     add_ood(int(round(len(rows["unlabeled"]) * f / (1.0 - f))), "unlabeled")
-    for c in range(spec.num_id_classes):
-        rows["test_id"] += [(x, c) for x in draw(id_centers[c], spec.samples_per_class)]
+    for c in range(config.num_id_classes):
+        rows["test_id"] += [(x, c) for x in draw(id_centers[c], config.samples_per_class)]
     add_ood(len(rows["test_id"]), "test_ood")
     return rows
 
@@ -72,30 +73,69 @@ def per_index_batches(dataset, B, mu, seed):
                strong_augment(Xu[ui], aug_rng, SIGMA_STRONG, P_DROP))
 
 
-def make_spec(**kw):
+def make_config(**kw):
+    """A small ``TrainingConfig``; ``feature_dim`` follows ``num_id_classes``
+    unless given."""
     base = dict(input_dim=6, num_id_classes=4, num_ood_clusters=4,
                 samples_per_class=50, labeled_per_class=10, ood_fraction=0.5,
-                cluster_spread=0.5, cluster_separation=4.0, seed=7)
+                cluster_spread=0.5, cluster_separation=4.0, seed=7, B=8)
     base.update(kw)
-    return DatasetSpec(**base)
+    base.setdefault("feature_dim", max(16, base["num_id_classes"]))
+    return TrainingConfig(**base)
+
+
+# another valid value of each field that ``generate`` reads
+DATASET_FIELDS = dict(input_dim=7, num_id_classes=3, num_ood_clusters=3, samples_per_class=40,
+                      labeled_per_class=8, ood_fraction=0.4, cluster_spread=0.6,
+                      cluster_separation=5.0, seed=8)
+# another valid value of each field that it must not read
+OTHER_FIELDS = dict(hidden=(8,), feature_dim=5, activation="relu", w_semi=0.5, w_self=0.5,
+                    w_sub=0.5, w_reg=1e-3, tau=0.9, eta0=0.1, K=30000, K_p=10, gamma=0.5,
+                    momentum=0.5, B=4, mu=2, pi=0.3, epsilon=0.2, lambda_means=0.9,
+                    lambda_beta=0.9, ema_momentum=0.9, decision_rule="otsu_threshold",
+                    otsu_momentum=0.9, p_drop=0.5, eval_every=7)
+
+
+def dataset_arrays(ds):
+    return [(a.shape, a.tobytes()) for split in SPLITS for a in getattr(ds, split)]
 
 
 class TestSpecValidation:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
-            make_spec(ood_fraction=0.0)
+            make_config(ood_fraction=0.0)
         with pytest.raises(ValueError):
-            make_spec(ood_fraction=1.0)
+            make_config(ood_fraction=1.0)
 
     def test_rejects_too_many_labels(self):
         with pytest.raises(ValueError):
-            make_spec(labeled_per_class=51)
+            make_config(labeled_per_class=51)
 
+
+
+class TestGeneratePurity:
+    """The dataset is a function of the nine dataset fields alone."""
+
+    def test_every_field_is_listed_once(self):
+        assert DATASET_FIELDS.keys().isdisjoint(OTHER_FIELDS)
+        assert DATASET_FIELDS.keys() | OTHER_FIELDS.keys() == {
+            f.name for f in dataclasses.fields(TrainingConfig)}
+
+    @pytest.mark.parametrize("key", sorted(OTHER_FIELDS))
+    def test_other_field_leaves_the_arrays(self, key):
+        config = make_config(**{key: OTHER_FIELDS[key]})
+        assert getattr(config, key) != getattr(make_config(), key)
+        assert dataset_arrays(generate(config)) == dataset_arrays(generate(make_config()))
+
+    @pytest.mark.parametrize("key", sorted(DATASET_FIELDS))
+    def test_dataset_field_changes_the_arrays(self, key):
+        config = make_config(**{key: DATASET_FIELDS[key]})
+        assert dataset_arrays(generate(config)) != dataset_arrays(generate(make_config()))
 
 
 class TestGenerate:
     def test_ood_fraction_within_one_sample(self):
-        ds = generate(make_spec())
+        ds = generate(make_config())
         _, y = ds.unlabeled
         n_ood = int((y == OOD_LABEL).sum())
         assert abs(n_ood - 0.5 * len(y)) <= 1
@@ -103,7 +143,7 @@ class TestGenerate:
         assert np.all(ds.test_id[1] >= 0)
 
     def test_determinism_bitwise(self):
-        a, b = generate(make_spec()), generate(make_spec())
+        a, b = generate(make_config()), generate(make_config())
         for split in SPLITS:
             (Xa, ya), (Xb, yb) = getattr(a, split), getattr(b, split)
             assert Xa.tobytes() == Xb.tobytes()
@@ -111,21 +151,21 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kw", [{}, {"ood_fraction": 0.3, "num_ood_clusters": 3}])
     def test_matches_per_row_reference(self, kw):
-        spec = make_spec(**kw)
-        ds, ref = generate(spec), per_row_generate(spec)
+        config = make_config(**kw)
+        ds, ref = generate(config), per_row_generate(config)
         for split in SPLITS:
             X, y = getattr(ds, split)
             assert X.tobytes() == np.array([x for x, _ in ref[split]]).tobytes()
             assert y.tolist() == [label for _, label in ref[split]]
 
     def test_labeled_class_balance(self):
-        ds = generate(make_spec())
+        ds = generate(make_config())
         _, labels = ds.labeled
         assert np.array_equal(np.bincount(labels), np.full(4, 10))
 
     def test_separable_spec_nearest_center_is_perfect(self):
         # oracle: brute-force 1-nearest-center on empirical class centers
-        ds = generate(make_spec(cluster_spread=0.1, cluster_separation=10.0))
+        ds = generate(make_config(cluster_spread=0.1, cluster_separation=10.0))
         Xl, yl = ds.labeled
         centers = np.stack([Xl[yl == c].mean(axis=0) for c in range(4)])
         Xt, yt = ds.test_id
@@ -134,11 +174,11 @@ class TestGenerate:
 
     def test_infeasible_spec_raises(self):
         with pytest.raises(InfeasibleSpecError):
-            generate(make_spec(input_dim=1, num_id_classes=40, num_ood_clusters=40,
+            generate(make_config(input_dim=1, num_id_classes=40, num_ood_clusters=40,
                                cluster_separation=1e6))
 
     def test_unlabeled_contains_labeled_copies(self):
-        ds = generate(make_spec())
+        ds = generate(make_config())
         (Xl, _), (Xu, yu) = ds.labeled, ds.unlabeled
         assert len(Xu) >= len(Xl)
         assert int((yu >= 0).sum()) == 4 * 50
@@ -183,7 +223,7 @@ class TestAugment:
 
 class TestBatches:
     def setup_method(self):
-        self.ds = generate(make_spec())
+        self.ds = generate(make_config())
 
     def test_batch_sizes(self):
         it = batches(self.ds, batch_config(4, 2), cursor=BatchCursor.start(1))

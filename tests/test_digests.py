@@ -24,11 +24,14 @@ def test_tiny_cases_are_byte_identical_across_runs():
     # every command of every case exited 0 and wrote its outputs
     writes = {"train": {"metrics.csv", "evals.csv", "checkpoint.txt"}, "eval": set(),
               "emit-plot-data": {"metrics_long.csv"}, "ablate": {"ablation.json"},
-              "sweep": {"sweep_seed.json"}}
+              "sweep": set()}
     for case, commands in digests.TINY_CASES.items():
         names = {path.rsplit("/", 1)[-1] for c, path in first if c == case}
         assert {f"stdout{i}_{argv[0]}_exit0.txt" for i, argv in enumerate(commands)} <= names
         assert set().union(*(writes[argv[0]] for argv in commands)) <= names
+        # a sweep writes its rows to a file named by its axis
+        assert {f"sweep_{argv[argv.index('--axis') + 1]}.json"
+                for argv in commands if argv[0] == "sweep"} <= names
 
 
 def test_a_failed_child_is_reported_and_the_other_cases_run(monkeypatch, capsys):

@@ -141,7 +141,7 @@ class TestEvaluateCheckpoint:
     def test_rows_equal_a_reference_holding_both_traces(self, tiny_result, tiny_big_split):
         # one block per split, then two
         for state in (tiny_result, tiny_big_split):
-            dataset = generate(state.config.dataset_spec())
+            dataset = generate(state.config)
             for params in (state.params, state.ema_params):
                 got = trainer.evaluate_checkpoint(params, state.table, state.step, dataset)
                 assert repr(got) == repr(reference_eval(params, state.table, dataset, state.step))
@@ -151,7 +151,7 @@ class TestEvaluateCheckpoint:
         rows, real = [], nn.forward
         monkeypatch.setattr(nn, "forward", lambda params, X: rows.append(len(X)) or real(params, X))
         cfg = TrainingConfig(**{**TINY, "samples_per_class": samples_per_class})
-        dataset = generate(cfg.dataset_spec())
+        dataset = generate(cfg)
         trainer.evaluate_checkpoint(tiny_result.ema_params, tiny_result.table, 0, dataset)
         for n in (len(dataset.test_id[0]), len(dataset.test_ood[0])):
             split = []
@@ -170,7 +170,7 @@ class TestEvaluateCheckpoint:
         hidden, D, C = (256, 256), 64, 16
         cfg = TrainingConfig(input_dim=128, hidden=hidden, feature_dim=D,
                              num_id_classes=C, num_ood_clusters=C)
-        dataset = generate(cfg.dataset_spec())
+        dataset = generate(cfg)
         rng = np.random.default_rng(0)
         params = nn.init_params(128, hidden, D, C, rng)
         table = subspace.ClassMeanTable(means=rng.normal(size=(C, D)),
@@ -198,6 +198,9 @@ class TestSweepAblate:
     def test_cli_sweep_parses_values_by_field_type(self, tmp_path, capsys):
         assert cli_main(cli_args(tmp_path, "sweep", "--axis", "K_p", "--values", "10.7")) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        # any config key is an axis; an unknown one is an invalid-input error
+        assert cli_main(cli_args(tmp_path, "sweep", "--axis", "bogus", "--values", "1")) == 1
+        assert capsys.readouterr().err == "error: \"unknown config key 'bogus'\"\n"
         assert not os.listdir(tmp_path)
         assert cli_main(cli_args(tmp_path, "sweep", "--axis", "pi", "--values", "0.4,0.6")) == 0
         with open(os.path.join(only_run_dir(tmp_path), "sweep_pi.json")) as fh:
@@ -210,9 +213,18 @@ class TestSweepAblate:
         assert rows[0] == {"axis": "seed", "value": 3, **tiny_result.summary}
         assert rows[1]["seed"] == 4 and rows[1] != rows[0]
 
-    def test_sweep_bad_axis(self):
-        with pytest.raises(ValueError):
-            trainer.sweep(TrainingConfig(**TINY), "eta0", [0.1])
+    def test_sweep_takes_any_config_key(self):
+        cfg = TrainingConfig(**TINY)
+        rows = trainer.sweep(cfg, "eta0", [0.01, 0.03])
+        assert rows == [{"axis": "eta0", "value": v, **trainer.train(cfg.replace(eta0=v)).summary}
+                        for v in (0.01, 0.03)]
+
+    def test_sweep_unknown_key_raises_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda cfg, **kw: calls.append(cfg))
+        with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+            trainer.sweep(TrainingConfig(**TINY), "bogus", [1])
+        assert calls == []
 
     def test_sweep_records_failures(self):
         rows = trainer.sweep(TrainingConfig(**TINY), "pi", [0.5, 2.0])
@@ -432,7 +444,7 @@ def test_a_loaded_run_dir_is_the_live_state(rule, tmp_path):
     loaded = trainer.load_run(str(tmp_path))
     assert_same_state(loaded, live)
     # the cursor and the mask generator continue where the live ones do
-    dataset = generate(cfg.dataset_spec())
+    dataset = generate(cfg)
     got, want = (next(trainer.batches(dataset, cfg, s.cursor))
                  for s in (loaded, live))
     for f in dataclasses.fields(got):
@@ -518,7 +530,7 @@ class TestPlotData:
         rows, real = [], nn.forward
         monkeypatch.setattr(nn, "forward", lambda params, X: rows.append(len(X)) or real(params, X))
         trainer.emit_plot_data(run_dir, str(tmp_path / "plots"))
-        dataset = generate(tiny_big_split.config.dataset_spec())
+        dataset = generate(tiny_big_split.config)
         assert all(trainer.EVAL_BLOCK <= r < 2 * trainer.EVAL_BLOCK for r in rows)
         for n in (len(dataset.test_id[0]), len(dataset.test_ood[0])):
             assert n == 2400
@@ -691,6 +703,10 @@ _CHECKPOINT_EDITS = {
     "aug_rng_has_uint32_is_bool": _json_edit(lambda obj: obj["aug_rng"].update(has_uint32=True)),
     "order_rng_not_a_dict": _json_edit(lambda obj: obj.update(order_rng=[1, 2])),
     "threshold_not_a_number": _json_edit(lambda obj: obj.update(threshold="0.5")),
+    # every Otsu EMA a run can reach lies in [0, 1]; a NaN one gates every row OOD
+    "threshold_is_nan": _json_edit(lambda obj: obj.update(threshold=float("nan"))),
+    "threshold_is_infinity": _json_edit(lambda obj: obj.update(threshold=float("inf"))),
+    "threshold_below_0": _json_edit(lambda obj: obj.update(threshold=-5)),
     "key_missing": _json_edit(lambda obj: obj.pop("velocity")),
     "alpha_id_is_nan": _json_edit(lambda obj: obj["beta"].update(alpha_id=float("nan"))),
     # a float array is a base64 string of exactly 8 bytes per value
