@@ -78,11 +78,20 @@ TINY_CASES = {
 SHORT = ["--K", "300", "--K_p", "100"]
 
 # one out-of-range value per range check of TrainingConfig's loss weights,
-# schedule, augmentation and dataset; each train exits 1 before it writes anything
+# schedule, augmentation, dataset, mixture, decision rule, class means and
+# optimizer; each train exits 1 before it writes anything
 REJECTED = {"p_drop": 1.5, "eta0": "nan", "K_p": 61, "gamma": 0, "w_semi": -1,
             "w_self": "nan", "w_sub": -1, "w_reg": "inf", "tau": 0,
             "ood_fraction": 1.0, "labeled_per_class": 21, "cluster_spread": 0,
-            "cluster_separation": "inf", "num_ood_clusters": 0, "seed": -1}
+            "cluster_separation": "inf", "num_ood_clusters": 0, "seed": -1,
+            "pi": 1.0, "epsilon": -1, "lambda_beta": 1.5, "decision_rule": "bogus",
+            "otsu_momentum": 2, "lambda_means": 2, "momentum": 1.0, "ema_momentum": 2}
+
+# every setting that the mixture, the decision, the class means and the
+# optimizer read, each off its default
+SETTINGS = {"decision_rule": "otsu_threshold", "pi": 0.6, "epsilon": 0.05,
+            "lambda_beta": 0.99, "otsu_momentum": 0.99, "lambda_means": 0.99,
+            "momentum": 0.8, "ema_momentum": 0.99}
 
 
 def all_cases() -> dict:
@@ -91,15 +100,22 @@ def all_cases() -> dict:
             # a run that blows up (train exits 2), and what reads its run dir
             "tiny_blowup": [[command, *flags({**TINY, "eta0": 1e8})]
                             for command in ("train", "eval", "emit-plot-data")],
+            # the same under the Otsu rule, whose EMA the failed step writes back
+            "tiny_blowup_otsu": [[command, *flags({**TINY, "eta0": 1e8,
+                                                    "decision_rule": "otsu_threshold"})]
+                                 for command in ("train", "eval", "emit-plot-data")],
             "default_K2000": [["train", "--K", "2000", "--K_p", "200", "--seed", "0"]],
             "short_otsu": [["train", *SHORT, "--decision_rule", "otsu_threshold"]],
             "short_direct": [["train", *SHORT, "--decision_rule", "direct_weight"]],
             "short_no_self_no_sub": [["train", *SHORT, "--w_self", "0", "--w_sub", "0"]],
             "short_epsilon0": [["train", *SHORT, "--epsilon", "0"]],
             "short_relu": [["train", *SHORT, "--activation", "relu"]],
+            "short_settings": [["train", *SHORT, *flags(SETTINGS)]],
             "readme_ablate": [["ablate", "--K", "2000", "--K_p", "1000"]],
             "config_rejections": [["train", *flags({**TINY, key: value})]
-                                  for key, value in REJECTED.items()]}
+                                  for key, value in REJECTED.items()],
+            "unknown_key": [["train", "--bogus", "1"],
+                            ["sweep", "--axis", "bogus", "--values", "1"]]}
 
 
 # the stderr lines that are saved: the CLI's messages for exit codes 1 and 2

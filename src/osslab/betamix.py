@@ -56,23 +56,11 @@ class BetaMixtureModel:
     id: BetaParams
     ood: BetaParams
     pi: float                 # proportion of ID data
-    epsilon: float = 0.0      # posterior regularizer, mask sampling only
-    lambda_ema: float = 0.999
-
-    def __post_init__(self):
-        if not (0.0 < self.pi < 1.0):
-            raise ValueError("pi must be strictly inside (0, 1)")
-        if not 0.0 <= self.epsilon < math.inf:  # NaN fails too
-            raise ValueError("epsilon must be nonnegative and finite")
-        if not (0.0 <= self.lambda_ema <= 1.0):
-            raise ValueError("Beta EMA weight lambda_ema must be in [0, 1]")
 
     @classmethod
-    def default_init(cls, pi: float, epsilon: float = 0.0,
-                     lambda_ema: float = 0.999) -> "BetaMixtureModel":
+    def default_init(cls, pi: float) -> "BetaMixtureModel":
         # ID component starts near 1, OOD near 0
-        return cls(id=BetaParams(10.0, 2.0), ood=BetaParams(2.0, 10.0),
-                   pi=pi, epsilon=epsilon, lambda_ema=lambda_ema)
+        return cls(id=BetaParams(10.0, 2.0), ood=BetaParams(2.0, 10.0), pi=pi)
 
 
 def clamp_scores(s: np.ndarray) -> np.ndarray:
@@ -155,13 +143,13 @@ def mixture_densities(model: BetaMixtureModel, s) -> tuple[np.ndarray, np.ndarra
     return num, den
 
 
-def posterior_id(model: BetaMixtureModel, s, regularized: bool = False,
+def posterior_id(model: BetaMixtureModel, s, epsilon: float = 0.0,
                  densities: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | float:
     """Posterior probability of being ID given a score.
 
-    The regularized form adds ``epsilon`` to the denominator; it is used
-    only when sampling masks, never inside the IMM estimation. If both
-    densities underflow to zero, the prior ``pi`` is returned. A caller
+    ``epsilon`` is added to the denominator; a nonzero one, the regularized
+    form, is used only for the decision, never inside the IMM estimation. If
+    both densities underflow to zero, the prior ``pi`` is returned. A caller
     that needs both forms passes ``densities=mixture_densities(model, s)``
     so the Beta densities are evaluated once; they must have the shape of ``s``.
     """
@@ -171,8 +159,7 @@ def posterior_id(model: BetaMixtureModel, s, regularized: bool = False,
     if den.shape != np.shape(s):
         raise ValueError(f"densities of shape {den.shape} do not match scores "
                          f"of shape {np.shape(s)}")
-    if regularized:
-        den = den + model.epsilon
+    den = den + epsilon
     out = np.empty_like(den)
     dead = den == 0.0
     if dead.any():
@@ -216,13 +203,15 @@ def _ema(old: BetaParams, new: BetaParams, lam: float) -> BetaParams:
 
 
 def imm_batch_step(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
-                   labeled_scores: np.ndarray, w_id: np.ndarray) -> BetaMixtureModel:
-    """One streaming IMM update; returns a new model (EMA-smoothed).
+                   labeled_scores: np.ndarray, w_id: np.ndarray,
+                   lambda_beta: float) -> BetaMixtureModel:
+    """One streaming IMM update; returns a new model, each parameter EMA-smoothed
+    keeping a ``lambda_beta`` share of the old value.
 
     ``w_id`` is ``posterior_id(model, unlabeled_scores)``, the E-step weights.
     """
     tilde_id, tilde_ood = _imm_iteration(model, unlabeled_scores, labeled_scores, w_id)
-    lam = model.lambda_ema
+    lam = lambda_beta
     return replace(model, id=model.id if tilde_id is None else _ema(model.id, tilde_id, lam),
                    ood=model.ood if tilde_ood is None else _ema(model.ood, tilde_ood, lam))
 

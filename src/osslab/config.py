@@ -8,9 +8,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import nn, optim, subspace
-from .betamix import BetaMixtureModel
-from .decide import DecisionRule, RuleKind
+from . import nn
+from .decide import RuleKind
 
 
 @dataclass
@@ -91,11 +90,21 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be a nonnegative finite real")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must be in (0, 1]")
-        # construct eagerly so invalid configs fail before any work
-        self.beta_model()
-        self.decision()
-        self.mean_table()
-        self.optimizer_state(np.zeros(0))
+        if not (0.0 < self.resolved_pi() < 1.0):
+            raise ValueError("pi must be strictly inside (0, 1)")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
+        if not (0.0 <= self.lambda_beta <= 1.0):
+            raise ValueError("Beta EMA weight lambda_beta must be in [0, 1]")
+        RuleKind(self.decision_rule)  # an unknown rule is a ValueError
+        if not (0.0 <= self.otsu_momentum <= 1.0):
+            raise ValueError("Otsu momentum must be in [0, 1]")
+        if not (0.0 <= self.lambda_means <= 1.0):
+            raise ValueError("class-mean momentum must be in [0, 1]")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must be in [0, 1)")
+        if not (0.0 <= self.ema_momentum <= 1.0):
+            raise ValueError("ema_momentum must be in [0, 1]")
         nn.check_architecture((self.input_dim, *self.hidden, self.feature_dim),
                               self.num_id_classes, self.activation)
 
@@ -119,20 +128,6 @@ class TrainingConfig:
 
     def resolved_pi(self) -> float:
         return 1.0 - self.ood_fraction if self.pi is None else self.pi
-
-    def beta_model(self) -> BetaMixtureModel:
-        return BetaMixtureModel.default_init(self.resolved_pi(), self.epsilon,
-                                             self.lambda_beta)
-
-    def decision(self) -> DecisionRule:
-        return DecisionRule(kind=RuleKind(self.decision_rule), momentum=self.otsu_momentum)
-
-    def mean_table(self) -> subspace.ClassMeanTable:
-        return subspace.ClassMeanTable.empty(self.num_id_classes, self.feature_dim,
-                                             self.lambda_means)
-
-    def optimizer_state(self, theta: np.ndarray) -> optim.OptimizerState:
-        return optim.OptimizerState.init(theta, self.momentum, self.ema_momentum)
 
     def to_text(self) -> str:
         lines = []
@@ -163,9 +158,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(TrainingConfig)}
 
 def parse_value(name: str, raw: str) -> object:
     """``raw`` parsed by the declared type of field ``name``; an unknown name
-    is a ``KeyError``."""
+    is a ``ValueError``."""
     if name not in _FIELD_TYPES:
-        raise KeyError(f"unknown config key {name!r}")
+        raise ValueError(f"unknown config key {name!r}")
     kind = _FIELD_TYPES[name]
     try:
         return _PARSERS[kind](raw.strip())

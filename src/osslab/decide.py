@@ -23,15 +23,7 @@ class RuleKind(enum.Enum):
     DIRECT_WEIGHT = "direct_weight"
 
 
-@dataclass
-class DecisionRule:
-    kind: RuleKind
-    ema_threshold: float = 0.5   # Otsu state
-    momentum: float = 0.999      # Otsu EMA momentum
-
-    def __post_init__(self):
-        if not (0.0 <= self.momentum <= 1.0):
-            raise ValueError("Otsu momentum must be in [0, 1]")
+OTSU_START = 0.5  # the Otsu EMA before the first batch
 
 
 @dataclass
@@ -40,7 +32,7 @@ class Decision:
 
     sub_weights: np.ndarray    # factor on s(z) per sample in the subspace loss
     semi_gate: np.ndarray      # factor on each pseudo-label term, in [0, 1]
-    threshold: float = float("nan")  # Otsu rule only
+    threshold: float = float("nan")  # Otsu rule only: the EMA after this batch
 
     @property
     def id_rate(self) -> float:
@@ -93,25 +85,27 @@ def otsu_threshold(scores: np.ndarray, num_bins: int = 128) -> float:
     return float(edges[1 + np.argmax(var_b)])
 
 
-def decide(rule: DecisionRule, scores: np.ndarray, posteriors: np.ndarray,
-           rng: np.random.Generator) -> Decision:
-    """Apply the active decision rule to one unlabeled batch.
+def decide(kind: RuleKind, scores: np.ndarray, posteriors: np.ndarray,
+           rng: np.random.Generator, ema_threshold: float,
+           otsu_momentum: float) -> Decision:
+    """Apply decision rule ``kind`` to one unlabeled batch.
 
-    The Otsu rule mutates ``rule.ema_threshold`` (EMA of the per-batch
-    Otsu threshold on raw scores) before thresholding.
+    The Otsu rule first moves ``ema_threshold``, the EMA of the per-batch
+    Otsu threshold on raw scores, by ``otsu_momentum``, thresholds at the
+    result and returns it as ``Decision.threshold``; the other rules ignore
+    both.
     """
     posteriors = np.asarray(posteriors, dtype=float)
     threshold = float("nan")
-    if rule.kind is RuleKind.SAMPLED_MASK:
+    if kind is RuleKind.SAMPLED_MASK:
         gate = sample_mask(posteriors, rng).astype(float)
-    elif rule.kind is RuleKind.OTSU_THRESHOLD:
+    elif kind is RuleKind.OTSU_THRESHOLD:
         t = otsu_threshold(scores)
-        rule.ema_threshold = rule.momentum * rule.ema_threshold + (1.0 - rule.momentum) * t
-        threshold = rule.ema_threshold
+        threshold = otsu_momentum * ema_threshold + (1.0 - otsu_momentum) * t
         gate = (np.asarray(scores) >= threshold).astype(float)
-    elif rule.kind is RuleKind.DIRECT_WEIGHT:
+    elif kind is RuleKind.DIRECT_WEIGHT:
         gate = posteriors
     else:
-        raise ValueError(f"unknown rule {rule.kind!r}")
+        raise ValueError(f"unknown rule {kind!r}")
     # m_ood - m_id, with m_ood = 1 - m_id
     return Decision(sub_weights=1.0 - 2.0 * gate, semi_gate=gate, threshold=threshold)

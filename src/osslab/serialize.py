@@ -6,7 +6,9 @@ by row), ``initialized`` (C bools), ``beta`` (``alpha_id``, ``beta_id``,
 ``order_rng``, ``aug_rng`` (``bit_generator.state`` dicts of ints), and
 ``labeled``, ``unlabeled`` (each pool's shuffle: ``perm`` and ``pos``). The
 four float arrays are base64 strings of their little-endian float64 bytes, so
-every bit pattern, NaN payloads and signs included, reloads exactly.
+every bit pattern, NaN payloads and signs included, reloads exactly. No
+setting is stored here: the state holds none, and each comes back through
+``config.txt`` (the mixture's ``pi`` too, as ``RunState.start`` sets it).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ def _rngs(state) -> dict:
 
 
 def _float_arrays(state) -> dict:
-    return {"theta": state.params.theta, "ema": state.opt_state.ema_params,
-            "velocity": state.opt_state.velocity, "means": state.table.means}
+    return {"theta": state.params.theta, "ema": state.ema,
+            "velocity": state.velocity, "means": state.table.means}
 
 
 def save_checkpoint(state, path: str) -> None:
@@ -40,7 +42,7 @@ def save_checkpoint(state, path: str) -> None:
     beta = dict(zip(BETA_KEYS, map(float, (b.id.alpha, b.id.beta, b.ood.alpha, b.ood.beta))))
     fields = {"version": VERSION, **_float_arrays(state),
               "initialized": state.table.initialized.tolist(), "beta": beta,
-              "threshold": float(state.rule.ema_threshold),
+              "threshold": float(state.threshold),
               **{key: rng.bit_generator.state for key, rng in _rngs(state).items()},
               **{pool: {"perm": getattr(state.cursor, pool).perm.tolist(),
                         "pos": getattr(state.cursor, pool).pos} for pool in POOLS}}
@@ -114,9 +116,9 @@ def load_checkpoint(path: str, state) -> None:
             raise ValueError("no class mean is initialized")
         b = [float(_get(_get(obj, "beta", dict), key, (int, float))) for key in BETA_KEYS]
         state.beta_model.id, state.beta_model.ood = BetaParams(*b[:2]), BetaParams(*b[2:])
-        state.rule.ema_threshold = float(_get(obj, "threshold", (int, float)))
-        if not 0.0 <= state.rule.ema_threshold <= 1.0:  # NaN included
-            raise ValueError(f"'threshold' {state.rule.ema_threshold} is outside [0, 1]")
+        state.threshold = float(_get(obj, "threshold", (int, float)))
+        if not 0.0 <= state.threshold <= 1.0:  # NaN included
+            raise ValueError(f"'threshold' {state.threshold} is outside [0, 1]")
         for key, rng in _rngs(state).items():
             rng.bit_generator.state = _get(obj, key, dict, _int_state)
         for pool, n in zip(POOLS, (state.config.n_labeled, state.config.n_unlabeled)):

@@ -34,15 +34,11 @@ class ScoreKind(enum.Enum):
 class ClassMeanTable:
     means: np.ndarray        # (C, D)
     initialized: np.ndarray  # (C,) bool
-    momentum: float = 0.999
 
     @classmethod
-    def empty(cls, num_classes: int, feature_dim: int, momentum: float = 0.999) -> "ClassMeanTable":
-        if not (0.0 <= momentum <= 1.0):
-            raise ValueError("class-mean momentum must be in [0, 1]")
+    def empty(cls, num_classes: int, feature_dim: int) -> "ClassMeanTable":
         return cls(means=np.zeros((num_classes, feature_dim)),
-                   initialized=np.zeros(num_classes, dtype=bool),
-                   momentum=momentum)
+                   initialized=np.zeros(num_classes, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,10 @@ class IdSubspaceBasis:
         return self.Q.shape[1]
 
 
-def update_class_means(table: ClassMeanTable, Z: np.ndarray, labels: np.ndarray) -> None:
-    """EMA-update means for classes present in the batch, in place.
+def update_class_means(table: ClassMeanTable, Z: np.ndarray, labels: np.ndarray,
+                       momentum: float) -> None:
+    """EMA-update means for classes present in the batch, in place, keeping a
+    ``momentum`` share of the old mean.
 
     First sighting of a class sets its mean directly to the batch mean.
     Classes are found with ``np.bincount``: ``np.unique`` would import
@@ -63,11 +61,10 @@ def update_class_means(table: ClassMeanTable, Z: np.ndarray, labels: np.ndarray)
     """
     Z = np.atleast_2d(Z)
     labels = np.asarray(labels)
-    lam = table.momentum
     for c in np.flatnonzero(np.bincount(labels)):
         batch_mean = Z[labels == c].mean(axis=0)
         if table.initialized[c]:
-            table.means[c] = lam * table.means[c] + (1.0 - lam) * batch_mean
+            table.means[c] = momentum * table.means[c] + (1.0 - momentum) * batch_mean
         else:
             table.means[c] = batch_mean
             table.initialized[c] = True

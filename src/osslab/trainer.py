@@ -1,12 +1,14 @@
 """The training loop and the experiment drivers (sweep, ablation).
 
 A run is one ``RunState``, which ``train`` builds, advances in place and
-returns. Per-step order: forward passes; the basis of the class means carried
-over from the end of the previous step; subspace scores and masks from that
-basis and the carried Beta parameters; losses and the SGD update; then the
-class-mean update, the streaming IMM update (using this step's scores), and
-the parameter EMA. At step 0 the class means are bootstrapped from the first
-labeled batch before the basis is taken, since none are set yet.
+returns; each step reads its settings from ``state.config``, which no part
+of the state copies. Per-step order: forward passes; the basis of the class
+means carried over from the end of the previous step; subspace scores and
+masks from that basis and the carried Beta parameters; losses and the SGD
+update; then the class-mean update, the streaming IMM update (using this
+step's scores), and the parameter EMA. At step 0 the class means are
+bootstrapped from the first labeled batch before the basis is taken, since
+none are set yet.
 """
 
 from __future__ import annotations
@@ -91,14 +93,16 @@ class RunLog:
 @dataclass
 class RunState:
     """Everything a run carries from one step to the next, and nothing
-    derived from it. A copy of it at the top of step ``config.K_p`` lets
+    derived from it: arrays, generators and the Otsu EMA. Every setting is
+    read from ``config``. A copy of it at the top of step ``config.K_p`` lets
     another run with the same warm-up (``warmup_key``) start there."""
     config: TrainingConfig
     params: nn.MlpParams
-    opt_state: optim.OptimizerState
+    velocity: np.ndarray  # the SGD velocity, in the layout of params.theta
+    ema: np.ndarray       # the EMA shadow of params.theta
     table: subspace.ClassMeanTable
     beta_model: betamix.BetaMixtureModel
-    rule: decide.DecisionRule  # its ema_threshold is the Otsu EMA
+    threshold: float      # the Otsu EMA; it moves only under the Otsu rule
     mask_rng: np.random.Generator
     cursor: BatchCursor
     runlog: RunLog
@@ -109,8 +113,10 @@ class RunState:
         params = nn.init_params(config.input_dim, config.hidden, config.feature_dim,
                                 config.num_id_classes, stream(config.seed, "init"),
                                 config.activation)
-        return cls(config, params, config.optimizer_state(params.theta), config.mean_table(),
-                   config.beta_model(), config.decision(), stream(config.seed, "mask"),
+        return cls(config, params, np.zeros_like(params.theta), params.theta.copy(),
+                   subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim),
+                   betamix.BetaMixtureModel.default_init(config.resolved_pi()),
+                   decide.OTSU_START, stream(config.seed, "mask"),
                    BatchCursor.start(config.seed), RunLog())
 
     @property
@@ -134,12 +140,23 @@ class RunState:
     @property
     def ema_params(self) -> nn.MlpParams:
         """The EMA shadow of the parameters, the ones that are evaluated; a view."""
-        return self.params.from_vector(self.opt_state.ema_params)
+        return self.params.from_vector(self.ema)
 
 
 # Config fields that act only after the warm-up, or on the logged decision
 # columns that a resumed run replays.
 _POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule")
+
+
+def _decide(state: RunState, scores_u: np.ndarray, p_reg: np.ndarray) -> decide.Decision:
+    """The config's rule applied to one unlabeled batch; the Otsu rule moves
+    ``state.threshold``."""
+    kind = decide.RuleKind(state.config.decision_rule)
+    decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, state.threshold,
+                             state.config.otsu_momentum)
+    if kind is decide.RuleKind.OTSU_THRESHOLD:
+        state.threshold = decision.threshold
+    return decision
 
 
 def warmup_key(config: TrainingConfig) -> tuple:
@@ -196,9 +213,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     ``warmups`` maps a ``warmup_key`` to a copy of a state at the top of step
     ``K_p`` and each warm-up step's decision inputs ``(scores_u, p_reg)``. If
     it holds this config's key, the run resumes from a deep copy of that
-    state with a fresh rule and mask stream, and replays its own rule over
-    the inputs. Otherwise the run stores its own entry there. Either way the
-    result equals ``train(config)``'s.
+    state with this config, a fresh Otsu EMA and mask stream, and replays
+    its own rule over the inputs. Otherwise the run stores its own entry
+    there. Either way the result equals ``train(config)``'s.
     """
     dataset = generate(config)
 
@@ -208,16 +225,16 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     if warm is None:
         state = RunState.start(config)
     else:
-        state = replace(copy.deepcopy(warm[0]), config=config, rule=config.decision(),
+        state = replace(copy.deepcopy(warm[0]), config=config, threshold=decide.OTSU_START,
                         mask_rng=stream(config.seed, "mask"))
         for rec, (scores_u, p_reg) in zip(state.runlog.steps, warm[1]):
-            decision = decide.decide(state.rule, scores_u, p_reg, state.mask_rng)
+            decision = _decide(state, scores_u, p_reg)
             rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
             rec.mask_hash = decision.hash()
-    params, opt_state, table, runlog = state.params, state.opt_state, state.table, state.runlog
+    params, table, runlog = state.params, state.table, state.runlog
     grads = params.zeros_like()
     batch_iter = batches(dataset, config, state.cursor)
-    movers = (state.rule, state.cursor.labeled, state.cursor.unlabeled)
+    shuffles = (state.cursor.labeled, state.cursor.unlabeled)
     rngs = (state.mask_rng, state.cursor.order_rng, state.cursor.aug_rng)
 
     # one pass more than there are steps, so a run with K == K_p stores its end
@@ -228,7 +245,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             break
         warmup = k < config.K_p
         # a failed step writes these back (a shuffle's perm is replaced, never written)
-        top = [dict(vars(m)) for m in movers], [g.bit_generator.state for g in rngs]
+        top = (state.threshold, [dict(vars(s)) for s in shuffles],
+               [g.bit_generator.state for g in rngs])
         batch = next(batch_iter)
         try:
             trace_l = nn.forward(params, batch.labeled_weak)
@@ -236,7 +254,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             trace_s = nn.forward(params, batch.unlabeled_strong)
 
             if k == 0:  # no class mean is set yet; initialize them from this batch
-                subspace.update_class_means(table, trace_l.z, batch.labels)
+                subspace.update_class_means(table, trace_l.z, batch.labels, config.lambda_means)
             basis, beta_model = subspace.compute_basis(table), state.beta_model
 
             sub_on = not warmup and config.w_sub > 0.0
@@ -248,10 +266,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             s_u = betamix.clamp_scores(scores_u)
             s_l = betamix.clamp_scores(scores_l)
             densities = betamix.mixture_densities(beta_model, s_u)
-            p_reg = betamix.posterior_id(beta_model, s_u, regularized=True,
-                                         densities=densities)
+            p_reg = betamix.posterior_id(beta_model, s_u, config.epsilon, densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
-            decision = decide.decide(state.rule, scores_u, p_reg, state.mask_rng)
+            decision = _decide(state, scores_u, p_reg)
             if keep and warmup:
                 inputs.append((scores_u, p_reg))
 
@@ -281,27 +298,29 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val, config)
 
             step_lr = optim.lr(config, k)
-            optim.sgd_step(params.theta, grads.theta, opt_state, step_lr)
+            optim.sgd_step(params.theta, grads.theta, state.velocity, config.momentum, step_lr)
         except nn.NumericalError:
             # Nothing above changes params, velocity or the mixture before it
             # raises (sgd_step checks the gradient before it writes), and the
             # means change only at the step-0 bootstrap. The batch draw and
-            # decide moved the rule, the generators and the cursor, which are
-            # written back here, so for k >= 1 the saved state is exactly the
-            # end of step k - 1.
+            # decide moved the Otsu EMA, the generators and the cursor, which
+            # are written back here, so for k >= 1 the saved state is exactly
+            # the end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
-            for mover, saved in zip(movers, top[0]):
-                vars(mover).update(saved)
-            for g, saved in zip(rngs, top[1]):
+            state.threshold = top[0]
+            for shuffle, saved in zip(shuffles, top[1]):
+                vars(shuffle).update(saved)
+            for g, saved in zip(rngs, top[2]):
                 g.bit_generator.state = saved
             if run_dir and k > 0:
                 write_run_outputs(state, run_dir)
             raise
 
         if k > 0:
-            subspace.update_class_means(table, trace_l.z, batch.labels)
-        state.beta_model = beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id)
-        optim.ema_update(opt_state, params.theta)
+            subspace.update_class_means(table, trace_l.z, batch.labels, config.lambda_means)
+        state.beta_model = beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id,
+                                                               config.lambda_beta)
+        optim.ema_update(state.ema, params.theta, config.ema_momentum)
 
         runlog.steps.append(StepRecord(
             step=k, lr=step_lr, sup=sup_val, semi=semi_val, self_sup=self_val,

@@ -18,7 +18,6 @@ from osslab.betamix import (
     _imm_iteration,
 )
 from osslab.config import TrainingConfig
-from osslab.data import generate
 from osslab.decide import sample_mask
 from osslab.evaluation import auroc
 from osslab.losses import (
@@ -183,9 +182,9 @@ class TestMixtureEstimation:
         rng = np.random.default_rng(29)
         scores = clamp_scores(rng.beta(4, 2, 400))
         labeled = clamp_scores(rng.beta(8, 2, 50))
-        model = BetaMixtureModel.default_init(pi=0.5, lambda_ema=0.0)
+        model = BetaMixtureModel.default_init(pi=0.5)
         w_id = posterior_id(model, scores)
-        stepped = imm_batch_step(model, scores, labeled, w_id)
+        stepped = imm_batch_step(model, scores, labeled, w_id, 0.0)
         ref_id, ref_ood = _imm_iteration(model, scores, labeled, w_id)
         ok = (stepped.id == ref_id and stepped.ood == ref_ood)
         report("mixture estimation: batch step vs reference", ok,

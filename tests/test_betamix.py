@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from osslab import trainer
 from osslab.betamix import (
     PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, MomentPair, beta_pdf, betaln,
     clamp_scores, fit_reference,
     imm_batch_step, method_of_moments, mixture_densities, posterior_id,
     weighted_moments,
 )
+from osslab.config import TrainingConfig
 from osslab.evaluation import auroc
 
+from test_harness import TINY
 
-def imm_step(model, unlabeled, labeled):
+
+def imm_step(model, unlabeled, labeled, lambda_beta):
     """``imm_batch_step`` with the E-step weights the trainer passes."""
-    return imm_batch_step(model, unlabeled, labeled, posterior_id(model, unlabeled))
+    return imm_batch_step(model, unlabeled, labeled, posterior_id(model, unlabeled), lambda_beta)
 
 
 class TestBetaPdf:
@@ -137,13 +141,13 @@ class TestPosterior:
         assert posterior_id(m, 0.9999999) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_epsilon_suppresses_posterior(self):
-        m = self.model(epsilon=1e12)
-        assert posterior_id(m, 0.8, regularized=True) < 1e-9
+        assert posterior_id(self.model(), 0.8, epsilon=1e12) < 1e-9
 
     def test_epsilon_ignored_when_not_regularized(self):
-        a = posterior_id(self.model(epsilon=0.0), 0.8)
-        b = posterior_id(self.model(epsilon=5.0), 0.8)
-        assert a == b
+        # the default is the unregularized posterior, the one the IMM reads
+        m = self.model()
+        a = posterior_id(m, 0.8)
+        assert a == posterior_id(m, 0.8, epsilon=0.0) > posterior_id(m, 0.8, epsilon=5.0)
 
     def test_bounds_on_grid(self):
         m = self.model()
@@ -159,12 +163,12 @@ class TestPosterior:
         assert np.all(np.diff(p) >= -1e-12)
 
 
-def reference_posterior_id(model, s, regularized):
+def reference_posterior_id(model, s, epsilon):
     """The posterior with its own density pass, as each call made it."""
     num = model.pi * beta_pdf(model.id, s)
     den = num + (1.0 - model.pi) * beta_pdf(model.ood, s)
-    if regularized:
-        den = den + model.epsilon
+    if epsilon:
+        den = den + epsilon
     out = np.empty_like(den)
     dead = den == 0.0
     out[dead] = model.pi
@@ -175,17 +179,16 @@ def reference_posterior_id(model, s, regularized):
 class TestSharedDensities:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_one_density_pass_gives_both_posteriors(self, rng, epsilon):
-        models = [BetaMixtureModel.default_init(0.4, epsilon=epsilon),
+        models = [BetaMixtureModel.default_init(0.4),
                   # both densities underflow to 0 in the middle: the prior comes back
-                  BetaMixtureModel(id=BetaParams(1e5, 1.0), ood=BetaParams(1.0, 1e5),
-                                   pi=0.3, epsilon=epsilon)]
+                  BetaMixtureModel(id=BetaParams(1e5, 1.0), ood=BetaParams(1.0, 1e5), pi=0.3)]
         s = clamp_scores(np.concatenate([rng.uniform(0.0, 1.0, 64), [0.5, 1e-7, 1.0]]))
         for m in models:
             densities = mixture_densities(m, s)
-            for regularized in (True, False):
-                want = reference_posterior_id(m, s, regularized)
-                shared = posterior_id(m, s, regularized=regularized, densities=densities)
-                own = posterior_id(m, s, regularized=regularized)
+            for eps in (epsilon, 0.0):  # the decision's form and the IMM's
+                want = reference_posterior_id(m, s, eps)
+                shared = posterior_id(m, s, eps, densities=densities)
+                own = posterior_id(m, s, eps)
                 assert shared.tobytes() == own.tobytes() == want.tobytes()
         assert posterior_id(models[1], 0.5) == 0.3
 
@@ -200,19 +203,18 @@ class TestSharedDensities:
 
 class TestImmBatchStep:
     def test_lambda_one_freezes_model(self, rng):
-        m = BetaMixtureModel.default_init(0.5, lambda_ema=1.0)
-        out = imm_step(m, rng.uniform(0.1, 0.9, 64), rng.uniform(0.5, 0.9, 16))
+        m = BetaMixtureModel.default_init(0.5)
+        out = imm_step(m, rng.uniform(0.1, 0.9, 64), rng.uniform(0.5, 0.9, 16), 1.0)
         assert (out.id, out.ood) == (m.id, m.ood)
 
     def test_lambda_zero_separated_matches_per_component_mom(self, rng):
         # construct a model under which posteriors are numerically 0 or 1
-        m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0),
-                             pi=0.5, lambda_ema=0.0)
+        m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0), pi=0.5)
         hi = rng.uniform(0.93, 0.97, size=40)   # posterior ~ 1
         lo = rng.uniform(0.03, 0.07, size=40)   # posterior ~ 0
         lab = rng.uniform(0.94, 0.96, size=10)
         unl = np.concatenate([hi, lo])
-        out = imm_step(m, unl, lab)
+        out = imm_step(m, unl, lab, 0.0)
         id_ref = method_of_moments(
             weighted_moments(np.concatenate([lab, hi]), np.ones(50)))
         ood_ref = method_of_moments(weighted_moments(lo, np.ones(40)))
@@ -224,40 +226,38 @@ class TestImmBatchStep:
                                            rng.beta(2, 8, size=50)]))
         lab = clamp_scores(rng.beta(8, 2, size=20))
         # lambda = 0 fixed point by plain iteration on the same batch
-        ref = BetaMixtureModel.default_init(0.5, lambda_ema=0.0)
+        ref = BetaMixtureModel.default_init(0.5)
         for _ in range(2000):
-            ref = imm_step(ref, unl, lab)
-        m = BetaMixtureModel.default_init(0.5, lambda_ema=0.9)
+            ref = imm_step(ref, unl, lab, 0.0)
+        m = BetaMixtureModel.default_init(0.5)
         for _ in range(20000):
-            m = imm_step(m, unl, lab)
+            m = imm_step(m, unl, lab, 0.9)
         for a, b in ((m.id.alpha, ref.id.alpha), (m.id.beta, ref.id.beta),
                      (m.ood.alpha, ref.ood.alpha), (m.ood.beta, ref.ood.beta)):
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_degenerate_component_skipped(self):
-        m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0),
-                             pi=0.5, lambda_ema=0.0)
+        m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0), pi=0.5)
         hi = np.linspace(0.9, 0.99, 30)  # no OOD mass at all
-        out = imm_step(m, hi, np.array([0.95, 0.96]))
+        out = imm_step(m, hi, np.array([0.95, 0.96]), 0.0)
         assert out.ood == m.ood
         assert out.id != m.id
 
-    def test_epsilon_never_touches_imm(self, rng):
-        unl = rng.uniform(0.1, 0.9, size=60)
-        lab = rng.uniform(0.6, 0.95, size=12)
-        runs = []
-        for eps in (0.0, 0.1, 7.0):
-            m = BetaMixtureModel.default_init(0.5, epsilon=eps, lambda_ema=0.9)
-            for _ in range(25):
-                m = imm_step(m, unl, lab)
-            runs.append((m.id.alpha, m.id.beta, m.ood.alpha, m.ood.beta))
-        assert runs[0] == runs[1] == runs[2]
+    def test_epsilon_never_touches_imm(self):
+        # the trainer's E-step reads the unregularized posterior: with no loss
+        # reading the decision, the mixture columns do not move with epsilon
+        base = TrainingConfig(**TINY, w_semi=0.0, w_sub=0.0, decision_rule="direct_weight")
+        runs = [trainer.train(base.replace(epsilon=eps)).runlog.steps for eps in (0.0, 0.1, 7.0)]
+        mixture = [[(r.alpha_id, r.beta_id, r.alpha_ood, r.beta_ood) for r in steps]
+                   for steps in runs]
+        assert mixture[0] == mixture[1] == mixture[2]
+        assert runs[0][-1].mean_p_id > runs[2][-1].mean_p_id  # the decision's posterior moved
 
     def test_full_batch_lambda0_equals_one_reference_iteration(self, rng):
         unl = clamp_scores(rng.beta(6, 2, size=200))
         lab = clamp_scores(rng.beta(6, 2, size=40))
-        init = BetaMixtureModel.default_init(0.5, lambda_ema=0.0)
-        stepped = imm_step(init, unl, lab)
+        init = BetaMixtureModel.default_init(0.5)
+        stepped = imm_step(init, unl, lab, 0.0)
         ref = fit_reference(unl, lab, pi=0.5, max_iters=1, tol=0.0, init=init)
         assert (stepped.id, stepped.ood) == (ref.id, ref.ood)
 

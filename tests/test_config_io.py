@@ -79,6 +79,22 @@ class TestTrainingConfig:
                              (dict(cluster_spread=0.0, seed=-1), "cluster_spread")):
             with pytest.raises(ValueError, match=message):
                 TrainingConfig(**bad)
+        # the mixture, decision, mean-table and optimizer checks run after the
+        # loss checks and before the architecture check, each in its old order
+        for bad, message in (
+                (dict(tau=0.0, pi=1.0), "tau"),
+                (dict(pi=1.0, epsilon=-1.0), r"^pi must be strictly inside \(0, 1\)$"),
+                (dict(epsilon=-1.0, lambda_beta=1.5), "^epsilon must be nonnegative and finite$"),
+                (dict(lambda_beta=1.5, decision_rule="bogus"),
+                 r"^Beta EMA weight lambda_beta must be in \[0, 1\]$"),
+                (dict(decision_rule="bogus", otsu_momentum=2.0), "'bogus' is not a valid RuleKind"),
+                (dict(otsu_momentum=2.0, lambda_means=2.0), r"^Otsu momentum must be in \[0, 1\]$"),
+                (dict(lambda_means=2.0, momentum=1.0),
+                 r"^class-mean momentum must be in \[0, 1\]$"),
+                (dict(momentum=1.0, ema_momentum=2.0), r"^momentum must be in \[0, 1\)$"),
+                (dict(ema_momentum=2.0, hidden=(0,)), r"^ema_momentum must be in \[0, 1\]$")):
+            with pytest.raises(ValueError, match=message):
+                TrainingConfig(**bad)
         TrainingConfig(hidden=())  # a linear backbone is a network
         # batches larger than their pools: 4 x 5 labeled rows, 4 x 20 ID + 80 OOD unlabeled
         pools = dict(num_id_classes=4, samples_per_class=20, labeled_per_class=5)
@@ -115,7 +131,7 @@ class TestOverridesAndFiles:
         assert set(config._PARSERS) == {f.type for f in fields(TrainingConfig)}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown config key 'learning_rate'"):
             parse_overrides(TrainingConfig(), {"learning_rate": "0.1"})
 
     def test_config_file_round_trip(self, tmp_path):
@@ -141,12 +157,12 @@ class TestCheckpoint:
         cfg = TrainingConfig(input_dim=6, hidden=(10,), feature_dim=4, num_id_classes=3,
                              pi=0.42, epsilon=0.05, lambda_means=0.99, lambda_beta=0.9)
         state = trainer.RunState.start(cfg)
-        for vec in (state.params.theta, state.opt_state.ema_params, state.opt_state.velocity):
+        for vec in (state.params.theta, state.ema, state.velocity):
             vec[:] = rng.normal(size=vec.size)
         state.table.means[:] = rng.normal(size=(3, 4))
         state.table.initialized[:] = [True, True, False]
         state.beta_model.id, state.beta_model.ood = BetaParams(3.5, 1.25), BetaParams(0.75, 6.0)
-        state.rule.ema_threshold = 0.3125
+        state.threshold = 0.3125
         state.mask_rng.random(7)
         state.cursor.labeled.perm = rng.permutation(cfg.n_labeled)
         state.cursor.labeled.pos = 5
@@ -161,15 +177,17 @@ class TestCheckpoint:
         state = self.make_state(rng)
         back = self.round_trip(state, tmp_path)
         assert back.step == 0
-        for get in (lambda s: s.params.theta, lambda s: s.opt_state.ema_params,
-                    lambda s: s.opt_state.velocity, lambda s: s.table.means):
+        for get in (lambda s: s.params.theta, lambda s: s.ema, lambda s: s.velocity,
+                    lambda s: s.table.means):
             assert get(back).tobytes() == get(state).tobytes()
         assert np.array_equal(back.table.initialized, [True, True, False])
         assert back.beta_model == state.beta_model
-        # the values that config.txt holds come back through it
-        assert (back.beta_model.pi, back.beta_model.epsilon, back.beta_model.lambda_ema,
-                back.table.momentum) == (0.42, 0.05, 0.9, 0.99)
-        assert back.rule == state.rule
+        # the settings come back through config.txt, and pi sets the mixture's weight
+        assert back.config == state.config
+        assert (back.config.epsilon, back.config.lambda_beta, back.config.lambda_means) == (
+            0.05, 0.9, 0.99)
+        assert back.beta_model.pi == back.config.pi == 0.42
+        assert back.threshold == state.threshold
         assert back.mask_rng.bit_generator.state == state.mask_rng.bit_generator.state
         for pool in ("labeled", "unlabeled"):
             got, want = getattr(back.cursor, pool), getattr(state.cursor, pool)
@@ -183,8 +201,7 @@ class TestCheckpoint:
         bits = np.array([0x7FF0000000000001, 0x0000000000000001], dtype=np.uint64)
         payload_nan, subnormal = bits.view(np.float64)
         special = [np.inf, -np.inf, np.nan, default_nan, payload_nan, -0.0, subnormal]
-        arrays = lambda s: (s.params.theta, s.opt_state.ema_params, s.opt_state.velocity,
-                            s.table.means.reshape(-1))
+        arrays = lambda s: (s.params.theta, s.ema, s.velocity, s.table.means.reshape(-1))
         for arr in arrays(state):
             arr[:len(special)] = special
         back = self.round_trip(state, tmp_path)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from osslab.decide import (
-    DecisionRule, RuleKind, decide, otsu_threshold, sample_mask,
-)
+from osslab.decide import OTSU_START, RuleKind, decide, otsu_threshold, sample_mask
+
+
+def decide_at_start(kind, scores, posteriors, rng):
+    """``decide`` with the Otsu EMA at its start value and momentum 0.999."""
+    return decide(kind, scores, posteriors, rng, OTSU_START, 0.999)
 
 
 class TestSampleMask:
@@ -15,8 +18,7 @@ class TestSampleMask:
 
     def test_complementarity(self, rng):
         # every sample is ID or OOD: the subspace weight is m_ood - m_id
-        d = decide(DecisionRule(kind=RuleKind.SAMPLED_MASK), np.zeros(100),
-                   rng.random(100), rng)
+        d = decide_at_start(RuleKind.SAMPLED_MASK, np.zeros(100), rng.random(100), rng)
         assert set(np.unique(d.semi_gate)) <= {0.0, 1.0}
         assert np.array_equal(d.sub_weights, (1.0 - d.semi_gate) - d.semi_gate)
 
@@ -152,8 +154,7 @@ class TestOtsu:
 class TestDecide:
     def test_sampled_equals_unmodified_path(self, rng):
         p = rng.random(64)
-        rule = DecisionRule(kind=RuleKind.SAMPLED_MASK)
-        d = decide(rule, np.zeros(64), p, np.random.default_rng(5))
+        d = decide_at_start(RuleKind.SAMPLED_MASK, np.zeros(64), p, np.random.default_rng(5))
         ref = sample_mask(p, np.random.default_rng(5))
         assert np.array_equal(d.semi_gate, ref)
         m = ref.astype(float)
@@ -161,39 +162,33 @@ class TestDecide:
         assert np.array_equal(d.semi_gate, m)
 
     def test_direct_weight_half_probability_zeroes_sub(self, rng):
-        rule = DecisionRule(kind=RuleKind.DIRECT_WEIGHT)
-        d = decide(rule, np.zeros(8), np.full(8, 0.5), rng)
+        d = decide_at_start(RuleKind.DIRECT_WEIGHT, np.zeros(8), np.full(8, 0.5), rng)
         assert np.allclose(d.sub_weights, 0.0)
         assert np.allclose(d.semi_gate, 0.5)
         assert np.array_equal(d.semi_gate, np.full(8, 0.5))  # the posteriors, no mask
         assert d.id_rate == 0.5
 
     def test_otsu_momentum_one_freezes_threshold(self, rng):
-        rule = DecisionRule(kind=RuleKind.OTSU_THRESHOLD, ema_threshold=0.5,
-                            momentum=1.0)
         scores = rng.random(64)
-        d = decide(rule, scores, scores, rng)
-        assert d.threshold == 0.5
-        assert rule.ema_threshold == 0.5
+        d = decide(RuleKind.OTSU_THRESHOLD, scores, scores, rng, 0.5, 1.0)
+        assert d.threshold == 0.5  # the EMA after the batch
 
     def test_otsu_thresholds_scores(self, rng):
-        rule = DecisionRule(kind=RuleKind.OTSU_THRESHOLD, ema_threshold=0.5,
-                            momentum=0.0)
         scores = np.concatenate([np.full(32, 0.1), np.full(32, 0.9)])
-        d = decide(rule, scores, scores, rng)
+        d = decide(RuleKind.OTSU_THRESHOLD, scores, scores, rng, 0.5, 0.0)
+        assert d.threshold == otsu_threshold(scores)
         assert d.semi_gate.sum() == 32
-        assert np.array_equal(d.semi_gate, scores >= rule.ema_threshold)
+        assert np.array_equal(d.semi_gate, scores >= d.threshold)
         assert d.id_rate == 0.5
 
     def test_mask_complementarity_all_rules(self, rng):
         for kind in (RuleKind.SAMPLED_MASK, RuleKind.OTSU_THRESHOLD):
-            rule = DecisionRule(kind=kind)
-            d = decide(rule, rng.random(32), rng.random(32), rng)
+            d = decide_at_start(kind, rng.random(32), rng.random(32), rng)
             assert set(np.unique(d.semi_gate)) <= {0.0, 1.0}
             assert np.array_equal(d.sub_weights, 1.0 - 2.0 * d.semi_gate)
 
     def test_hash_is_stable(self, rng):
         p = rng.random(16)
-        d1 = decide(DecisionRule(kind=RuleKind.DIRECT_WEIGHT), None, p, rng)
-        d2 = decide(DecisionRule(kind=RuleKind.DIRECT_WEIGHT), None, p, rng)
+        d1 = decide_at_start(RuleKind.DIRECT_WEIGHT, None, p, rng)
+        d2 = decide_at_start(RuleKind.DIRECT_WEIGHT, None, p, rng)
         assert d1.hash() == d2.hash()

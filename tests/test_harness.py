@@ -9,10 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from osslab import nn, subspace, trainer
+from osslab import betamix, nn, subspace, trainer
 from osslab.betamix import BetaParams
 from osslab.cli import main as cli_main
-from osslab.decide import RuleKind
+from osslab.decide import OTSU_START, RuleKind
 from osslab.config import TrainingConfig, load_config
 from osslab.data import generate
 from osslab.evaluation import accuracy, auroc, beta_density_grid
@@ -200,7 +200,7 @@ class TestSweepAblate:
         assert capsys.readouterr().err.startswith("error: ")
         # any config key is an axis; an unknown one is an invalid-input error
         assert cli_main(cli_args(tmp_path, "sweep", "--axis", "bogus", "--values", "1")) == 1
-        assert capsys.readouterr().err == "error: \"unknown config key 'bogus'\"\n"
+        assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"
         assert not os.listdir(tmp_path)
         assert cli_main(cli_args(tmp_path, "sweep", "--axis", "pi", "--values", "0.4,0.6")) == 0
         with open(os.path.join(only_run_dir(tmp_path), "sweep_pi.json")) as fh:
@@ -366,9 +366,9 @@ def test_stored_state_holds_the_rule_and_mask_stream_of_step_K_p(rule, tmp_path)
         header, *rows = fh.read().splitlines()
     threshold = float(dict(zip(header.split(","), rows[K_p - 1].split(",")))["threshold"])
     if rule is RuleKind.OTSU_THRESHOLD:
-        assert stored.rule.ema_threshold == threshold
+        assert stored.threshold == threshold
     else:  # no Otsu step ran, so the EMA holds its start value
-        assert stored.rule.ema_threshold == cfg.decision().ema_threshold
+        assert stored.threshold == OTSU_START
     # only the sampled mask draws, mu * B uniforms per step
     mask_rng = stream(cfg.seed, "mask")
     for _ in range(K_p if rule is RuleKind.SAMPLED_MASK else 0):
@@ -415,19 +415,27 @@ def test_a_steps_traces_die_with_the_step(monkeypatch):
 
 def test_run_state_holds_exactly_what_a_step_carries():
     assert [f.name for f in dataclasses.fields(trainer.RunState)] == [
-        "config", "params", "opt_state", "table", "beta_model", "rule", "mask_rng", "cursor",
-        "runlog"]
+        "config", "params", "velocity", "ema", "table", "beta_model", "threshold", "mask_rng",
+        "cursor", "runlog"]
+    assert [f.name for f in dataclasses.fields(subspace.ClassMeanTable)] == [
+        "means", "initialized"]
+    assert [f.name for f in dataclasses.fields(betamix.BetaMixtureModel)] == ["id", "ood", "pi"]
+    # no setting is copied into the state; pi is the mixture's own weight
+    settings = {f.name for f in dataclasses.fields(TrainingConfig)}
+    held = {f.name for cls in (trainer.RunState, subspace.ClassMeanTable, betamix.BetaMixtureModel)
+            for f in dataclasses.fields(cls)}
+    assert settings & held == {"pi"}
 
 
 def assert_same_state(got, want):
     """Every ``RunState`` field equal; float arrays as bit patterns."""
     assert got.config == want.config
-    for get in (lambda s: s.params.theta, lambda s: s.opt_state.ema_params,
-                lambda s: s.opt_state.velocity, lambda s: s.table.means):
+    for get in (lambda s: s.params.theta, lambda s: s.ema, lambda s: s.velocity,
+                lambda s: s.table.means):
         assert get(got).tobytes() == get(want).tobytes()
     assert np.array_equal(got.table.initialized, want.table.initialized)
     assert got.beta_model == want.beta_model
-    assert got.rule == want.rule
+    assert got.threshold == want.threshold
     for get in (lambda s: s.mask_rng, lambda s: s.cursor.order_rng, lambda s: s.cursor.aug_rng):
         assert get(got).bit_generator.state == get(want).bit_generator.state
     for pool in ("labeled", "unlabeled"):
@@ -634,8 +642,9 @@ class TestCli:
             save_checkpoint(clean, str(out / "clean.txt"))
             assert (out / "clean.txt").read_text() == saved, rule
 
-    def test_unknown_key_is_config_error(self, tmp_path):
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
         assert cli_main(["--out", str(tmp_path), "train", "--bogus", "1"]) == 1
+        assert capsys.readouterr().err == "error: invalid config: unknown config key 'bogus'\n"
 
     def test_config_file(self, tmp_path):
         cfg = TrainingConfig(**TINY)

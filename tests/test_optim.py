@@ -3,7 +3,7 @@ import pytest
 
 from osslab.config import TrainingConfig
 from osslab.nn import NumericalError
-from osslab.optim import OptimizerState, ema_update, lr, sgd_step
+from osslab.optim import ema_update, lr, sgd_step
 
 
 class TestSchedule:
@@ -54,88 +54,82 @@ class TestSgdStep:
     def test_zero_momentum_is_plain_sgd(self, rng):
         theta = rng.normal(size=5)
         g = rng.normal(size=5)
-        state = OptimizerState.init(np.zeros(5), momentum=0.0)
-        new = sgd_step(theta.copy(), g, state, 0.1)
+        new = sgd_step(theta.copy(), g, np.zeros(5), 0.0, 0.1)
         assert np.allclose(new, theta - 0.1 * g)
 
     def test_hand_computed_nesterov_sequence(self):
         # quadratic f = 0.5 x^2, grad = x, m = 0.5, lr = 0.1
         m, eta = 0.5, 0.1
         theta = np.array([1.0])
-        state = OptimizerState.init(np.zeros(1), momentum=m)
+        velocity = np.zeros(1)
         v = 0.0
         x = 1.0
         for _ in range(4):
             g = x
             v = m * v + g
             x = x - eta * (m * v + g)
-            theta = sgd_step(theta, np.array([theta[0]]), state, eta)
+            theta = sgd_step(theta, np.array([theta[0]]), velocity, m, eta)
             assert theta[0] == pytest.approx(x, abs=1e-15)
 
     def test_converges_on_quadratic(self):
-        state = OptimizerState.init(np.zeros(3), momentum=0.9)
+        velocity = np.zeros(3)
         theta = np.array([5.0, -3.0, 1.0])
         for _ in range(300):
-            theta = sgd_step(theta, theta, state, 0.05)
+            theta = sgd_step(theta, theta, velocity, 0.9, 0.05)
         assert np.abs(theta).max() < 1e-6
 
     def test_nonfinite_gradient_rejected(self):
-        state = OptimizerState.init(np.zeros(2))
         with pytest.raises(NumericalError):
-            sgd_step(np.zeros(2), np.array([1.0, np.nan]), state, 0.1)
+            sgd_step(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2), 0.9, 0.1)
 
     def test_updates_in_place(self, rng):
         theta, g = rng.normal(size=4), rng.normal(size=4)
-        state = OptimizerState.init(np.zeros(4))
-        velocity = state.velocity
-        assert sgd_step(theta, g, state, 0.1) is theta
-        assert state.velocity is velocity and np.array_equal(velocity, g)
+        velocity = np.zeros(4)
+        assert sgd_step(theta, g, velocity, 0.9, 0.1) is theta
+        assert np.array_equal(velocity, g)
 
     def test_nonfinite_gradient_leaves_state_untouched(self, rng):
         # train() saves the live state as the end of the previous step
         theta = rng.normal(size=3)
-        state = OptimizerState.init(np.zeros(3), momentum=0.9)
-        sgd_step(theta, rng.normal(size=3), state, 0.1)
-        before = theta.tobytes(), state.velocity.tobytes()
+        velocity = np.zeros(3)
+        sgd_step(theta, rng.normal(size=3), velocity, 0.9, 0.1)
+        before = theta.tobytes(), velocity.tobytes()
         with pytest.raises(NumericalError):
-            sgd_step(theta, np.array([1.0, np.nan, 0.0]), state, 0.1)
-        assert (theta.tobytes(), state.velocity.tobytes()) == before
+            sgd_step(theta, np.array([1.0, np.nan, 0.0]), velocity, 0.9, 0.1)
+        assert (theta.tobytes(), velocity.tobytes()) == before
 
     def test_velocity_accumulates(self):
-        state = OptimizerState.init(np.zeros(1), momentum=0.9)
-        sgd_step(np.zeros(1), np.ones(1), state, 0.1)
-        assert state.velocity[0] == pytest.approx(1.0)
-        sgd_step(np.zeros(1), np.ones(1), state, 0.1)
-        assert state.velocity[0] == pytest.approx(1.9)
+        velocity = np.zeros(1)
+        sgd_step(np.zeros(1), np.ones(1), velocity, 0.9, 0.1)
+        assert velocity[0] == pytest.approx(1.0)
+        sgd_step(np.zeros(1), np.ones(1), velocity, 0.9, 0.1)
+        assert velocity[0] == pytest.approx(1.9)
 
 
 class TestEmaUpdate:
     def test_momentum_zero_tracks_exactly(self, rng):
-        state = OptimizerState.init(np.zeros(4), ema_momentum=0.0)
+        ema = np.zeros(4)
         theta = rng.normal(size=4)
-        ema_update(state, theta)
-        assert np.array_equal(state.ema_params, theta)
+        ema_update(ema, theta, 0.0)
+        assert np.array_equal(ema, theta)
 
     def test_updates_in_place(self, rng):
-        state = OptimizerState.init(np.zeros(4), ema_momentum=0.5)
-        ema = state.ema_params
-        ema_update(state, np.ones(4))
-        assert state.ema_params is ema and np.array_equal(ema, np.full(4, 0.5))
+        ema = np.zeros(4)
+        assert ema_update(ema, np.ones(4), 0.5) is None
+        assert np.array_equal(ema, np.full(4, 0.5))
 
     def test_momentum_one_freezes(self, rng):
-        state = OptimizerState.init(np.ones(4), ema_momentum=1.0)
-        before = state.ema_params.copy()
-        ema_update(state, rng.normal(size=4))
-        assert np.array_equal(state.ema_params, before)
+        ema = np.ones(4)
+        ema_update(ema, rng.normal(size=4), 1.0)
+        assert np.array_equal(ema, np.ones(4))
 
     def test_hand_value(self):
-        state = OptimizerState.init(np.zeros(1), ema_momentum=0.9)
-        state.ema_params[:] = 2.0
-        ema_update(state, np.array([4.0]))
-        assert state.ema_params[0] == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
+        ema = np.full(1, 2.0)
+        ema_update(ema, np.array([4.0]), 0.9)
+        assert ema[0] == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
 
     def test_converges_to_constant(self):
-        state = OptimizerState.init(np.zeros(1), ema_momentum=0.9)
+        ema = np.zeros(1)
         for _ in range(500):
-            ema_update(state, np.array([3.0]))
-        assert state.ema_params[0] == pytest.approx(3.0, abs=1e-8)
+            ema_update(ema, np.array([3.0]), 0.9)
+        assert ema[0] == pytest.approx(3.0, abs=1e-8)

@@ -25,39 +25,39 @@ def random_basis(rng, dim, rank):
 
 class TestUpdateClassMeans:
     def test_momentum_one_is_identity(self, rng):
-        t = ClassMeanTable.empty(2, 3, momentum=1.0)
+        t = ClassMeanTable.empty(2, 3)
         t.means[:] = rng.normal(size=(2, 3))
         t.initialized[:] = True
         before = t.means.copy()
-        update_class_means(t, rng.normal(size=(4, 3)), np.array([0, 0, 1, 1]))
+        update_class_means(t, rng.normal(size=(4, 3)), np.array([0, 0, 1, 1]), 1.0)
         assert np.array_equal(t.means, before)
 
     def test_momentum_zero_takes_batch_mean(self, rng):
-        t = ClassMeanTable.empty(2, 3, momentum=0.0)
+        t = ClassMeanTable.empty(2, 3)
         t.initialized[:] = True
         Z = rng.normal(size=(4, 3))
-        update_class_means(t, Z, np.array([0, 0, 1, 1]))
+        update_class_means(t, Z, np.array([0, 0, 1, 1]), 0.0)
         assert np.allclose(t.means[0], Z[:2].mean(axis=0))
 
     def test_ema_arithmetic(self):
-        t = ClassMeanTable.empty(1, 2, momentum=0.9)
+        t = ClassMeanTable.empty(1, 2)
         t.means[0] = [1.0, 0.0]
         t.initialized[0] = True
-        update_class_means(t, np.array([[0.0, 1.0]]), np.array([0]))
+        update_class_means(t, np.array([[0.0, 1.0]]), np.array([0]), 0.9)
         assert np.allclose(t.means[0], [0.9, 0.1])
 
     def test_first_sighting_initializes_directly(self):
-        t = ClassMeanTable.empty(2, 2, momentum=0.9)
-        update_class_means(t, np.array([[3.0, 4.0]]), np.array([1]))
+        t = ClassMeanTable.empty(2, 2)
+        update_class_means(t, np.array([[3.0, 4.0]]), np.array([1]), 0.9)
         assert np.allclose(t.means[1], [3.0, 4.0])
         assert t.initialized[1] and not t.initialized[0]
 
     def test_absent_classes_unchanged(self, rng):
-        t = ClassMeanTable.empty(3, 2, momentum=0.5)
+        t = ClassMeanTable.empty(3, 2)
         t.means[:] = rng.normal(size=(3, 2))
         t.initialized[:] = True
         before = t.means[2].copy()
-        update_class_means(t, rng.normal(size=(2, 2)), np.array([0, 1]))
+        update_class_means(t, rng.normal(size=(2, 2)), np.array([0, 1]), 0.5)
         assert np.array_equal(t.means[2], before)
 
 
