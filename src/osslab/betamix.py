@@ -171,8 +171,7 @@ def posterior_id(model: BetaMixtureModel, s, epsilon: float = 0.0,
     return float(out) if np.isscalar(s) else out
 
 
-def _imm_iteration(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
-                   labeled_scores: np.ndarray,
+def _imm_iteration(unlabeled_scores: np.ndarray, labeled_scores: np.ndarray,
                    w_id: np.ndarray) -> tuple[BetaParams | None, BetaParams | None]:
     """One MM-step from the E-step weights ``w_id`` (the unregularized
     posterior of the unlabeled scores); returns tilde parameters (None = skip).
@@ -210,7 +209,7 @@ def imm_batch_step(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
 
     ``w_id`` is ``posterior_id(model, unlabeled_scores)``, the E-step weights.
     """
-    tilde_id, tilde_ood = _imm_iteration(model, unlabeled_scores, labeled_scores, w_id)
+    tilde_id, tilde_ood = _imm_iteration(unlabeled_scores, labeled_scores, w_id)
     lam = lambda_beta
     return replace(model, id=model.id if tilde_id is None else _ema(model.id, tilde_id, lam),
                    ood=model.ood if tilde_ood is None else _ema(model.ood, tilde_ood, lam))
@@ -222,8 +221,8 @@ def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
     """Full-dataset iterated method of moments, used as the oracle fit.
 
     Iterates E-step + MM-step on the whole score list until the largest
-    parameter change falls below ``tol`` or ``max_iters`` is hit (the
-    best iterate is returned either way, with a warning on
+    parameter change falls below ``tol`` or ``max_iters`` is hit, and
+    returns the last iterate either way (with a warning on
     non-convergence).
     """
     scores = clamp_scores(np.asarray(scores, dtype=float))
@@ -233,8 +232,7 @@ def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
     model = replace(init or BetaMixtureModel.default_init(pi))
     model.pi = pi
     for _ in range(max_iters):
-        tilde_id, tilde_ood = _imm_iteration(model, scores, labeled_scores,
-                                             posterior_id(model, scores))
+        tilde_id, tilde_ood = _imm_iteration(scores, labeled_scores, posterior_id(model, scores))
         new = replace(model, id=tilde_id or model.id, ood=tilde_ood or model.ood)
         delta = max(abs(new.id.alpha - model.id.alpha), abs(new.id.beta - model.id.beta),
                     abs(new.ood.alpha - model.ood.alpha), abs(new.ood.beta - model.ood.beta))

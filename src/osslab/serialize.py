@@ -1,14 +1,12 @@
 """Checkpoints: what a ``trainer.RunState`` holds beyond ``config.txt`` and the
 runlog CSVs, as one JSON object with the keys ``version``, ``theta``, ``ema``,
 ``velocity`` (flat parameter vectors), ``means`` (the C x D class means, row
-by row), ``initialized`` (C bools), ``beta`` (``alpha_id``, ``beta_id``,
-``alpha_ood``, ``beta_ood``), ``threshold`` (the Otsu EMA), ``mask_rng``,
-``order_rng``, ``aug_rng`` (``bit_generator.state`` dicts of ints), and
-``labeled``, ``unlabeled`` (each pool's shuffle: ``perm`` and ``pos``). The
-four float arrays are base64 strings of their little-endian float64 bytes, so
-every bit pattern, NaN payloads and signs included, reloads exactly. No
-setting is stored here: the state holds none, and each comes back through
-``config.txt`` (the mixture's ``pi`` too, as ``RunState.start`` sets it).
+by row), ``initialized`` (C bools), ``mask_rng``, ``order_rng``, ``aug_rng``
+(``bit_generator.state`` dicts of ints), and ``labeled``, ``unlabeled`` (each
+pool's shuffle: ``perm`` and ``pos``). The four float arrays are base64
+strings of their little-endian float64 bytes, so every bit pattern, NaN
+payloads and signs included, reloads exactly. No setting is stored here, nor
+the Beta mixture or the Otsu EMA, which the last ``metrics.csv`` row holds.
 """
 
 from __future__ import annotations
@@ -19,10 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .betamix import BetaParams
-
-VERSION = "osslab-checkpoint v4"
-BETA_KEYS = ("alpha_id", "beta_id", "alpha_ood", "beta_ood")
+VERSION = "osslab-checkpoint v5"
 POOLS = ("labeled", "unlabeled")
 SEP = (",", ":")  # compact: no space after each of a list's commas
 
@@ -38,11 +33,8 @@ def _float_arrays(state) -> dict:
 
 
 def save_checkpoint(state, path: str) -> None:
-    b = state.beta_model
-    beta = dict(zip(BETA_KEYS, map(float, (b.id.alpha, b.id.beta, b.ood.alpha, b.ood.beta))))
     fields = {"version": VERSION, **_float_arrays(state),
-              "initialized": state.table.initialized.tolist(), "beta": beta,
-              "threshold": float(state.threshold),
+              "initialized": state.table.initialized.tolist(),
               **{key: rng.bit_generator.state for key, rng in _rngs(state).items()},
               **{pool: {"perm": getattr(state.cursor, pool).perm.tolist(),
                         "pos": getattr(state.cursor, pool).pos} for pool in POOLS}}
@@ -114,11 +106,6 @@ def load_checkpoint(path: str, state) -> None:
         _fill(state.table.initialized, "initialized", _get(obj, "initialized", list, _bools))
         if not state.table.initialized.any():
             raise ValueError("no class mean is initialized")
-        b = [float(_get(_get(obj, "beta", dict), key, (int, float))) for key in BETA_KEYS]
-        state.beta_model.id, state.beta_model.ood = BetaParams(*b[:2]), BetaParams(*b[2:])
-        state.threshold = float(_get(obj, "threshold", (int, float)))
-        if not 0.0 <= state.threshold <= 1.0:  # NaN included
-            raise ValueError(f"'threshold' {state.threshold} is outside [0, 1]")
         for key, rng in _rngs(state).items():
             rng.bit_generator.state = _get(obj, key, dict, _int_state)
         for pool, n in zip(POOLS, (state.config.n_labeled, state.config.n_unlabeled)):

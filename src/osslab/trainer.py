@@ -1,14 +1,14 @@
 """The training loop and the experiment drivers (sweep, ablation).
 
 A run is one ``RunState``, which ``train`` builds, advances in place and
-returns; each step reads its settings from ``state.config``, which no part
-of the state copies. Per-step order: forward passes; the basis of the class
-means carried over from the end of the previous step; subspace scores and
-masks from that basis and the carried Beta parameters; losses and the SGD
-update; then the class-mean update, the streaming IMM update (using this
-step's scores), and the parameter EMA. At step 0 the class means are
-bootstrapped from the first labeled batch before the basis is taken, since
-none are set yet.
+returns. Its settings live in ``state.config`` alone, and its Beta mixture
+and Otsu EMA in its last logged row. Per-step order: forward passes; the
+basis of the class means carried over from the end of the previous step;
+subspace scores and masks from that basis and the carried Beta parameters;
+losses and the SGD update; then the class-mean update, the streaming IMM
+update (using this step's scores), and the parameter EMA. At step 0 the
+class means are bootstrapped from the first labeled batch before the basis
+is taken, since none are set yet.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ class StepRecord:
     threshold: float
     mask_hash: str
 
+    def beta_params(self) -> tuple[betamix.BetaParams, betamix.BetaParams]:
+        """The ID and OOD components after this step."""
+        return (betamix.BetaParams(self.alpha_id, self.beta_id),
+                betamix.BetaParams(self.alpha_ood, self.beta_ood))
+
 
 @dataclass
 class EvalRow:
@@ -93,16 +98,15 @@ class RunLog:
 @dataclass
 class RunState:
     """Everything a run carries from one step to the next, and nothing
-    derived from it: arrays, generators and the Otsu EMA. Every setting is
-    read from ``config``. A copy of it at the top of step ``config.K_p`` lets
-    another run with the same warm-up (``warmup_key``) start there."""
+    derived from it: arrays, generators and the run log, whose last row holds
+    the Beta mixture and the Otsu EMA. Every setting is read from ``config``.
+    A copy of it at the top of step ``config.K_p`` lets another run with the
+    same warm-up (``warmup_key``) start there."""
     config: TrainingConfig
     params: nn.MlpParams
     velocity: np.ndarray  # the SGD velocity, in the layout of params.theta
     ema: np.ndarray       # the EMA shadow of params.theta
     table: subspace.ClassMeanTable
-    beta_model: betamix.BetaMixtureModel
-    threshold: float      # the Otsu EMA; it moves only under the Otsu rule
     mask_rng: np.random.Generator
     cursor: BatchCursor
     runlog: RunLog
@@ -115,14 +119,25 @@ class RunState:
                                 config.activation)
         return cls(config, params, np.zeros_like(params.theta), params.theta.copy(),
                    subspace.ClassMeanTable.empty(config.num_id_classes, config.feature_dim),
-                   betamix.BetaMixtureModel.default_init(config.resolved_pi()),
-                   decide.OTSU_START, stream(config.seed, "mask"),
-                   BatchCursor.start(config.seed), RunLog())
+                   stream(config.seed, "mask"), BatchCursor.start(config.seed), RunLog())
 
     @property
     def step(self) -> int:
         """The number of completed steps."""
         return len(self.runlog.steps)
+
+    @property
+    def beta_model(self) -> betamix.BetaMixtureModel:
+        """The Beta mixture after the last step, with the config's ``pi``."""
+        steps, pi = self.runlog.steps, self.config.resolved_pi()
+        return (betamix.BetaMixtureModel(*steps[-1].beta_params(), pi) if steps
+                else betamix.BetaMixtureModel.default_init(pi))
+
+    @property
+    def threshold(self) -> float:
+        """The Otsu EMA after the last step; only the Otsu rule moves it."""
+        otsu = self.config.decision_rule == decide.RuleKind.OTSU_THRESHOLD.value
+        return self.runlog.steps[-1].threshold if otsu and self.runlog.steps else decide.OTSU_START
 
     @property
     def summary(self) -> dict:
@@ -148,15 +163,12 @@ class RunState:
 _POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule")
 
 
-def _decide(state: RunState, scores_u: np.ndarray, p_reg: np.ndarray) -> decide.Decision:
-    """The config's rule applied to one unlabeled batch; the Otsu rule moves
-    ``state.threshold``."""
-    kind = decide.RuleKind(state.config.decision_rule)
-    decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, state.threshold,
-                             state.config.otsu_momentum)
-    if kind is decide.RuleKind.OTSU_THRESHOLD:
-        state.threshold = decision.threshold
-    return decision
+def _decide(config: TrainingConfig, mask_rng: np.random.Generator, threshold: float,
+            scores_u: np.ndarray, p_reg: np.ndarray) -> tuple[decide.Decision, float]:
+    """The config's rule on one unlabeled batch, and the Otsu EMA after it."""
+    kind = decide.RuleKind(config.decision_rule)
+    decision = decide.decide(kind, scores_u, p_reg, mask_rng, threshold, config.otsu_momentum)
+    return decision, decision.threshold if kind is decide.RuleKind.OTSU_THRESHOLD else threshold
 
 
 def warmup_key(config: TrainingConfig) -> tuple:
@@ -213,9 +225,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     ``warmups`` maps a ``warmup_key`` to a copy of a state at the top of step
     ``K_p`` and each warm-up step's decision inputs ``(scores_u, p_reg)``. If
     it holds this config's key, the run resumes from a deep copy of that
-    state with this config, a fresh Otsu EMA and mask stream, and replays
-    its own rule over the inputs. Otherwise the run stores its own entry
-    there. Either way the result equals ``train(config)``'s.
+    state with this config and a fresh mask stream, and replays its own rule
+    over the inputs from a fresh Otsu EMA. Otherwise the run stores its own
+    entry there. Either way the result equals ``train(config)``'s.
     """
     dataset = generate(config)
 
@@ -225,13 +237,14 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     if warm is None:
         state = RunState.start(config)
     else:
-        state = replace(copy.deepcopy(warm[0]), config=config, threshold=decide.OTSU_START,
-                        mask_rng=stream(config.seed, "mask"))
+        state = replace(copy.deepcopy(warm[0]), config=config, mask_rng=stream(config.seed, "mask"))
+        threshold = decide.OTSU_START
         for rec, (scores_u, p_reg) in zip(state.runlog.steps, warm[1]):
-            decision = _decide(state, scores_u, p_reg)
+            decision, threshold = _decide(config, state.mask_rng, threshold, scores_u, p_reg)
             rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
             rec.mask_hash = decision.hash()
     params, table, runlog = state.params, state.table, state.runlog
+    beta_model, threshold = state.beta_model, state.threshold  # live here; each row logs them
     grads = params.zeros_like()
     batch_iter = batches(dataset, config, state.cursor)
     shuffles = (state.cursor.labeled, state.cursor.unlabeled)
@@ -245,8 +258,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             break
         warmup = k < config.K_p
         # a failed step writes these back (a shuffle's perm is replaced, never written)
-        top = (state.threshold, [dict(vars(s)) for s in shuffles],
-               [g.bit_generator.state for g in rngs])
+        top = ([dict(vars(s)) for s in shuffles], [g.bit_generator.state for g in rngs])
         batch = next(batch_iter)
         try:
             trace_l = nn.forward(params, batch.labeled_weak)
@@ -255,7 +267,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
 
             if k == 0:  # no class mean is set yet; initialize them from this batch
                 subspace.update_class_means(table, trace_l.z, batch.labels, config.lambda_means)
-            basis, beta_model = subspace.compute_basis(table), state.beta_model
+            basis = subspace.compute_basis(table)
 
             sub_on = not warmup and config.w_sub > 0.0
             # the weak view is scored once; the gradients come along only when
@@ -268,7 +280,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             densities = betamix.mixture_densities(beta_model, s_u)
             p_reg = betamix.posterior_id(beta_model, s_u, config.epsilon, densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
-            decision = _decide(state, scores_u, p_reg)
+            decision, threshold = _decide(config, state.mask_rng, threshold, scores_u, p_reg)
             if keep and warmup:
                 inputs.append((scores_u, p_reg))
 
@@ -300,17 +312,15 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             step_lr = optim.lr(config, k)
             optim.sgd_step(params.theta, grads.theta, state.velocity, config.momentum, step_lr)
         except nn.NumericalError:
-            # Nothing above changes params, velocity or the mixture before it
-            # raises (sgd_step checks the gradient before it writes), and the
-            # means change only at the step-0 bootstrap. The batch draw and
-            # decide moved the Otsu EMA, the generators and the cursor, which
-            # are written back here, so for k >= 1 the saved state is exactly
-            # the end of step k - 1.
+            # Nothing above changes params or velocity before it raises
+            # (sgd_step checks the gradient before it writes), the means change
+            # only at the step-0 bootstrap, and no row is logged. The batch draw
+            # and decide moved the generators and the cursor, written back here,
+            # so for k >= 1 the saved state is exactly the end of step k - 1.
             log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
-            state.threshold = top[0]
-            for shuffle, saved in zip(shuffles, top[1]):
+            for shuffle, saved in zip(shuffles, top[0]):
                 vars(shuffle).update(saved)
-            for g, saved in zip(rngs, top[2]):
+            for g, saved in zip(rngs, top[1]):
                 g.bit_generator.state = saved
             if run_dir and k > 0:
                 write_run_outputs(state, run_dir)
@@ -318,8 +328,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
 
         if k > 0:
             subspace.update_class_means(table, trace_l.z, batch.labels, config.lambda_means)
-        state.beta_model = beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id,
-                                                               config.lambda_beta)
+        beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id, config.lambda_beta)
         optim.ema_update(state.ema, params.theta, config.ema_momentum)
 
         runlog.steps.append(StepRecord(
@@ -438,6 +447,13 @@ def load_run(run_dir: str) -> RunState:
     if n > state.config.K or any(r.step != i for i, r in enumerate(state.runlog.steps)):
         raise ValueError(f"{steps_path}: the rows are not steps 0, 1, ... of at most "
                          f"K = {state.config.K} steps")
+    for r in state.runlog.steps:  # the mixtures that the plots and a resumed run read
+        try:
+            r.beta_params()
+        except ValueError as exc:
+            raise ValueError(f"{steps_path}: step {r.step}: {exc}") from None
+    if not 0.0 <= state.threshold <= 1.0:  # NaN included; every Otsu EMA a run reaches lies there
+        raise ValueError(f"{steps_path}: the last threshold {state.threshold} is outside [0, 1]")
     if any(not 1 <= e.step <= n for e in state.runlog.evals):
         raise ValueError(f"{evals_path}: an eval step lies outside [1, {n}], "
                          "the steps of metrics.csv")
@@ -468,9 +484,7 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
            _csv_text(["metric", "step", "value"], long_rows))
 
     for s in sorted({e.step for e in evals}):
-        r = steps[s - 1]
-        grid = beta_density_grid(betamix.BetaParams(r.alpha_id, r.beta_id),
-                                 betamix.BetaParams(r.alpha_ood, r.beta_ood))
+        grid = beta_density_grid(*steps[s - 1].beta_params())
         _write(os.path.join(out_dir, f"beta_step{s}.csv"),
                _csv_text(["s", "p_id", "p_ood"], grid.tolist()))
 

@@ -23,7 +23,6 @@ from osslab.evaluation import auroc
 from osslab.losses import (
     loss_reg, loss_self, loss_semi, loss_sub, loss_sup,
 )
-from osslab.rng import stream
 from osslab.subspace import (
     IdSubspaceBasis, subspace_score_grads, subspace_scores,
 )
@@ -185,7 +184,7 @@ class TestMixtureEstimation:
         model = BetaMixtureModel.default_init(pi=0.5)
         w_id = posterior_id(model, scores)
         stepped = imm_batch_step(model, scores, labeled, w_id, 0.0)
-        ref_id, ref_ood = _imm_iteration(model, scores, labeled, w_id)
+        ref_id, ref_ood = _imm_iteration(scores, labeled, w_id)
         ok = (stepped.id == ref_id and stepped.ood == ref_ood)
         report("mixture estimation: batch step vs reference", ok,
                "lambda=0 full-batch step equals one reference iteration exactly")

@@ -155,14 +155,16 @@ class TestCheckpoint:
     def make_state(self, rng):
         """A mid-run state whose config has non-default mixture and mean values."""
         cfg = TrainingConfig(input_dim=6, hidden=(10,), feature_dim=4, num_id_classes=3,
-                             pi=0.42, epsilon=0.05, lambda_means=0.99, lambda_beta=0.9)
+                             pi=0.42, epsilon=0.05, lambda_means=0.99, lambda_beta=0.9,
+                             decision_rule="otsu_threshold")
         state = trainer.RunState.start(cfg)
         for vec in (state.params.theta, state.ema, state.velocity):
             vec[:] = rng.normal(size=vec.size)
         state.table.means[:] = rng.normal(size=(3, 4))
         state.table.initialized[:] = [True, True, False]
-        state.beta_model.id, state.beta_model.ood = BetaParams(3.5, 1.25), BetaParams(0.75, 6.0)
-        state.threshold = 0.3125
+        # one logged step, whose row holds the mixture and the Otsu EMA
+        state.runlog.steps.append(trainer.StepRecord(
+            0, 0.03, *[0.0] * 6, 0, 3.5, 1.25, 0.75, 6.0, 0.5, 0.5, 0.3125, "0" * 16))
         state.mask_rng.random(7)
         state.cursor.labeled.perm = rng.permutation(cfg.n_labeled)
         state.cursor.labeled.pos = 5
@@ -176,18 +178,20 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, rng, tmp_path):
         state = self.make_state(rng)
         back = self.round_trip(state, tmp_path)
-        assert back.step == 0
+        assert back.step == 1
         for get in (lambda s: s.params.theta, lambda s: s.ema, lambda s: s.velocity,
                     lambda s: s.table.means):
             assert get(back).tobytes() == get(state).tobytes()
         assert np.array_equal(back.table.initialized, [True, True, False])
         assert back.beta_model == state.beta_model
+        assert (back.beta_model.id, back.beta_model.ood) == (BetaParams(3.5, 1.25),
+                                                             BetaParams(0.75, 6.0))
         # the settings come back through config.txt, and pi sets the mixture's weight
         assert back.config == state.config
         assert (back.config.epsilon, back.config.lambda_beta, back.config.lambda_means) == (
             0.05, 0.9, 0.99)
         assert back.beta_model.pi == back.config.pi == 0.42
-        assert back.threshold == state.threshold
+        assert back.threshold == state.threshold == 0.3125
         assert back.mask_rng.bit_generator.state == state.mask_rng.bit_generator.state
         for pool in ("labeled", "unlabeled"):
             got, want = getattr(back.cursor, pool), getattr(state.cursor, pool)

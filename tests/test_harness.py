@@ -34,10 +34,15 @@ def tiny_result():
     return trainer.train(TrainingConfig(**TINY))
 
 
-def cli_args(out, *cmd):
-    """``--out out <cmd> --key value ...`` for the TINY config."""
+@pytest.fixture(scope="module")
+def tiny_otsu_result():
+    return trainer.train(TrainingConfig(**TINY, decision_rule="otsu_threshold"))
+
+
+def cli_args(out, *cmd, **extra):
+    """``--out out <cmd> --key value ...`` for the TINY config, updated by ``extra``."""
     over = []
-    for k, v in TINY.items():
+    for k, v in {**TINY, **extra}.items():
         if k == "hidden":
             v = ",".join(str(h) for h in v)
         over += [f"--{k}", str(v)]
@@ -415,16 +420,15 @@ def test_a_steps_traces_die_with_the_step(monkeypatch):
 
 def test_run_state_holds_exactly_what_a_step_carries():
     assert [f.name for f in dataclasses.fields(trainer.RunState)] == [
-        "config", "params", "velocity", "ema", "table", "beta_model", "threshold", "mask_rng",
-        "cursor", "runlog"]
+        "config", "params", "velocity", "ema", "table", "mask_rng", "cursor", "runlog"]
     assert [f.name for f in dataclasses.fields(subspace.ClassMeanTable)] == [
         "means", "initialized"]
-    assert [f.name for f in dataclasses.fields(betamix.BetaMixtureModel)] == ["id", "ood", "pi"]
-    # no setting is copied into the state; pi is the mixture's own weight
+    # no setting is copied into the state; the mixture (pi included) and the
+    # Otsu EMA are read from the config and the run log
     settings = {f.name for f in dataclasses.fields(TrainingConfig)}
-    held = {f.name for cls in (trainer.RunState, subspace.ClassMeanTable, betamix.BetaMixtureModel)
+    held = {f.name for cls in (trainer.RunState, subspace.ClassMeanTable)
             for f in dataclasses.fields(cls)}
-    assert settings & held == {"pi"}
+    assert settings & held == set()
 
 
 def assert_same_state(got, want):
@@ -690,7 +694,6 @@ _CHECKPOINT_EDITS = {
     "last_line_missing": lambda text: "\n".join(text.splitlines()[:-1]),
     "truncated_not_json": lambda text: text[:len(text) // 2],
     "version_2": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v2")),
-    "beta_one_value_short": _json_edit(lambda obj: obj["beta"].pop("alpha_ood")),
     "initialized_one_short": _json_edit(lambda obj: obj["initialized"].pop()),
     "no_class_initialized": _json_edit(
         lambda obj: obj.update(initialized=[False] * len(obj["initialized"]))),
@@ -711,13 +714,7 @@ _CHECKPOINT_EDITS = {
     "mask_rng_state_is_float": _json_edit(lambda obj: obj["mask_rng"]["state"].update(state=1.5)),
     "aug_rng_has_uint32_is_bool": _json_edit(lambda obj: obj["aug_rng"].update(has_uint32=True)),
     "order_rng_not_a_dict": _json_edit(lambda obj: obj.update(order_rng=[1, 2])),
-    "threshold_not_a_number": _json_edit(lambda obj: obj.update(threshold="0.5")),
-    # every Otsu EMA a run can reach lies in [0, 1]; a NaN one gates every row OOD
-    "threshold_is_nan": _json_edit(lambda obj: obj.update(threshold=float("nan"))),
-    "threshold_is_infinity": _json_edit(lambda obj: obj.update(threshold=float("inf"))),
-    "threshold_below_0": _json_edit(lambda obj: obj.update(threshold=-5)),
     "key_missing": _json_edit(lambda obj: obj.pop("velocity")),
-    "alpha_id_is_nan": _json_edit(lambda obj: obj["beta"].update(alpha_id=float("nan"))),
     # a float array is a base64 string of exactly 8 bytes per value
     "theta_not_a_list": _json_edit(lambda obj: obj.update(theta={})),
     "velocity_not_numbers": _json_edit(lambda obj: obj.update(velocity=["abc"])),
@@ -733,12 +730,25 @@ _CHECKPOINT_EDITS = {
     "velocity_bytes_not_a_multiple_of_8": _bytes_edit("velocity", lambda raw: raw[:-1]),
     "theta_one_value_short": _bytes_edit("theta", lambda raw: raw[:-8]),
     "version_3": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v3")),
+    "version_4": _json_edit(lambda obj: obj.update(version="osslab-checkpoint v4")),
 }
 
 
 def _lines_edit(edit):
     """A text edit that applies ``edit`` to the list of lines, header first."""
     return lambda text: "".join(edit(text.splitlines(keepends=True)))
+
+
+def _cells_edit(row, **cells):
+    """A ``metrics.csv`` edit that sets the named cells of line ``row``, or
+    deletes those set to None (the header is line 0, so step s is line
+    s + 1, and -1 is the last step)."""
+    def apply(lines):
+        header, values = (lines[i].rstrip("\n").split(",") for i in (0, row))
+        values = [cells.get(name, value) for name, value in zip(header, values)]
+        lines[row] = ",".join(value for value in values if value is not None) + "\n"
+        return lines
+    return _lines_edit(apply)
 
 
 # edits of the run dir's other files: (file, text edit or None to delete it, file named)
@@ -763,14 +773,29 @@ _RUN_DIR_EDITS = {
                                  "evals.csv"),
     "evals_step_past_run": (
         "evals.csv", lambda text: text.replace("\n60,", "\n61,"), "evals.csv"),
+    # every row's mixture is read: the last one by a resumed run, the one
+    # before each eval step by emit-plot-data
+    "alpha_id_is_nan": ("metrics.csv", _cells_edit(-1, alpha_id="nan"), "metrics.csv"),
+    "alpha_id_before_an_eval_is_nan": (
+        "metrics.csv", _cells_edit(30, alpha_id="nan"), "metrics.csv"),
+    "beta_ood_is_0": ("metrics.csv", _cells_edit(-1, beta_ood="0.0"), "metrics.csv"),
+    "beta_one_value_short": ("metrics.csv", _cells_edit(-1, alpha_ood=None), "metrics.csv"),
+    # every Otsu EMA a run can reach lies in [0, 1]; a NaN one gates every row OOD
+    **{f"threshold_{name}": ("metrics.csv", _cells_edit(-1, threshold=value), "metrics.csv")
+       for name, value in (("not_a_number", "x"), ("is_nan", "nan"), ("is_infinity", "inf"),
+                           ("below_0", "-5"))},
 }
+# the run dir edits that act on an Otsu run, where the last threshold is read
+_OTSU_RUN_EDITS = {name for name in _RUN_DIR_EDITS if name.startswith("threshold_")}
 
 
 class TestCheckpointShape:
     @pytest.mark.parametrize("edit", sorted(_CHECKPOINT_EDITS.keys() | _RUN_DIR_EDITS.keys()))
-    def test_eval_rejects_mismatched_means(self, tiny_result, tmp_path, capsys, edit):
-        run_dir = tmp_path / trainer.run_dir_name(tiny_result.config)
-        trainer.write_run_outputs(tiny_result, str(run_dir))
+    def test_eval_rejects_mismatched_means(self, request, tmp_path, capsys, edit):
+        extra = {"decision_rule": "otsu_threshold"} if edit in _OTSU_RUN_EDITS else {}
+        result = request.getfixturevalue("tiny_otsu_result" if extra else "tiny_result")
+        run_dir = tmp_path / trainer.run_dir_name(result.config)
+        trainer.write_run_outputs(result, str(run_dir))
         name, text_edit, named = _RUN_DIR_EDITS.get(
             edit, ("checkpoint.txt", _CHECKPOINT_EDITS.get(edit), "checkpoint.txt"))
         path = run_dir / name
@@ -785,7 +810,24 @@ class TestCheckpointShape:
             trainer.load_run(str(run_dir))
         capsys.readouterr()
         for command in ("eval", "emit-plot-data"):
-            assert cli_main(cli_args(tmp_path, command)) == 1
+            assert cli_main(cli_args(tmp_path, command, **extra)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(run_dir / named) in err
         assert not (run_dir / "plots").exists()
+
+
+@pytest.mark.parametrize("rule", ["sampled_mask", "otsu_threshold"])
+def test_a_loaded_run_reads_its_mixture_and_otsu_ema_from_the_last_row(rule, request, tmp_path):
+    result = request.getfixturevalue("tiny_otsu_result" if rule == "otsu_threshold"
+                                     else "tiny_result")
+    trainer.write_run_outputs(result, str(tmp_path))
+    path = tmp_path / "metrics.csv"
+    path.write_text(_cells_edit(-1, alpha_id="3.5", beta_id="1.25", alpha_ood="0.75",
+                                beta_ood="6.0", threshold="0.3125")(path.read_text()))
+    loaded = trainer.load_run(str(tmp_path))
+    assert loaded.beta_model == betamix.BetaMixtureModel(
+        BetaParams(3.5, 1.25), BetaParams(0.75, 6.0), result.config.resolved_pi())
+    # only the Otsu rule reads its EMA back; the others keep the start value
+    assert loaded.threshold == (0.3125 if rule == "otsu_threshold" else OTSU_START)
+    assert loaded.summary["beta"] == {"alpha_id": 3.5, "beta_id": 1.25, "alpha_ood": 0.75,
+                                      "beta_ood": 6.0, "pi": result.config.resolved_pi()}

@@ -1,5 +1,7 @@
-"""Every name a module of the package imports, and every local a function
-assigns, is read; the package imports no scipy, at startup or later."""
+"""Every name that a module of the package, the tests or the scripts
+imports is read, and so is every local that a function of the package
+assigns and every parameter it takes; the package imports no scipy, at
+startup or later."""
 
 import ast
 import os
@@ -9,7 +11,11 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "osslab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "osslab"
+# the package's modules, then the tests and the scripts; no two share a name
+SOURCES = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "scripts").glob("*.py"))]
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -45,6 +51,18 @@ def _own_nodes(fn):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _reads(fn) -> set[str]:
+    """Names that ``fn`` or a function nested in it reads; an augmented
+    assignment counts as a read."""
+    read = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+    return read
+
+
 def unused_locals(source: str) -> list[str]:
     """Function locals that are assigned and never read.
 
@@ -61,15 +79,25 @@ def unused_locals(source: str) -> list[str]:
                 outer.update(node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 stores.setdefault(node.id, node.lineno)
-        read = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-                read.add(node.target.id)
+        read = _reads(fn)
         name = getattr(fn, "name", "<lambda>")
         found += [f"{var} in {name} (line {line})" for var, line in stores.items()
                   if var != "_" and var not in read and var not in outer]
+    return sorted(found)
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters, ``self`` and ``*args``/``**kwargs`` included, that their
+    function never reads (a read in a nested function counts)."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, _FUNCS):
+            continue
+        a, read = fn.args, _reads(fn)
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"{p.arg} in {name} (line {fn.lineno})"
+                  for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in read]
     return sorted(found)
 
 
@@ -80,7 +108,7 @@ def test_guard_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 2)", "parse (line 5)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -108,6 +136,27 @@ def test_guard_finds_an_unused_local():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def test_guard_finds_an_unused_parameter():
+    source = (
+        "class A:\n"
+        "    def f(self, x, y=1, *args, z, **kwargs):\n"  # self, y and kwargs never read
+        "        def g(w):\n"                   # w never read
+        "            return x + z\n"            # a read in a nested function counts
+        "        return g, args\n"
+        "    def h(self, n, m):\n"
+        "        n += 1\n"                      # the augmented assignment reads n
+        "        return lambda k: m\n"         # k never read
+    )
+    assert unused_parameters(source) == [
+        "k in <lambda> (line 8)", "kwargs in f (line 2)", "self in f (line 2)",
+        "self in h (line 6)", "w in g (line 3)", "y in f (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from osslab import nn
 from osslab.config import TrainingConfig
 from osslab.losses import (
     loss_reg, loss_self, loss_semi, loss_sub, loss_sup, total_loss,
