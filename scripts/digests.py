@@ -104,6 +104,9 @@ def all_cases() -> dict:
             "tiny_blowup_otsu": [[command, *flags({**TINY, "eta0": 1e8,
                                                     "decision_rule": "otsu_threshold"})]
                                  for command in ("train", "eval", "emit-plot-data")],
+            # a blow-up in the evaluation after step 0 (every command exits 2)
+            "tiny_blowup_eval": [[command, *flags({**TINY, "eta0": 1e200, "eval_every": 1})]
+                                 for command in ("train", "eval", "emit-plot-data")],
             "default_K2000": [["train", "--K", "2000", "--K_p", "200", "--seed", "0"]],
             "short_otsu": [["train", *SHORT, "--decision_rule", "otsu_threshold"]],
             "short_direct": [["train", *SHORT, "--decision_rule", "direct_weight"]],

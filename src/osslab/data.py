@@ -114,15 +114,13 @@ def generate(config) -> OpenSetDataset:
 
 def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:
     """Gaussian jitter with standard deviation ``sigma``."""
-    if sigma == 0.0:
-        return x.copy()
     return x + rng.normal(0.0, sigma, size=x.shape)
 
 
 def strong_augment(x: np.ndarray, rng: np.random.Generator, sigma: float,
                    p_drop: float) -> np.ndarray:
     """Large Gaussian jitter plus independent coordinate dropout."""
-    out = x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0.0 else x.copy()
+    out = x + rng.normal(0.0, sigma, size=x.shape)
     if p_drop > 0.0:
         keep = rng.random(size=x.shape) >= p_drop
         out = out * keep

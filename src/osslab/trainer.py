@@ -2,13 +2,13 @@
 
 A run is one ``RunState``, which ``train`` builds, advances in place and
 returns. Its settings live in ``state.config`` alone, and its Beta mixture
-and Otsu EMA in its last logged row. Per-step order: forward passes; the
-basis of the class means carried over from the end of the previous step;
-subspace scores and masks from that basis and the carried Beta parameters;
-losses and the SGD update; then the class-mean update, the streaming IMM
-update (using this step's scores), and the parameter EMA. At step 0 the
-class means are bootstrapped from the first labeled batch before the basis
-is taken, since none are set yet.
+and Otsu EMA in its last logged row. Pass k evaluates the state after k
+steps (every ``eval_every`` steps and at ``K``), then runs step k: forward
+passes; the basis of the class means carried over from the previous step;
+subspace scores, then one ``decide`` on them, the Beta mixture and the Otsu
+EMA; losses and the SGD update; then the class-mean update, the streaming
+IMM update (using this step's scores), and the parameter EMA. At step 0 the
+class means are bootstrapped from the first labeled batch, as none is set.
 """
 
 from __future__ import annotations
@@ -163,14 +163,6 @@ class RunState:
 _POST_WARMUP_FIELDS = ("w_semi", "w_sub", "tau", "gamma", "K", "decision_rule")
 
 
-def _decide(config: TrainingConfig, mask_rng: np.random.Generator, threshold: float,
-            scores_u: np.ndarray, p_reg: np.ndarray) -> tuple[decide.Decision, float]:
-    """The config's rule on one unlabeled batch, and the Otsu EMA after it."""
-    kind = decide.RuleKind(config.decision_rule)
-    decision = decide.decide(kind, scores_u, p_reg, mask_rng, threshold, config.otsu_momentum)
-    return decision, decision.threshold if kind is decide.RuleKind.OTSU_THRESHOLD else threshold
-
-
 def warmup_key(config: TrainingConfig) -> tuple:
     """Equal for two configs whose first ``K_p`` steps update the same state."""
     return tuple((k, v) for k, v in asdict(config).items() if k not in _POST_WARMUP_FIELDS)
@@ -222,6 +214,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     """Run the two-phase training loop (see the module docstring); return
     its final state.
 
+    A blow-up in a pass's evaluation or step raises ``nn.NumericalError``
+    after writing ``run_dir`` for the completed steps, if there are any.
+
     ``warmups`` maps a ``warmup_key`` to a copy of a state at the top of step
     ``K_p`` and each warm-up step's decision inputs ``(scores_u, p_reg)``. If
     it holds this config's key, the run resumes from a deep copy of that
@@ -230,6 +225,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
     entry there. Either way the result equals ``train(config)``'s.
     """
     dataset = generate(config)
+    kind = decide.RuleKind(config.decision_rule)
 
     warm = None if warmups is None else warmups.get(key := warmup_key(config))
     keep = warmups is not None and warm is None  # store this run's warm-up
@@ -238,29 +234,36 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         state = RunState.start(config)
     else:
         state = replace(copy.deepcopy(warm[0]), config=config, mask_rng=stream(config.seed, "mask"))
-        threshold = decide.OTSU_START
+        # a stored run with K == K_p logged its final evaluation; off the grid, it goes
+        state.runlog.evals = [e for e in state.runlog.evals if e.step % config.eval_every == 0]
+        threshold = decide.OTSU_START  # the replay's Otsu EMA; the other rules ignore it
         for rec, (scores_u, p_reg) in zip(state.runlog.steps, warm[1]):
-            decision, threshold = _decide(config, state.mask_rng, threshold, scores_u, p_reg)
-            rec.mask_rate, rec.threshold = decision.id_rate, decision.threshold
-            rec.mask_hash = decision.hash()
+            decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, threshold,
+                                     config.otsu_momentum)
+            threshold = rec.threshold = decision.threshold
+            rec.mask_rate, rec.mask_hash = decision.id_rate, decision.hash()
     params, table, runlog = state.params, state.table, state.runlog
-    beta_model, threshold = state.beta_model, state.threshold  # live here; each row logs them
+    beta_model = state.beta_model  # live here; each row logs it
     grads = params.zeros_like()
     batch_iter = batches(dataset, config, state.cursor)
     shuffles = (state.cursor.labeled, state.cursor.unlabeled)
     rngs = (state.mask_rng, state.cursor.order_rng, state.cursor.aug_rng)
 
-    # one pass more than there are steps, so a run with K == K_p stores its end
+    # one pass more than there are steps: pass K evaluates the end, and a run
+    # with K == K_p stores it
     for k in range(state.step, config.K + 1):
-        if keep and k == config.K_p:  # the top of step K_p
-            warmups[key] = (copy.deepcopy(state), inputs)
-        if k == config.K:
-            break
         warmup = k < config.K_p
-        # a failed step writes these back (a shuffle's perm is replaced, never written)
+        # a failed pass writes these back (a shuffle's perm is replaced, never written)
         top = ([dict(vars(s)) for s in shuffles], [g.bit_generator.state for g in rngs])
-        batch = next(batch_iter)
         try:
+            logged = runlog.evals[-1].step if runlog.evals else 0  # k if a stored state has it
+            if k > logged and (k % config.eval_every == 0 or k == config.K):
+                runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, k, dataset))
+            if keep and k == config.K_p:  # the top of step K_p, with its eval rows
+                warmups[key] = (copy.deepcopy(state), inputs)
+            if k == config.K:
+                break
+            batch = next(batch_iter)
             trace_l = nn.forward(params, batch.labeled_weak)
             trace_w = nn.forward(params, batch.unlabeled_weak)
             trace_s = nn.forward(params, batch.unlabeled_strong)
@@ -280,7 +283,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             densities = betamix.mixture_densities(beta_model, s_u)
             p_reg = betamix.posterior_id(beta_model, s_u, config.epsilon, densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
-            decision, threshold = _decide(config, state.mask_rng, threshold, scores_u, p_reg)
+            decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, state.threshold,
+                                     config.otsu_momentum)
             if keep and warmup:
                 inputs.append((scores_u, p_reg))
 
@@ -339,13 +343,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             mask_rate=decision.id_rate, mean_p_id=float(p_reg.mean()),
             threshold=decision.threshold,
             mask_hash=decision.hash()))
-        del batch, trace_l, trace_w, trace_s, d_scores_u  # freed before the next draw
+        del batch, trace_l, trace_w, trace_s, d_scores_u  # freed before the next pass
 
-        if (k + 1) % config.eval_every == 0:
-            runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, state.step, dataset))
-
-    if not runlog.evals or runlog.evals[-1].step != config.K:
-        runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, state.step, dataset))
     if run_dir:
         write_run_outputs(state, run_dir)
     return state
@@ -473,6 +472,12 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
     """
     state = load_run(run_dir)
     steps, evals = state.runlog.steps, state.runlog.evals
+    basis = subspace.compute_basis(state.table)
+    dataset = generate(state.config)
+    # scored before any file is written, so a blow-up here leaves no plot file
+    edges, id_hist, ood_hist = score_snapshot(*(
+        score_split(state.ema_params, state.table, basis, X)[1][ScoreKind.SUBSPACE]
+        for X, _ in (dataset.test_id, dataset.test_ood)))
     os.makedirs(out_dir, exist_ok=True)
 
     long_rows = [(col, r.step, getattr(r, col)) for r in steps for col in _STEP_COLS
@@ -488,11 +493,6 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
         _write(os.path.join(out_dir, f"beta_step{s}.csv"),
                _csv_text(["s", "p_id", "p_ood"], grid.tolist()))
 
-    basis = subspace.compute_basis(state.table)
-    dataset = generate(state.config)
-    edges, id_hist, ood_hist = score_snapshot(*(
-        score_split(state.ema_params, state.table, basis, X)[1][ScoreKind.SUBSPACE]
-        for X, _ in (dataset.test_id, dataset.test_ood)))
     _write(os.path.join(out_dir, f"hist_step{state.step}.csv"), _csv_text(
         ["bin_lo", "bin_hi", "id_count", "ood_count"],
         zip(edges[:-1].tolist(), edges[1:].tolist(), id_hist.tolist(), ood_hist.tolist())))

@@ -360,6 +360,17 @@ class TestResume:
         assert len(results) == (6 if K_p == 0 else 7)
 
 
+@pytest.mark.parametrize("K_p", [25, 60])
+def test_a_warm_up_stored_by_a_run_that_ends_there_resumes_a_longer_run(K_p, tmp_path):
+    # at K_p 25, off the eval grid, the storing run's final eval rows at step
+    # 25 are not the longer run's
+    base, warmups = TrainingConfig(**{**TINY, "K_p": K_p, "K": 90}), {}
+    trainer.train(base.replace(K=K_p), warmups=warmups)
+    assert list(warmups) == [trainer.warmup_key(base)]
+    assert outputs(trainer.train(base, warmups=warmups), tmp_path) == outputs(
+        trainer.train(base), tmp_path)
+
+
 @pytest.mark.parametrize("rule", list(RuleKind))
 def test_stored_state_holds_the_rule_and_mask_stream_of_step_K_p(rule, tmp_path):
     cfg = TrainingConfig(**{**TINY, "decision_rule": rule.value})
@@ -569,6 +580,15 @@ class TestPlotData:
         rows = json.loads(capsys.readouterr().out)
         assert [(r["step"], r["score_kind"]) for r in rows] == [(step, k.value) for k in ScoreKind]
 
+    def test_run_dir_whose_params_overflow_gets_no_plot_file(self, tmp_path, capsys):
+        # step 0's update at this rate overflows every later forward pass
+        assert cli_main(cli_args(tmp_path, "train", eta0=1e200)) == 2
+        capsys.readouterr()
+        for command in ("eval", "emit-plot-data"):
+            assert cli_main(cli_args(tmp_path, command, eta0=1e200)) == 2
+            assert capsys.readouterr().err.startswith("runtime failure: non-finite values")
+        assert not os.path.exists(os.path.join(only_run_dir(tmp_path), "plots"))
+
 
 class TestCli:
     args = staticmethod(cli_args)
@@ -596,23 +616,38 @@ class TestCli:
                 for r in rows if int(r["step"]) == TINY["K"]]
         assert got == want
 
-    @pytest.mark.parametrize("eta0", ["1e3", "1e8"])
-    def test_blow_up_exits_2_with_checkpoint(self, tmp_path, eta0):
-        # 1e3 fails in a forward pass, 1e8 in sgd_step; the last good params
-        # may already be infinite, so only the step is checked
-        assert cli_main(self.args(tmp_path, "train") + ["--eta0", eta0]) == 2
+    # 1e3 fails in a forward pass, 1e8 in sgd_step. Step 0's update at 1e200
+    # overflows the next forward pass: step 1's, or the evaluation of the end
+    # of step 0, a periodic one or the final one.
+    @pytest.mark.parametrize("extra", [dict(eta0=1e3), dict(eta0=1e8), dict(eta0=1e200),
+                                       dict(eta0=1e200, eval_every=1),
+                                       dict(eta0=1e200, K=1, K_p=0)],
+                             ids=["1e3", "1e8", "1e200", "1e200-eval_every1", "1e200-K1"])
+    def test_blow_up_exits_2_with_checkpoint(self, tmp_path, monkeypatch, extra):
+        cfg = TrainingConfig(**{**TINY, **extra})
+        assert cli_main(self.args(tmp_path, "train", **extra)) == 2
         run_dir = self.run_dir(tmp_path)
-        step = trainer.load_run(run_dir).step
-        assert 1 <= step < TINY["K"]
+        assert sorted(os.listdir(run_dir)) == ["checkpoint.txt", "config.txt", "evals.csv",
+                                               "metrics.csv", "summary.json"]
+        state = trainer.load_run(run_dir)
+        assert (state.step == 1) if cfg.eta0 == 1e200 else (1 <= state.step < cfg.K)
         # the completed steps are recorded like a finished run's
         with open(os.path.join(run_dir, "metrics.csv")) as fh:
             header, *rows = fh.read().splitlines()
-        assert [int(r.split(",")[0]) for r in rows] == list(range(step))
-        assert load_config(os.path.join(run_dir, "config.txt")) == TrainingConfig(
-            **{**TINY, "eta0": float(eta0)})
+        assert [int(r.split(",")[0]) for r in rows] == list(range(state.step))
+        assert load_config(os.path.join(run_dir, "config.txt")) == cfg
         with open(os.path.join(run_dir, "summary.json")) as fh:
-            assert json.load(fh)["steps"] == step
-        assert os.path.exists(os.path.join(run_dir, "evals.csv"))
+            assert json.load(fh)["steps"] == state.step
+        if cfg.eta0 < 1e200:  # the last good params may already be infinite
+            return
+        assert state.runlog.evals == []  # the failed evaluation logs no row
+        # the end of step 0, generators and shuffles included, as a one-step
+        # run leaves it when nothing evaluates it
+        monkeypatch.setattr(trainer, "evaluate_checkpoint", lambda *args: [])
+        clean = trainer.train(cfg.replace(K=1, K_p=min(cfg.K_p, 1)))
+        save_checkpoint(clean, str(tmp_path / "clean.txt"))
+        with open(os.path.join(run_dir, "checkpoint.txt")) as fh:
+            assert fh.read() == (tmp_path / "clean.txt").read_text()
 
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainingConfig)
                                      if f.type in ("float", "float | None")])
