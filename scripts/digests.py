@@ -72,6 +72,9 @@ TINY_CASES = {
        for k_p in (0, 20, 25, 60)},
     # a stored warm-up whose rule is not the default one
     "tiny_ablate_otsu": [["ablate", *flags(TINY), "--decision_rule", "otsu_threshold"]],
+    # an evaluation after every step: 60 evaluations' rows
+    "tiny_eval_every1": [[command, *flags({**TINY, "eval_every": 1})]
+                         for command in ("train", "eval", "emit-plot-data")],
 }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nn import row_max
 # trainer calls the gradient kernel through this module, so the binding
 # stays here as an explicit re-export
 from .subspace import subspace_score_grads as subspace_score_grads
@@ -35,7 +36,7 @@ def loss_semi(weak_probs: np.ndarray, strong_log_probs: np.ndarray,
     and the sum is divided by the full batch size.
     """
     n = weak_probs.shape[0]
-    conf = weak_probs.max(axis=1)
+    conf = row_max(weak_probs)
     pseudo = weak_probs.argmax(axis=1)
     coeff = (conf > tau).astype(float) * np.asarray(semi_gate, dtype=float)
     value = float((coeff * -strong_log_probs[np.arange(n), pseudo]).sum() / n)

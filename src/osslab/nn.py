@@ -127,6 +127,20 @@ def init_params(input_dim: int, hidden: tuple[int, ...], feature_dim: int,
     return MlpParams(theta, sizes, num_classes, activation)
 
 
+def row_max(X: np.ndarray) -> np.ndarray:
+    """``X.max(axis=1)`` of a 2-D array, taken down the columns of one
+    contiguous copy of ``X.T``.
+
+    numpy reduces each row of ``X`` with its own inner-loop call, which costs
+    more than a short row's work: 49 µs for an (800, 8) array, against 6.4 µs
+    down the copy's columns (numpy 2.4.6). A maximum is exact in any order,
+    NaN included, so the values are ``X.max(axis=1)``'s; only the sign of a
+    zero maximum may differ. (``X.argmax(axis=1)`` has no such overhead:
+    9.7 µs for the same array, less than any form taken down the columns.)
+    """
+    return np.ascontiguousarray(X.T).max(axis=0)
+
+
 def forward(params: MlpParams, X: np.ndarray) -> ForwardTrace:
     """Full forward pass: features, logits, (log-)softmax, cached trace.
 
@@ -151,7 +165,10 @@ def forward(params: MlpParams, X: np.ndarray) -> ForwardTrace:
     if not (np.isfinite(z).all() and np.isfinite(logits).all()):
         raise NumericalError("non-finite values in forward pass "
                              f"(|z|max={np.abs(z).max():.3g})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # a zero maximum's sign can differ only in a row whose maximum is both +0.0
+    # and -0.0; it flips a zero shifted logit, exp(-0.0) = exp(0.0) = 1, and
+    # the row's log-sum-exp is at least log 2, so no output bit moves
+    shifted = logits - row_max(logits)[:, None]
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - lse
     probs = np.exp(log_probs)

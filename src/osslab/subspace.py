@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import row_max
+
 RANK_TOL = 1e-10
 
 
@@ -127,30 +129,45 @@ def subspace_score_grads(Z: np.ndarray, basis: IdSubspaceBasis) -> tuple[np.ndar
     return scores, grads
 
 
-def alt_scores(Z: np.ndarray, logits: np.ndarray, table: ClassMeanTable,
-               basis: IdSubspaceBasis) -> dict[ScoreKind, np.ndarray]:
-    """Every score kind of the rows of features ``Z`` and ``logits``, in
-    ``ScoreKind`` order; higher always means more ID.
+def _min_distances(Z: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The Euclidean distance from each row of ``Z`` to the nearest row of ``means``.
+
+    A running minimum of the squared distances, with one (N, D) scratch
+    buffer, which is freed before the caller's other scores allocate theirs;
+    sqrt is correctly rounded and monotonic, so the sqrt of the minimum is the
+    minimum of the distances.
+    """
+    diff = np.empty_like(Z, dtype=float)
+    d2 = np.full(len(Z), np.inf)
+    for m in means:
+        np.subtract(Z, m, out=diff)
+        np.minimum(d2, np.square(diff, out=diff).sum(axis=1), out=d2)
+    return np.sqrt(d2)
+
+
+def alt_scores(Z: np.ndarray, logits: np.ndarray, log_probs: np.ndarray,
+               table: ClassMeanTable, basis: IdSubspaceBasis) -> dict[ScoreKind, np.ndarray]:
+    """Every score kind of the rows of features ``Z``, ``logits`` and the
+    forward pass's ``log_probs``, in ``ScoreKind`` order; higher always means
+    more ID.
 
     The pieces that several kinds share (``Z Q``, ``||z||``, the initialized
-    means, the logit max and log-sum-exp) are computed once.
+    means, the logit max) are computed once. MSP and energy read the
+    log-sum-exp off ``log_probs`` instead of recomputing it: the forward's
+    ``log_probs`` are ``shifted - lse``, and each row's largest shifted logit
+    is 0, so each row's maximum of ``log_probs`` is exactly ``-lse``.
     """
-    Z, logits = np.atleast_2d(Z), np.atleast_2d(logits)
+    Z, logits, log_probs = np.atleast_2d(Z), np.atleast_2d(logits), np.atleast_2d(log_probs)
     U = Z @ basis.Q
     angle, _, z_norm = _angle_scores(U, Z)
     means = table.means[table.initialized]
-    # a running minimum over the means keeps memory at (N, D), not (N, C, D)
-    d = np.linalg.norm(Z - means[0], axis=1)
-    for m in means[1:]:
-        np.minimum(d, np.linalg.norm(Z - m, axis=1), out=d)
     zm = z_norm[:, None] * np.linalg.norm(means, axis=1)[None, :]
-    top = logits.max(axis=1)
-    shifted = logits - top[:, None]
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    top = row_max(logits)
+    lse = -row_max(log_probs)
     return {ScoreKind.SUBSPACE: angle,
-            ScoreKind.MIN_EUCLID_TO_MEAN: -d,
+            ScoreKind.MIN_EUCLID_TO_MEAN: -_min_distances(Z, means),
             ScoreKind.RESIDUAL_TO_SUBSPACE: -np.linalg.norm(Z - U @ basis.Q.T, axis=1),
-            ScoreKind.MAX_COSINE_TO_MEAN: ((Z @ means.T) / np.where(zm > 0, zm, 1.0)).max(axis=1),
-            ScoreKind.MSP: np.exp(shifted.max(axis=1) - lse),
+            ScoreKind.MAX_COSINE_TO_MEAN: row_max((Z @ means.T) / np.where(zm > 0, zm, 1.0)),
+            ScoreKind.MSP: np.exp(-lse),
             ScoreKind.ENERGY: lse + top,  # -E(x): the energy is higher for OOD
             ScoreKind.MAX_LOGIT: top}

@@ -186,7 +186,7 @@ def score_split(params: nn.MlpParams, table: subspace.ClassMeanTable,
     for block in np.array_split(X, max(1, len(X) // EVAL_BLOCK)):
         tr = nn.forward(params, block)
         probs.append(tr.probs)
-        scores.append(subspace.alt_scores(tr.z, tr.logits, table, basis))
+        scores.append(subspace.alt_scores(tr.z, tr.logits, tr.log_probs, table, basis))
         del tr  # freed before the next block is forwarded
     return np.concatenate(probs), {kind: np.concatenate([s[kind] for s in scores])
                                    for kind in ScoreKind}
@@ -258,11 +258,13 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         try:
             logged = runlog.evals[-1].step if runlog.evals else 0  # k if a stored state has it
             if k > logged and (k % config.eval_every == 0 or k == config.K):
+                phase = f"the evaluation after step {k - 1}"  # k >= 1 here
                 runlog.evals.extend(evaluate_checkpoint(state.ema_params, table, k, dataset))
             if keep and k == config.K_p:  # the top of step K_p, with its eval rows
                 warmups[key] = (copy.deepcopy(state), inputs)
             if k == config.K:
                 break
+            phase = f"step {k}"
             batch = next(batch_iter)
             trace_l = nn.forward(params, batch.labeled_weak)
             trace_w = nn.forward(params, batch.unlabeled_weak)
@@ -321,7 +323,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             # only at the step-0 bootstrap, and no row is logged. The batch draw
             # and decide moved the generators and the cursor, written back here,
             # so for k >= 1 the saved state is exactly the end of step k - 1.
-            log.exception("numerical blow-up at step %d; aborting with last checkpoint", k)
+            log.exception("numerical blow-up in %s; aborting with last checkpoint", phase)
             for shuffle, saved in zip(shuffles, top[0]):
                 vars(shuffle).update(saved)
             for g, saved in zip(rngs, top[1]):

@@ -649,6 +649,20 @@ class TestCli:
         with open(os.path.join(run_dir, "checkpoint.txt")) as fh:
             assert fh.read() == (tmp_path / "clean.txt").read_text()
 
+    # 1e200 overflows the evaluation after step 0, 1e8 fails in a step
+    @pytest.mark.parametrize("eta0, eval_every", [(1e200, 1), (1e8, 30)])
+    def test_blow_up_log_names_the_failed_phase(self, tmp_path, caplog, eta0, eval_every):
+        cfg = TrainingConfig(**{**TINY, "eta0": eta0, "eval_every": eval_every})
+        run_dir = str(tmp_path / "run")
+        with pytest.raises(nn.NumericalError):
+            trainer.train(cfg, run_dir)
+        step = trainer.load_run(run_dir).step
+        phase = "the evaluation after step 0" if eta0 == 1e200 else f"step {step}"
+        assert [r.getMessage() for r in caplog.records if r.name == "osslab.trainer"] == [
+            f"numerical blow-up in {phase}; aborting with last checkpoint"]
+        if eta0 == 1e8:
+            assert 1 <= step < cfg.K
+
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainingConfig)
                                      if f.type in ("float", "float | None")])
     def test_unparsable_float_is_config_error(self, tmp_path, capsys, key):

@@ -247,3 +247,41 @@ class TestOneBuffer:
     def test_unknown_activation_rejected(self, small_params):
         with pytest.raises(ValueError):
             nn.MlpParams(small_params.theta, small_params.sizes, 3, activation="sigmoid")
+
+
+class TestRowMax:
+    @staticmethod
+    def same(X):
+        assert nn.row_max(X).tobytes() == X.max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(800, 8), (37, 5), (3, 200), (5, 1), (1, 7)])
+    def test_equals_numpy_with_exact_ties(self, rng, shape):
+        # values on a coarse grid, so most rows hold their maximum more than once
+        self.same(rng.integers(-3, 4, size=shape).astype(float))
+        self.same(rng.normal(size=shape))
+
+    def test_nan_and_infinities(self, rng):
+        X = rng.normal(size=(6, 4))
+        X[0, 2] = np.nan
+        X[1, 0] = np.inf
+        X[2, 3] = -np.inf
+        X[3] = -np.inf
+        X[4, [1, 3]] = np.nan, np.inf
+        X[5, [0, 1]] = np.inf, -np.inf
+        self.same(X)
+        assert np.isnan(nn.row_max(X)[[0, 4]]).all()
+
+    def test_non_contiguous_column_slice(self, rng):
+        X = rng.normal(size=(50, 12))
+        self.same(X[:, 2:9:3])
+        self.same(X[::2, 1:])
+
+    def test_mixed_signed_zeros_are_equal(self):
+        # the sign of a zero maximum may differ from numpy's. No caller can
+        # see it: forward's shift only flips a zero shifted logit, whose exp is
+        # 1 either way, in a row whose log-sum-exp is at least log 2; the max
+        # logit and max cosine scores reach outputs only through AUROC
+        # comparisons, where -0.0 == 0.0
+        X = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -2.0], [-0.0, -3.0, -0.0]])
+        assert np.array_equal(nn.row_max(X), X.max(axis=1))
+        assert (nn.row_max(X) == 0.0).all()

@@ -233,6 +233,12 @@ def per_kind_scores(Z, logits, table, basis):
     }
 
 
+def forward_log_probs(logits):
+    """The log-softmax of ``logits``, computed as ``nn.forward`` computes it."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def some_scores(Z=None, logits=None, table=None, basis=None, num_classes=3, dim=4):
     """``alt_scores`` with random stand-ins for the inputs a test leaves out."""
     r = np.random.default_rng(7)
@@ -240,7 +246,7 @@ def some_scores(Z=None, logits=None, table=None, basis=None, num_classes=3, dim=
     logits = np.zeros((len(Z), num_classes)) if logits is None else logits
     table = table_from_means(r.normal(size=(num_classes, Z.shape[1]))) if table is None else table
     basis = compute_basis(table) if basis is None else basis
-    return alt_scores(Z, logits, table, basis)
+    return alt_scores(Z, logits, forward_log_probs(logits), table, basis)
 
 
 class TestAltScores:
@@ -259,9 +265,11 @@ class TestAltScores:
         Z[1] = basis.Q @ rng.normal(size=basis.rank)    # in the span
         Z[2] -= basis.Q @ (basis.Q.T @ Z[2])            # orthogonal to the span
         logits = rng.normal(size=(n + 3, c)) * 5.0
+        logits[-1, 1:] = -1e4  # the other classes underflow: the log-sum-exp is exactly 0
+        assert forward_log_probs(logits)[-1, 0] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero row divides by 0 silently
-            got = alt_scores(Z, logits, table, basis)
+            got = alt_scores(Z, logits, forward_log_probs(logits), table, basis)
         want = per_kind_scores(Z, logits, table, basis)
         for kind in ScoreKind:
             assert got[kind].tobytes() == want[kind].tobytes(), kind
