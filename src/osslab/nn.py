@@ -133,10 +133,11 @@ def row_max(X: np.ndarray) -> np.ndarray:
 
     numpy reduces each row of ``X`` with its own inner-loop call, which costs
     more than a short row's work: 49 µs for an (800, 8) array, against 6.4 µs
-    down the copy's columns (numpy 2.4.6). A maximum is exact in any order,
-    NaN included, so the values are ``X.max(axis=1)``'s; only the sign of a
-    zero maximum may differ. (``X.argmax(axis=1)`` has no such overhead:
-    9.7 µs for the same array, less than any form taken down the columns.)
+    down the copy's columns (numpy 2.4.6, 2-vCPU VM). A maximum is exact in
+    any order, NaN included, so the values are ``X.max(axis=1)``'s; only the
+    sign of a zero maximum may differ. (``X.argmax(axis=1)`` has no such
+    overhead: 9.7 µs for the same array, less than any form taken down the
+    columns.)
     """
     return np.ascontiguousarray(X.T).max(axis=0)
 
