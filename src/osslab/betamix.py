@@ -46,12 +46,6 @@ class BetaParams:
 
 
 @dataclass
-class MomentPair:
-    mean: float
-    variance: float
-
-
-@dataclass
 class BetaMixtureModel:
     id: BetaParams
     ood: BetaParams
@@ -91,8 +85,9 @@ def beta_pdf(p: BetaParams, s) -> np.ndarray | float:
     return float(out) if np.isscalar(s) else out
 
 
-def weighted_moments(scores: np.ndarray, weights: np.ndarray) -> MomentPair:
-    """Weighted sample mean and (population-style) weighted variance."""
+def weighted_moments(scores: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """``(mean, variance)``: the weighted sample mean and the (population-style)
+    weighted variance."""
     scores = np.asarray(scores, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if scores.shape != weights.shape:
@@ -102,17 +97,16 @@ def weighted_moments(scores: np.ndarray, weights: np.ndarray) -> MomentPair:
         raise ValueError("component empty this batch (zero total weight)")
     mean = float((weights * scores).sum() / total)
     var = float((weights * (scores - mean) ** 2).sum() / total)
-    return MomentPair(mean=mean, variance=var)
+    return mean, var
 
 
-def method_of_moments(m: MomentPair) -> BetaParams:
-    """Beta parameters matching the given mean and variance.
+def method_of_moments(mu: float, var: float) -> BetaParams:
+    """Beta parameters matching the mean ``mu`` and the variance ``var``.
 
     Over-dispersed moments (variance >= mean(1-mean)) and near-zero
     variances are clamped into [PARAM_FLOOR, PARAM_CEIL] preserving the
     mean ratio alpha/(alpha+beta).
     """
-    mu, var = m.mean, m.variance
     if not (0.0 < mu < 1.0):
         raise ValueError("moment mean must be strictly inside (0, 1)")
     k = mu * (1.0 - mu) / var - 1.0 if var > 0.0 else np.inf
@@ -190,9 +184,9 @@ def _imm_iteration(unlabeled_scores: np.ndarray, labeled_scores: np.ndarray,
     if w_id.sum() >= MIN_COMPONENT_MASS:
         pooled = np.concatenate([sl, s])
         pooled_w = np.concatenate([np.ones_like(sl), w_id])
-        tilde_id = method_of_moments(weighted_moments(pooled, pooled_w))
+        tilde_id = method_of_moments(*weighted_moments(pooled, pooled_w))
     if w_ood.sum() >= MIN_COMPONENT_MASS:
-        tilde_ood = method_of_moments(weighted_moments(s, w_ood))
+        tilde_ood = method_of_moments(*weighted_moments(s, w_ood))
     return tilde_id, tilde_ood
 
 

@@ -49,13 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_overrides(load_config(args.config) if args.config else TrainingConfig(),
                               _split_overrides(extra))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
 
     try:
         return _dispatch(args, cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

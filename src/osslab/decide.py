@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +25,13 @@ class RuleKind(enum.Enum):
 OTSU_START = 0.5  # the Otsu EMA before the first batch
 
 
-@dataclass
-class Decision:
-    """What the losses consume, regardless of the rule that produced it."""
-
-    sub_weights: np.ndarray    # factor on s(z) per sample in the subspace loss
-    semi_gate: np.ndarray      # factor on each pseudo-label term, in [0, 1]
-    threshold: float = float("nan")  # Otsu rule only: the EMA after this batch
-
-    @property
-    def id_rate(self) -> float:
-        return float(self.semi_gate.mean())
-
-    def hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.sub_weights.tobytes())
-        h.update(self.semi_gate.tobytes())
-        return h.hexdigest()[:16]
+def mask_hash(gate: np.ndarray) -> str:
+    """The run log's ``mask_hash``: the first 16 hex digits of the SHA-256 of
+    the subspace signs ``1 - 2 gate`` followed by the gate, as float64 bytes."""
+    h = hashlib.sha256()
+    h.update((1.0 - 2.0 * gate).tobytes())
+    h.update(gate.tobytes())
+    return h.hexdigest()[:16]
 
 
 def sample_mask(p_id: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -87,13 +76,14 @@ def otsu_threshold(scores: np.ndarray, num_bins: int = 128) -> float:
 
 def decide(kind: RuleKind, scores: np.ndarray, posteriors: np.ndarray,
            rng: np.random.Generator, ema_threshold: float,
-           otsu_momentum: float) -> Decision:
-    """Apply decision rule ``kind`` to one unlabeled batch.
+           otsu_momentum: float) -> tuple[np.ndarray, float]:
+    """Apply decision rule ``kind`` to one unlabeled batch; returns
+    ``(gate, threshold)``, the per-sample ID gate in [0, 1] and the Otsu EMA
+    after the batch.
 
     The Otsu rule first moves ``ema_threshold``, the EMA of the per-batch
-    Otsu threshold on raw scores, by ``otsu_momentum``, thresholds at the
-    result and returns it as ``Decision.threshold``; the other rules ignore
-    both.
+    Otsu threshold on raw scores, by ``otsu_momentum``, and thresholds at the
+    result; the other rules ignore both and return a NaN threshold.
     """
     posteriors = np.asarray(posteriors, dtype=float)
     threshold = float("nan")
@@ -107,5 +97,4 @@ def decide(kind: RuleKind, scores: np.ndarray, posteriors: np.ndarray,
         gate = posteriors
     else:
         raise ValueError(f"unknown rule {kind!r}")
-    # m_ood - m_id, with m_ood = 1 - m_id
-    return Decision(sub_weights=1.0 - 2.0 * gate, semi_gate=gate, threshold=threshold)
+    return gate, threshold

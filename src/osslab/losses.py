@@ -27,18 +27,18 @@ def loss_sup(log_probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 
 
 def loss_semi(weak_probs: np.ndarray, strong_log_probs: np.ndarray,
-              semi_gate: np.ndarray, tau: float) -> tuple[float, np.ndarray, int]:
+              gate: np.ndarray, tau: float) -> tuple[float, np.ndarray, int]:
     """Gated pseudo-label cross-entropy; returns (value, d_strong_logits, count).
 
     Weak-view predictions are constants: they only supply the pseudo-label
     and the confidence indicator. Each term is additionally scaled by
-    ``semi_gate`` (0/1 for sampled masks, p_id for the weighted variant)
+    the ID ``gate`` (0/1 for sampled masks, p_id for the weighted variant)
     and the sum is divided by the full batch size.
     """
     n = weak_probs.shape[0]
     conf = row_max(weak_probs)
     pseudo = weak_probs.argmax(axis=1)
-    coeff = (conf > tau).astype(float) * np.asarray(semi_gate, dtype=float)
+    coeff = (conf > tau).astype(float) * np.asarray(gate, dtype=float)
     value = float((coeff * -strong_log_probs[np.arange(n), pseudo]).sum() / n)
     d_logits = np.exp(strong_log_probs)
     d_logits[np.arange(n), pseudo] -= 1.0
@@ -67,22 +67,24 @@ def loss_self(h_out: np.ndarray, weak_z: np.ndarray) -> tuple[float, np.ndarray,
 
 
 def loss_sub(scores: np.ndarray, d_scores: np.ndarray,
-             sub_weights: np.ndarray) -> tuple[float, np.ndarray]:
+             gate: np.ndarray) -> tuple[float, np.ndarray]:
     """Signed mean of the weak view's subspace scores; returns (value, d_weak_z).
 
     ``scores, d_scores`` are ``subspace_score_grads`` of the weak features;
-    ``sub_weights`` is m_ood - m_id (or 1 - 2 p_id). The basis is a
-    constant for gradient purposes.
+    ``gate`` is the ID gate m_id (or p_id), and each score is signed by
+    m_ood - m_id = 1 - 2 gate. The basis is a constant for gradient purposes.
     """
     n = scores.shape[0]
-    w = np.asarray(sub_weights, dtype=float)
+    w = 1.0 - 2.0 * np.asarray(gate, dtype=float)
     value = float((w * scores).sum() / n)
     return value, w[:, None] * d_scores / n
 
 
 def loss_reg(theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """L2 regularizer 0.5 ||theta||^2 over all trainable parameters."""
-    return float(0.5 * theta @ theta), theta
+    """L2 regularizer 0.5 ||theta||^2 over all trainable parameters. BLAS's
+    dot splits a long theta over threads, so ``einsum`` sums the squares: its
+    bits do not depend on the BLAS thread count, and it allocates no temporary."""
+    return float(0.5 * np.einsum("i,i->", theta, theta)), theta
 
 
 def total_loss(sup: float, semi: float, self_sup: float, sub: float, reg: float,

@@ -209,6 +209,12 @@ def evaluate_checkpoint(params: nn.MlpParams, table: subspace.ClassMeanTable, st
             for kind in ScoreKind]
 
 
+def _decision_cols(gate: np.ndarray, threshold: float) -> dict:
+    """A step's logged decision columns, from its ID gate and Otsu EMA."""
+    return {"mask_rate": float(gate.mean()), "threshold": threshold,
+            "mask_hash": decide.mask_hash(gate)}
+
+
 def train(config: TrainingConfig, run_dir: str | None = None, *,
           warmups: dict[tuple, tuple[RunState, list]] | None = None) -> RunState:
     """Run the two-phase training loop (see the module docstring); return
@@ -238,10 +244,9 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
         state.runlog.evals = [e for e in state.runlog.evals if e.step % config.eval_every == 0]
         threshold = decide.OTSU_START  # the replay's Otsu EMA; the other rules ignore it
         for rec, (scores_u, p_reg) in zip(state.runlog.steps, warm[1]):
-            decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, threshold,
-                                     config.otsu_momentum)
-            threshold = rec.threshold = decision.threshold
-            rec.mask_rate, rec.mask_hash = decision.id_rate, decision.hash()
+            gate, threshold = decide.decide(kind, scores_u, p_reg, state.mask_rng, threshold,
+                                            config.otsu_momentum)
+            vars(rec).update(_decision_cols(gate, threshold))
     params, table, runlog = state.params, state.table, state.runlog
     beta_model = state.beta_model  # live here; each row logs it
     grads = params.zeros_like()
@@ -285,8 +290,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             densities = betamix.mixture_densities(beta_model, s_u)
             p_reg = betamix.posterior_id(beta_model, s_u, config.epsilon, densities)
             w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
-            decision = decide.decide(kind, scores_u, p_reg, state.mask_rng, state.threshold,
-                                     config.otsu_momentum)
+            gate, threshold = decide.decide(kind, scores_u, p_reg, state.mask_rng,
+                                            state.threshold, config.otsu_momentum)
             if keep and warmup:
                 inputs.append((scores_u, p_reg))
 
@@ -303,12 +308,12 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             semi_val, sub_val, pseudo_count, d_logits_s = 0.0, 0.0, 0, None
             if not warmup and config.w_semi > 0.0:
                 semi_val, d_ls, pseudo_count = losses.loss_semi(
-                    trace_w.probs, trace_s.log_probs, decision.semi_gate, config.tau)
+                    trace_w.probs, trace_s.log_probs, gate, config.tau)
                 d_logits_s = config.w_semi * d_ls
             if d_z_strong is not None or d_logits_s is not None:
                 nn.backward(params, trace_s, grads, d_z=d_z_strong, d_logits=d_logits_s)
             if sub_on:
-                sub_val, d_zw = losses.loss_sub(scores_u, d_scores_u, decision.sub_weights)
+                sub_val, d_zw = losses.loss_sub(scores_u, d_scores_u, gate)
                 nn.backward(params, trace_w, grads, d_z=config.w_sub * d_zw)
 
             reg_val, d_reg = losses.loss_reg(params.theta)
@@ -342,9 +347,7 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             sub=sub_val, reg=reg_val, total=total, pseudo_label_count=pseudo_count,
             alpha_id=beta_model.id.alpha, beta_id=beta_model.id.beta,
             alpha_ood=beta_model.ood.alpha, beta_ood=beta_model.ood.beta,
-            mask_rate=decision.id_rate, mean_p_id=float(p_reg.mean()),
-            threshold=decision.threshold,
-            mask_hash=decision.hash()))
+            mean_p_id=float(p_reg.mean()), **_decision_cols(gate, threshold)))
         del batch, trace_l, trace_w, trace_s, d_scores_u  # freed before the next pass
 
     if run_dir:

@@ -8,7 +8,7 @@ from scipy import integrate, special
 
 from osslab import trainer
 from osslab.betamix import (
-    PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, MomentPair, beta_pdf, betaln,
+    PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, beta_pdf, betaln,
     clamp_scores, fit_reference,
     imm_batch_step, method_of_moments, mixture_densities, posterior_id,
     weighted_moments,
@@ -73,21 +73,21 @@ class TestBetaln:
 class TestWeightedMoments:
     def test_equal_weights_are_plain_moments(self, rng):
         s = rng.uniform(0.1, 0.9, size=20)
-        m = weighted_moments(s, np.ones(20))
-        assert m.mean == pytest.approx(s.mean())
-        assert m.variance == pytest.approx(s.var())
+        mean, var = weighted_moments(s, np.ones(20))
+        assert mean == pytest.approx(s.mean())
+        assert var == pytest.approx(s.var())
 
     def test_hand_worked_pair(self):
-        m = weighted_moments(np.array([0.2, 0.8]), np.array([1.0, 1.0]))
-        assert m.mean == pytest.approx(0.5)
-        assert m.variance == pytest.approx(0.09)
+        mean, var = weighted_moments(np.array([0.2, 0.8]), np.array([1.0, 1.0]))
+        assert mean == pytest.approx(0.5)
+        assert var == pytest.approx(0.09)
 
     def test_zero_weight_ignores_sample(self, rng):
         s = rng.uniform(0.1, 0.9, size=5)
         w = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
-        m = weighted_moments(s, w)
+        mean, _ = weighted_moments(s, w)
         keep = np.delete(s, 2)
-        assert m.mean == pytest.approx(keep.mean())
+        assert mean == pytest.approx(keep.mean())
 
     def test_zero_total_weight_raises(self):
         with pytest.raises(ValueError):
@@ -96,22 +96,22 @@ class TestWeightedMoments:
 
 class TestMethodOfMoments:
     def test_uniform_moments_give_beta11(self):
-        p = method_of_moments(MomentPair(mean=0.5, variance=1.0 / 12.0))
+        p = method_of_moments(0.5, 1.0 / 12.0)
         assert p.alpha == pytest.approx(1.0, abs=1e-12)
         assert p.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_known_case(self):
-        p = method_of_moments(MomentPair(mean=0.8, variance=0.01))
+        p = method_of_moments(0.8, 0.01)
         assert p.alpha == pytest.approx(12.0, abs=1e-9)
         assert p.beta == pytest.approx(3.0, abs=1e-9)
 
     def test_overdispersed_clamps_preserving_mean(self):
-        p = method_of_moments(MomentPair(mean=0.5, variance=0.3))
+        p = method_of_moments(0.5, 0.3)
         assert p.mean == pytest.approx(0.5)
         assert min(p.alpha, p.beta) == pytest.approx(1e-2)
 
     def test_zero_variance_caps_preserving_mean(self):
-        p = method_of_moments(MomentPair(mean=0.9, variance=0.0))
+        p = method_of_moments(0.9, 0.0)
         assert p.mean == pytest.approx(0.9, abs=1e-9)
         assert max(p.alpha, p.beta) == pytest.approx(1e6)
 
@@ -119,7 +119,7 @@ class TestMethodOfMoments:
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_from_true_moments(self, alpha, beta):
         true = BetaParams(alpha, beta)
-        fit = method_of_moments(MomentPair(mean=true.mean, variance=true.variance))
+        fit = method_of_moments(true.mean, true.variance)
         assert fit.alpha == pytest.approx(alpha, rel=1e-9, abs=1e-9)
         assert fit.beta == pytest.approx(beta, rel=1e-9, abs=1e-9)
 
@@ -216,8 +216,8 @@ class TestImmBatchStep:
         unl = np.concatenate([hi, lo])
         out = imm_step(m, unl, lab, 0.0)
         id_ref = method_of_moments(
-            weighted_moments(np.concatenate([lab, hi]), np.ones(50)))
-        ood_ref = method_of_moments(weighted_moments(lo, np.ones(40)))
+            *weighted_moments(np.concatenate([lab, hi]), np.ones(50)))
+        ood_ref = method_of_moments(*weighted_moments(lo, np.ones(40)))
         assert out.id.alpha == pytest.approx(id_ref.alpha, rel=1e-9)
         assert out.ood.beta == pytest.approx(ood_ref.beta, rel=1e-9)
 

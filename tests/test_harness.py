@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -705,6 +707,26 @@ class TestCli:
         path.write_text(cfg.to_text())
         assert cli_main(["--config", str(path), "--out", str(tmp_path),
                          "train"]) == 0
+
+    def test_run_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a long dot product over its threads (one of 20,000
+        # elements was split, one of 10,000 was not), so this net is wider
+        extra = dict(hidden=(160, 120), K=20, K_p=5, eval_every=10)
+        state = trainer.RunState.start(TrainingConfig(**{**TINY, **extra}))
+        assert state.params.theta.size > 20_000
+        src = os.path.dirname(os.path.dirname(trainer.__file__))
+        found = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "osslab.cli", *self.args(out, "train", **extra)],
+                           env=env, check=True, capture_output=True)
+            run_dir = out / os.path.basename(only_run_dir(out))
+            found.append({name: (run_dir / name).read_bytes()
+                          for name in ("metrics.csv", "evals.csv", "checkpoint.txt")})
+        for name in found[0]:
+            assert found[0][name] == found[1][name], f"{name} differs at 1 and 2 BLAS threads"
 
 
 def _json_edit(edit):

@@ -182,37 +182,38 @@ class TestLossSub:
     def test_all_id_is_negative_mean_score(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(6, 5))
-        val, _ = loss_sub(*subspace_score_grads(Z, basis), -np.ones(6))
+        val, _ = loss_sub(*subspace_score_grads(Z, basis), np.ones(6))
         from osslab.subspace import subspace_scores
         assert val == pytest.approx(-subspace_scores(Z, basis).mean())
 
     def test_all_ood_flips_sign(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(6, 5))
-        v_id, _ = loss_sub(*subspace_score_grads(Z, basis), -np.ones(6))
-        v_ood, _ = loss_sub(*subspace_score_grads(Z, basis), np.ones(6))
+        v_id, _ = loss_sub(*subspace_score_grads(Z, basis), np.ones(6))
+        v_ood, _ = loss_sub(*subspace_score_grads(Z, basis), np.zeros(6))
         assert v_ood == pytest.approx(-v_id)
 
     def test_hand_worked_mixed_batch(self):
-        # scores (1, 0) with masks (ID, OOD): (-1*1 + 1*0)/2 = -0.5
+        # scores (1, 0) with gates (1, 0), ID then OOD, signed by 1 - 2 gate:
+        # (-1*1 + 1*0)/2 = -0.5
         basis = IdSubspaceBasis(Q=np.eye(3)[:, :1])
         Z = np.array([[2.0, 0.0, 0.0],   # in span, s = 1
                       [0.0, 1.0, 0.0]])  # orthogonal, s = 0
-        val, _ = loss_sub(*subspace_score_grads(Z, basis), np.array([-1.0, 1.0]))
+        val, _ = loss_sub(*subspace_score_grads(Z, basis), np.array([1.0, 0.0]))
         assert val == pytest.approx(-0.5)
 
     def test_gradient_matches_fd(self, rng):
         basis = random_basis(rng, 5, 2)
         Z = rng.normal(size=(4, 5))
-        w = rng.choice([-1.0, 1.0], size=4)
-        _, grad = loss_sub(*subspace_score_grads(Z, basis), w)
+        gate = rng.choice([0.0, 1.0], size=4)
+        _, grad = loss_sub(*subspace_score_grads(Z, basis), gate)
         eps = 1e-6
         for i in range(4):
             for j in range(5):
                 Zp, Zm = Z.copy(), Z.copy()
                 Zp[i, j] += eps
                 Zm[i, j] -= eps
-                fd = (loss_sub(*subspace_score_grads(Zp, basis), w)[0] - loss_sub(*subspace_score_grads(Zm, basis), w)[0]) / (2 * eps)
+                fd = (loss_sub(*subspace_score_grads(Zp, basis), gate)[0] - loss_sub(*subspace_score_grads(Zm, basis), gate)[0]) / (2 * eps)
                 assert grad[i, j] == pytest.approx(fd, abs=1e-8)
 
 
