@@ -143,9 +143,10 @@ def posterior_id(model: BetaMixtureModel, s, epsilon: float = 0.0,
 
     ``epsilon`` is added to the denominator; a nonzero one, the regularized
     form, is used only for the decision, never inside the IMM estimation. If
-    both densities underflow to zero, the prior ``pi`` is returned. A caller
-    that needs both forms passes ``densities=mixture_densities(model, s)``
-    so the Beta densities are evaluated once; they must have the shape of ``s``.
+    both densities underflow to zero, the prior ``pi`` is returned.
+    ``imm_batch_step`` needs both forms, so it passes
+    ``densities=mixture_densities(model, s)`` and the Beta densities are
+    evaluated once; they must have the shape of ``s``.
     """
     if densities is None:
         densities = mixture_densities(model, np.asarray(s, dtype=float))
@@ -190,23 +191,28 @@ def _imm_iteration(unlabeled_scores: np.ndarray, labeled_scores: np.ndarray,
     return tilde_id, tilde_ood
 
 
-def _ema(old: BetaParams, new: BetaParams, lam: float) -> BetaParams:
-    return BetaParams(lam * old.alpha + (1.0 - lam) * new.alpha,
-                      lam * old.beta + (1.0 - lam) * new.beta)
+def _ema(old: BetaParams, new: BetaParams | None, lam: float) -> BetaParams:
+    """``old`` moved a ``1 - lam`` share toward ``new``, or ``old`` if ``new`` is None."""
+    return old if new is None else BetaParams(lam * old.alpha + (1.0 - lam) * new.alpha,
+                                              lam * old.beta + (1.0 - lam) * new.beta)
 
 
 def imm_batch_step(model: BetaMixtureModel, unlabeled_scores: np.ndarray,
-                   labeled_scores: np.ndarray, w_id: np.ndarray,
-                   lambda_beta: float) -> BetaMixtureModel:
-    """One streaming IMM update; returns a new model, each parameter EMA-smoothed
-    keeping a ``lambda_beta`` share of the old value.
+                   labeled_scores: np.ndarray, epsilon: float,
+                   lambda_beta: float) -> tuple[np.ndarray, BetaMixtureModel]:
+    """One streaming IMM update from raw scores; returns ``(p_id, model')``.
 
-    ``w_id`` is ``posterior_id(model, unlabeled_scores)``, the E-step weights.
+    Both score arrays are clamped. One density pass gives ``p_id``, the
+    ``epsilon``-regularized posterior that only the decision reads, and the
+    plain E-step weights; each parameter keeps a ``lambda_beta`` share.
     """
-    tilde_id, tilde_ood = _imm_iteration(unlabeled_scores, labeled_scores, w_id)
-    lam = lambda_beta
-    return replace(model, id=model.id if tilde_id is None else _ema(model.id, tilde_id, lam),
-                   ood=model.ood if tilde_ood is None else _ema(model.ood, tilde_ood, lam))
+    s = clamp_scores(unlabeled_scores)
+    densities = mixture_densities(model, s)
+    p_id = posterior_id(model, s, epsilon, densities)
+    w_id = posterior_id(model, s, densities=densities)
+    tilde_id, tilde_ood = _imm_iteration(s, clamp_scores(labeled_scores), w_id)
+    return p_id, replace(model, id=_ema(model.id, tilde_id, lambda_beta),
+                         ood=_ema(model.ood, tilde_ood, lambda_beta))
 
 
 def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
@@ -235,3 +241,10 @@ def fit_reference(scores: np.ndarray, labeled_scores: np.ndarray, pi: float,
             return model
     log.warning("fit_reference: no convergence after %d iterations", max_iters)
     return model
+
+
+def beta_density_grid(id_params: BetaParams, ood_params: BetaParams,
+                      num_points: int = 256) -> np.ndarray:
+    """(num_points, 3) grid of (s, p_id(s), p_ood(s)) for plot emission."""
+    s = clamp_scores(np.linspace(0.0, 1.0, num_points))
+    return np.column_stack([s, beta_pdf(id_params, s), beta_pdf(ood_params, s)])

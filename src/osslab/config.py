@@ -145,13 +145,14 @@ class TrainingConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-# one parser per declared field type
-_PARSERS = {
+# one parser per declared field type, of a config and of a run log's cells
+PARSERS = {
     "int": int,
     "float": float,
     "float | None": lambda raw: None if raw == "None" else float(raw),
     "str": str,
-    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split(",") if x),
+    # only the empty string is the empty tuple; an empty entry does not parse
+    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split(",")) if raw else (),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainingConfig)}
 
@@ -163,7 +164,7 @@ def parse_value(name: str, raw: str) -> object:
         raise ValueError(f"unknown config key {name!r}")
     kind = _FIELD_TYPES[name]
     try:
-        return _PARSERS[kind](raw.strip())
+        return PARSERS[kind](raw.strip())
     except ValueError:
         raise ValueError(f"bad {kind} for {name}: {raw!r}") from None
 
@@ -175,8 +176,9 @@ def parse_overrides(config: TrainingConfig, pairs: dict[str, str]) -> TrainingCo
 
 
 def load_config(path: str) -> TrainingConfig:
-    """Read a flat ``key = value`` file ('#' starts a comment)."""
-    pairs = {}
+    """Read a flat ``key = value`` file ('#' starts a comment); a key set twice
+    is a ``ValueError``."""
+    pairs, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -185,5 +187,8 @@ def load_config(path: str) -> TrainingConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            pairs[key] = raw
+            if key in pairs:
+                raise ValueError(f"{path}:{lineno}: {key!r} is set again, "
+                                 f"first on line {lines[key]}")
+            pairs[key], lines[key] = raw, lineno
     return parse_overrides(TrainingConfig(), pairs)

@@ -1,10 +1,8 @@
-"""Closed-set accuracy, ID/OOD AUROC, and score histograms and densities for plots."""
+"""Closed-set accuracy, ID/OOD AUROC, and score histograms for plots."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .betamix import BetaParams, beta_pdf, clamp_scores
 
 SNAPSHOT_BINS = 64
 
@@ -48,9 +46,3 @@ def score_snapshot(id_scores: np.ndarray, ood_scores: np.ndarray,
     edges = np.linspace(lo, hi, SNAPSHOT_BINS + 1)
     return edges, np.histogram(id_scores, bins=edges)[0], np.histogram(ood_scores, bins=edges)[0]
 
-
-def beta_density_grid(id_params: BetaParams, ood_params: BetaParams,
-                      num_points: int = 256) -> np.ndarray:
-    """(num_points, 3) grid of (s, p_id(s), p_ood(s)) for plot emission."""
-    s = clamp_scores(np.linspace(0.0, 1.0, num_points))
-    return np.column_stack([s, beta_pdf(id_params, s), beta_pdf(ood_params, s)])

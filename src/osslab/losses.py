@@ -86,10 +86,3 @@ def loss_reg(theta: np.ndarray) -> tuple[float, np.ndarray]:
     bits do not depend on the BLAS thread count, and it allocates no temporary."""
     return float(0.5 * np.einsum("i,i->", theta, theta)), theta
 
-
-def total_loss(sup: float, semi: float, self_sup: float, sub: float, reg: float,
-               config) -> float:
-    """Sum of the terms weighted by ``config.w_*``. During warm-up the trainer
-    passes ``semi = sub = 0.0``, so those terms add nothing."""
-    return (sup + config.w_semi * semi + config.w_self * self_sup
-            + config.w_sub * sub + config.w_reg * reg)

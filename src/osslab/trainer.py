@@ -5,10 +5,10 @@ returns. Its settings live in ``state.config`` alone, and its Beta mixture
 and Otsu EMA in its last logged row. Pass k evaluates the state after k
 steps (every ``eval_every`` steps and at ``K``), then runs step k: forward
 passes; the basis of the class means carried over from the previous step;
-subspace scores, then one ``decide`` on them, the Beta mixture and the Otsu
-EMA; losses and the SGD update; then the class-mean update, the streaming
-IMM update (using this step's scores), and the parameter EMA. At step 0 the
-class means are bootstrapped from the first labeled batch, as none is set.
+subspace scores; one ``betamix.imm_batch_step``, which gives the decision's
+posterior and the next Beta mixture; one ``decide`` with the Otsu EMA; losses
+and the SGD update; then the class-mean update and the parameter EMA. At step
+0 the class means are bootstrapped from the first labeled batch, as none is set.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import betamix, decide, losses, nn, optim, subspace
-from .config import TrainingConfig, load_config
+from .config import PARSERS, TrainingConfig, load_config
 from .data import BatchCursor, OpenSetDataset, batches, generate
-from .evaluation import accuracy, auroc, beta_density_grid, score_snapshot
+from .evaluation import accuracy, auroc, score_snapshot
 from .rng import stream
 from .serialize import load_checkpoint, save_checkpoint
 from .subspace import ScoreKind
@@ -285,11 +285,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
             scores_u, d_scores_u = (losses.subspace_score_grads(trace_w.z, basis) if sub_on
                                     else (subspace.subspace_scores(trace_w.z, basis), None))
             scores_l = subspace.subspace_scores(trace_l.z, basis)
-            s_u = betamix.clamp_scores(scores_u)
-            s_l = betamix.clamp_scores(scores_l)
-            densities = betamix.mixture_densities(beta_model, s_u)
-            p_reg = betamix.posterior_id(beta_model, s_u, config.epsilon, densities)
-            w_id = betamix.posterior_id(beta_model, s_u, densities=densities)
+            p_reg, beta_model = betamix.imm_batch_step(beta_model, scores_u, scores_l,
+                                                       config.epsilon, config.lambda_beta)
             gate, threshold = decide.decide(kind, scores_u, p_reg, state.mask_rng,
                                             state.threshold, config.otsu_momentum)
             if keep and warmup:
@@ -318,7 +315,8 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
 
             reg_val, d_reg = losses.loss_reg(params.theta)
             grads.theta += config.w_reg * d_reg
-            total = losses.total_loss(sup_val, semi_val, self_val, sub_val, reg_val, config)
+            total = (sup_val + config.w_semi * semi_val + config.w_self * self_val
+                     + config.w_sub * sub_val + config.w_reg * reg_val)
 
             step_lr = optim.lr(config, k)
             optim.sgd_step(params.theta, grads.theta, state.velocity, config.momentum, step_lr)
@@ -339,7 +337,6 @@ def train(config: TrainingConfig, run_dir: str | None = None, *,
 
         if k > 0:
             subspace.update_class_means(table, trace_l.z, batch.labels, config.lambda_means)
-        beta_model = betamix.imm_batch_step(beta_model, s_u, s_l, w_id, config.lambda_beta)
         optim.ema_update(state.ema, params.theta, config.ema_momentum)
 
         runlog.steps.append(StepRecord(
@@ -426,7 +423,7 @@ def ablate(base: TrainingConfig) -> dict:
 
 def _read_rows(path: str, row_type) -> list:
     """A ``RunLog`` CSV's rows, each cell parsed by its field's type."""
-    parse = [{"int": int, "float": float, "str": str}[f.type] for f in fields(row_type)]
+    parse = [PARSERS[f.type] for f in fields(row_type)]
     with open(path) as fh:
         lines = fh.read().splitlines()
     try:
@@ -494,7 +491,7 @@ def emit_plot_data(run_dir: str, out_dir: str) -> None:
            _csv_text(["metric", "step", "value"], long_rows))
 
     for s in sorted({e.step for e in evals}):
-        grid = beta_density_grid(*steps[s - 1].beta_params())
+        grid = betamix.beta_density_grid(*steps[s - 1].beta_params())
         _write(os.path.join(out_dir, f"beta_step{s}.csv"),
                _csv_text(["s", "p_id", "p_ood"], grid.tolist()))
 

@@ -180,7 +180,7 @@ class TestMixtureEstimation:
         labeled = clamp_scores(rng.beta(8, 2, 50))
         model = BetaMixtureModel.default_init(pi=0.5)
         w_id = posterior_id(model, scores)
-        stepped = imm_batch_step(model, scores, labeled, w_id, 0.0)
+        _, stepped = imm_batch_step(model, scores, labeled, 0.0, 0.0)
         ref_id, ref_ood = _imm_iteration(scores, labeled, w_id)
         ok = (stepped.id == ref_id and stepped.ood == ref_ood)
         report("mixture estimation: batch step vs reference", ok,

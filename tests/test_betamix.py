@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from scipy import integrate, special
 
 from osslab import trainer
 from osslab.betamix import (
-    PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, beta_pdf, betaln,
-    clamp_scores, fit_reference,
+    PARAM_CEIL, PARAM_FLOOR, BetaMixtureModel, BetaParams, _imm_iteration, beta_pdf,
+    betaln, clamp_scores, fit_reference,
     imm_batch_step, method_of_moments, mixture_densities, posterior_id,
     weighted_moments,
 )
@@ -20,8 +22,8 @@ from test_harness import TINY
 
 
 def imm_step(model, unlabeled, labeled, lambda_beta):
-    """``imm_batch_step`` with the E-step weights the trainer passes."""
-    return imm_batch_step(model, unlabeled, labeled, posterior_id(model, unlabeled), lambda_beta)
+    """``imm_batch_step``'s next model."""
+    return imm_batch_step(model, unlabeled, labeled, 0.0, lambda_beta)[1]
 
 
 class TestBetaPdf:
@@ -201,7 +203,51 @@ class TestSharedDensities:
             posterior_id(m, 0.5, densities=mixture_densities(m, s[:1]))
 
 
+def reference_batch_step(model, unlabeled, labeled, epsilon, lam):
+    """``imm_batch_step`` spelled out: clamp, one density pass, both
+    posteriors, one MM-step and the EMA of each component not skipped."""
+    s_u, s_l = clamp_scores(unlabeled), clamp_scores(labeled)
+    densities = mixture_densities(model, s_u)
+    p_reg = posterior_id(model, s_u, epsilon, densities)
+    w_id = posterior_id(model, s_u, densities=densities)
+    tilde_id, tilde_ood = _imm_iteration(s_u, s_l, w_id)
+
+    def ema(old, new):
+        return old if new is None else BetaParams(lam * old.alpha + (1.0 - lam) * new.alpha,
+                                                  lam * old.beta + (1.0 - lam) * new.beta)
+    return p_reg, replace(model, id=ema(model.id, tilde_id), ood=ema(model.ood, tilde_ood))
+
+
+# both densities underflow to 0 between the spikes, at 0.5 among others
+UNDERFLOWING = BetaMixtureModel(id=BetaParams(1e5, 1.0), ood=BetaParams(1.0, 1e5), pi=0.3)
+
+
 class TestImmBatchStep:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_equals_the_spelled_out_step_bit_for_bit(self, rng, epsilon):
+        models = [BetaMixtureModel.default_init(0.5), UNDERFLOWING,
+                  BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0), pi=0.6)]
+        for m in models:
+            for _ in range(20):
+                # raw scores: the ends of [0, 1] and a little past them need the clamp
+                unl = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.0, 1.0, 0.5, -1e-9],
+                                      rng.beta(50, 1, 8)])
+                lab = np.concatenate([rng.beta(8, 2, 12), [1.0, 1.0 + 1e-9]])
+                lam = rng.choice([0.0, 0.9, 0.999])
+                p_id, got = imm_batch_step(m, unl, lab, epsilon, lam)
+                want_p, want = reference_batch_step(m, unl, lab, epsilon, lam)
+                assert p_id.tobytes() == want_p.tobytes()
+                assert got == want
+                m = got
+
+    def test_a_skipped_component_stays_bit_for_bit(self):
+        m = BetaMixtureModel(id=BetaParams(400.0, 5.0), ood=BetaParams(5.0, 400.0), pi=0.5)
+        unl, lab = np.linspace(0.9, 0.99, 30), np.array([0.95, 0.96])
+        (p_id, got), (want_p, want) = (step(m, unl, lab, 0.1, 0.5)
+                                       for step in (imm_batch_step, reference_batch_step))
+        assert p_id.tobytes() == want_p.tobytes()
+        assert got == want and got.ood == m.ood
+
     def test_lambda_one_freezes_model(self, rng):
         m = BetaMixtureModel.default_init(0.5)
         out = imm_step(m, rng.uniform(0.1, 0.9, 64), rng.uniform(0.5, 0.9, 16), 1.0)
@@ -260,6 +306,66 @@ class TestImmBatchStep:
         stepped = imm_step(init, unl, lab, 0.0)
         ref = fit_reference(unl, lab, pi=0.5, max_iters=1, tol=0.0, init=init)
         assert (stepped.id, stepped.ood) == (ref.id, ref.ood)
+
+
+class TestLogRecordSources:
+    """The benchmark's tracer counts ``osslab.betamix`` records by the function
+    that logs them: underflow WARNINGs from ``posterior_id`` and clamp DEBUG
+    records from ``method_of_moments``."""
+
+    def records(self, caplog, *args):
+        with caplog.at_level(logging.DEBUG, logger="osslab.betamix"):
+            imm_batch_step(*args)
+        return [r for r in caplog.records if r.name == "osslab.betamix"]
+
+    def test_underflow_warning_comes_from_posterior_id(self, caplog):
+        warnings = [r for r in self.records(caplog, UNDERFLOWING, np.full(16, 0.5),
+                                            np.full(4, 0.9), 0.0, 0.999)
+                    if r.levelno == logging.WARNING]
+        # both posteriors see the underflow when epsilon is 0
+        assert [r.funcName for r in warnings] == ["posterior_id"] * 2
+        assert "underflowed for 16 score(s)" in warnings[0].getMessage()
+
+    def test_zero_variance_debug_comes_from_method_of_moments(self, caplog):
+        debug = [r for r in self.records(caplog, BetaMixtureModel.default_init(0.5),
+                                         np.full(16, 0.5), np.full(4, 0.5), 0.1, 0.999)
+                 if r.levelno == logging.DEBUG]
+        assert [r.funcName for r in debug] == ["method_of_moments"] * 2
+        assert all("zero-variance fit capped" in r.getMessage() for r in debug)
+
+
+def drifting_stream(seed: int):
+    """2,000 batches ``(unlabeled, labeled, is_id)`` of a score stream whose OOD
+    law drifts up into the ID one and back down.
+
+    Each batch holds 64 ID scores from Beta(298.5, 1.5), whose mean is 0.995;
+    64 OOD scores from a Beta of concentration 60, whose mean goes from 0.55
+    to 0.97 over steps 0-999, then to 0.30 over steps 1,000-1,499, and stays
+    there; and 32 labeled scores from the ID law.
+    """
+    rng = np.random.default_rng(seed)
+    is_id = np.repeat([True, False], 64)
+    for k in range(2000):
+        mean = np.interp(k, [0, 999, 1499], [0.55, 0.97, 0.30])
+        unlabeled = np.concatenate([rng.beta(298.5, 1.5, 64),
+                                    rng.beta(60.0 * mean, 60.0 * (1.0 - mean), 64)])
+        yield unlabeled, rng.beta(298.5, 1.5, 32), is_id
+
+
+@pytest.mark.xfail(strict=True, reason="a component whose E-step mass falls below "
+                   "MIN_COMPONENT_MASS is skipped, and once skipped it never moves again")
+def test_the_streaming_estimator_follows_a_drifting_ood_law():
+    """Once the OOD scores drift back down, the OOD component must follow them:
+    it moves on each of the last 500 steps, and the final batch's posterior
+    beats the prior-only predictor's Brier score pi (1 - pi) = 0.25."""
+    for seed in range(3):
+        model, moved = BetaMixtureModel.default_init(0.5), []
+        for unlabeled, labeled, is_id in drifting_stream(seed):
+            p_id, stepped = imm_batch_step(model, unlabeled, labeled, 0.0, 0.999)
+            moved.append(stepped.ood != model.ood)
+            model = stepped
+        assert float(np.mean((p_id - is_id) ** 2)) < 0.25, f"stream seed {seed}"
+        assert all(moved[-500:]), f"stream seed {seed}"
 
 
 class TestFitReference:

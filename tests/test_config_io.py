@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from osslab import config, trainer
+from osslab import cli, config, trainer
 from osslab.betamix import BetaParams
 from osslab.config import TrainingConfig, load_config, parse_overrides
 from osslab.serialize import save_checkpoint
@@ -128,7 +129,7 @@ class TestOverridesAndFiles:
 
     def test_one_parser_per_field_type(self):
         # a parser no field uses, or a field type with no parser, fails here
-        assert set(config._PARSERS) == {f.type for f in fields(TrainingConfig)}
+        assert set(config.PARSERS) == {f.type for f in fields(TrainingConfig)}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key 'learning_rate'"):
@@ -149,6 +150,37 @@ class TestOverridesAndFiles:
         path.write_text("K 400\n")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    def test_a_key_set_twice_in_a_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("K = 10\nK_p = 5\n# K = 30\nK = 20\n")
+        message = f"{path}:4: 'K' is set again, first on line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(str(path))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_the_last_command_line_flag_wins(self):
+        assert cli._split_overrides(["--K", "10", "--K_p", "5", "--K", "20"]) == {
+            "K": "20", "K_p": "5"}
+
+    @pytest.mark.parametrize("raw", ["16,,8", "16,", ",16", ",", " , "])
+    def test_an_empty_hidden_entry_is_an_error(self, raw, tmp_path, capsys):
+        with pytest.raises(ValueError, match=re.escape(f"bad tuple[int, ...] for hidden: {raw!r}")):
+            parse_overrides(TrainingConfig(), {"hidden": raw})
+        assert cli.main(["--out", str(tmp_path), "train", "--hidden", raw]) == 1
+        assert "bad tuple[int, ...] for hidden" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_empty_string_is_the_linear_backbone(self, tmp_path):
+        assert parse_overrides(TrainingConfig(), {"hidden": ""}).hidden == ()
+        assert parse_overrides(TrainingConfig(), {"hidden": " 16, 8 "}).hidden == (16, 8)
+        linear = TrainingConfig(hidden=())
+        path = tmp_path / "config.txt"
+        path.write_text(linear.to_text())
+        assert "\nhidden = \n" in path.read_text()
+        assert load_config(str(path)) == linear
 
 
 class TestCheckpoint:

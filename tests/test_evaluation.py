@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from osslab.betamix import BetaMixtureModel
-from osslab.evaluation import accuracy, auroc, beta_density_grid, score_snapshot
+from osslab.betamix import BetaMixtureModel, beta_density_grid
+from osslab.evaluation import accuracy, auroc, score_snapshot
 
 
 def pairwise_auroc(id_scores, ood_scores):

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from osslab import betamix, nn, subspace, trainer
-from osslab.betamix import BetaParams
+from osslab.betamix import BetaParams, beta_density_grid
 from osslab.cli import main as cli_main
 from osslab.decide import OTSU_START, RuleKind
 from osslab.config import TrainingConfig, load_config
 from osslab.data import generate
-from osslab.evaluation import accuracy, auroc, beta_density_grid
+from osslab.evaluation import accuracy, auroc
 from osslab.optim import lr
 from osslab.rng import stream
 from osslab.serialize import save_checkpoint
@@ -67,8 +67,9 @@ class TestTrain:
             if r.step < 20:
                 assert r.semi == 0.0 and r.sub == 0.0
                 assert r.pseudo_label_count == 0
-                # warm-up drops semi and sub from the total, bit for bit
-                assert r.total == r.sup + cfg.w_self * r.self_sup + cfg.w_reg * r.reg
+            # the logged terms, weighted as their gradients are, bit for bit
+            assert r.total == (r.sup + cfg.w_semi * r.semi + cfg.w_self * r.self_sup
+                               + cfg.w_sub * r.sub + cfg.w_reg * r.reg)
             assert 0.0 <= r.mask_rate <= 1.0
             assert 0.0 <= r.mean_p_id <= 1.0
             assert np.isfinite(r.total)
@@ -827,6 +828,8 @@ _RUN_DIR_EDITS = {
     # a 16-wide hidden layer's theta does not fit an 8-wide one
     "config_narrower_than_checkpoint": (
         "config.txt", lambda text: text.replace("hidden = 16", "hidden = 8"), "checkpoint.txt"),
+    # a key set twice, even to the same value
+    "config_key_twice": ("config.txt", lambda text: text + "seed = 3\n", "config.txt"),
     "metrics_missing": ("metrics.csv", None, "metrics.csv"),
     "metrics_row_unparsable": (
         "metrics.csv", lambda text: text.replace("\n0,", "\nzero,", 1), "metrics.csv"),

@@ -5,7 +5,7 @@ import pytest
 
 from osslab.config import TrainingConfig
 from osslab.losses import (
-    loss_reg, loss_self, loss_semi, loss_sub, loss_sup, total_loss,
+    loss_reg, loss_self, loss_semi, loss_sub, loss_sup,
 )
 from osslab.subspace import IdSubspaceBasis, subspace_score_grads
 
@@ -230,27 +230,7 @@ class TestLossReg:
         assert loss_reg(rng.normal(size=100))[0] >= 0.0
 
 
-class TestTotalLoss:
-    def test_warmup_drops_semi_and_sub(self):
-        # During warm-up the trainer passes semi = sub = 0.0, so only the
-        # supervised, self-supervised and regularisation terms remain.
-        w = TrainingConfig(w_semi=1.0, w_self=0.5, w_sub=1.0, w_reg=0.1)
-        total = total_loss(2.0, 0.0, 3.0, 0.0, 4.0, w)
-        assert total == pytest.approx(2.0 + 0.5 * 3.0 + 0.1 * 4.0)
-
-    def test_all_weights_zero(self):
-        w = TrainingConfig(w_semi=0.0, w_self=0.0, w_sub=0.0, w_reg=0.0)
-        total = total_loss(1.7, 5.0, 5.0, 5.0, 5.0, w)
-        assert total == pytest.approx(1.7)
-
-    def test_breakdown_identity(self, rng):
-        w = TrainingConfig(w_semi=0.7, w_self=0.3, w_sub=1.1, w_reg=0.01)
-        parts = rng.normal(size=5)
-        total = total_loss(*parts, w)
-        expect = (parts[0] + w.w_semi * parts[1] + w.w_self * parts[2]
-                  + w.w_sub * parts[3] + w.w_reg * parts[4])
-        assert abs(total - expect) < 1e-12
-
+class TestLossWeights:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             TrainingConfig(w_semi=-1.0)
