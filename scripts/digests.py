@@ -1,10 +1,10 @@
 """Digests of every file that a fixed set of osslab commands writes.
 
-    python3 scripts/digests.py [--tiny] [--against REV] [--threads N]
+    python3 scripts/digests.py [--tiny] [--against REV]
 
 Each case is a list of ``osslab`` commands run through ``osslab.cli.main``
 in one fresh temporary ``--out`` directory, in a child process with BLAS on
-N threads (``--threads``, default 1). The script prints one line per output file, ``case path
+one thread. The script prints one line per output file, ``case path
 sha256[:16]``. A command's stdout counts as a file, named with the
 command's exit code, with the output directory written as ``<out>``. So do
 its stderr lines that start with ``error: `` or ``runtime failure: `` (the
@@ -19,8 +19,7 @@ and the script exits 1.
 ``--tiny`` runs only the cases on the small test config. ``--against REV``
 also runs the cases on the ``src/`` of git revision REV of this repository,
 exported with ``git archive`` (nothing is fetched), prints each file whose
-digest differs or that only one side wrote, and exits 1 if there is any;
-both sides run on the same N BLAS threads.
+digest differs or that only one side wrote, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -153,13 +152,12 @@ def run_commands(out_dir: str, commands: list[list[str]]) -> None:
                 fh.write(text.replace(out_dir, "<out>"))
 
 
-def digest_case(src: str, commands: list[list[str]], threads: int = 1) -> dict[str, str]:
-    """path -> sha256[:16] of every file the commands write, run on ``src``
-    with BLAS on ``threads`` threads; ``{CHILD_FAILED: "exit<code>"}`` if the
-    child process fails."""
+def digest_case(src: str, commands: list[list[str]]) -> dict[str, str]:
+    """path -> sha256[:16] of every file the commands write, run on ``src``;
+    ``{CHILD_FAILED: "exit<code>"}`` if the child process fails."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
+        env[var] = "1"
     with tempfile.TemporaryDirectory() as out_dir:
         child = subprocess.run([sys.executable, __file__, "--child", out_dir,
                                 json.dumps(commands)], env=env, cwd=out_dir,
@@ -176,9 +174,9 @@ def digest_case(src: str, commands: list[list[str]], threads: int = 1) -> dict[s
     return dict(sorted(found.items()))
 
 
-def digests(src: str, cases: dict, threads: int = 1) -> dict[tuple[str, str], str]:
+def digests(src: str, cases: dict) -> dict[tuple[str, str], str]:
     return {(case, path): digest for case, commands in cases.items()
-            for path, digest in digest_case(src, commands, threads).items()}
+            for path, digest in digest_case(src, commands).items()}
 
 
 def export_src(rev: str, into: str) -> str:
@@ -193,25 +191,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="the small-config cases only")
     parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
-    parser.add_argument("--threads", metavar="N", type=int, default=1,
-                        help="BLAS threads of each child process (default 1)")
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         run_commands(args.child[0], json.loads(args.child[1]))
         return 0
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
 
     cases = TINY_CASES if args.tiny else all_cases()
-    here = digests(SRC, cases, args.threads)
+    here = digests(SRC, cases)
     for (case, path), digest in here.items():
         print(f"{case} {path} {digest}")
     failed = any(path == CHILD_FAILED for _, path in here)
     if not args.against:
         return 1 if failed else 0
     with tempfile.TemporaryDirectory() as tmp:
-        there = digests(export_src(args.against, tmp), cases, args.threads)
+        there = digests(export_src(args.against, tmp), cases)
     differ = [key for key in sorted(here.keys() | there.keys()) if here.get(key) != there.get(key)]
     for case, path in differ:
         print(f"differs {case} {path}: {there.get((case, path))} at {args.against}, "

@@ -6,7 +6,6 @@ No digest is pinned: they depend on the numpy and BLAS build.
 import hashlib
 import importlib.util
 import pathlib
-import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,24 +54,3 @@ def test_an_error_message_is_a_file(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"rejected stderr0_train_exit1.txt {hashlib.sha256(message).hexdigest()[:16]}",
         f"rejected stdout0_train_exit1.txt {hashlib.sha256(b'').hexdigest()[:16]}"]
-
-
-def test_each_child_runs_on_the_requested_blas_threads(monkeypatch, capsys):
-    digests = load_script()
-    envs = []
-
-    def fake_run(cmd, *, env, **kwargs):
-        envs.append(env)
-        return subprocess.CompletedProcess(cmd, 0, stderr="")
-
-    monkeypatch.setattr(digests.subprocess, "run", fake_run)
-    monkeypatch.setattr(digests, "export_src", lambda rev, into: digests.SRC)
-    monkeypatch.setattr(digests, "TINY_CASES", {"one": [["train"]], "two": [["eval"]]})
-    assert digests.main(["--tiny", "--threads", "2", "--against", "HEAD"]) == 0
-    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    # both cases, here and at HEAD
-    assert [[env[var] for var in blas] for env in envs] == [["2"] * 3] * 4
-    assert capsys.readouterr().out.endswith("0 differ\n")
-    envs.clear()
-    assert digests.main(["--tiny"]) == 0
-    assert [[env[var] for var in blas] for env in envs] == [["1"] * 3] * 2
