@@ -2,19 +2,20 @@
 
     python3 scripts/digests.py [--tiny] [--against REV]
 
-Each case is a list of ``osslab`` commands run through ``osslab.cli.main``
-in one fresh temporary ``--out`` directory, in a child process with BLAS on
-one thread. The script prints one line per output file, ``case path
-sha256[:16]``. A command's stdout counts as a file, named with the
+Each case is a list of ``osslab`` commands run in order through
+``osslab.cli.main`` in one fresh temporary ``--out`` directory, each command
+in its own child process with BLAS on one thread, as separate ``osslab``
+invocations would run. The script prints one line per output file, ``case
+path sha256[:16]``. A command's stdout counts as a file, named with the
 command's exit code, with the output directory written as ``<out>``. So do
 its stderr lines that start with ``error: `` or ``runtime failure: `` (the
 CLI's messages for exit codes 1 and 2), if there are any; log records and
 tracebacks are left out, since they carry source paths and line numbers.
 
-A case whose child process fails (an uncaught exception, or an argparse
-usage error from a command that side does not know) is reported as one file,
-``child-failed``, whose digest is ``exit<code>``; the other cases still run,
-and the script exits 1.
+A case one of whose child processes fails (an uncaught exception, or an
+argparse usage error from a command that side does not know) is reported as
+one file, ``child-failed``, whose digest is ``exit<code>``; the case's later
+commands are not run, the other cases still run, and the script exits 1.
 
 ``--tiny`` runs only the cases on the small test config. ``--against REV``
 also runs the cases on the ``src/`` of git revision REV of this repository,
@@ -72,6 +73,9 @@ TINY_CASES = {
        for k_p in (0, 20, 25, 60)},
     # a stored warm-up whose rule is not the default one
     "tiny_ablate_otsu": [["ablate", *flags(TINY), "--decision_rule", "otsu_threshold"]],
+    # no evaluation before K: the test splits are first drawn by the final one
+    "tiny_eval_at_end": [[command, *flags({**TINY, "eval_every": 100})]
+                         for command in ("train", "eval", "emit-plot-data")],
     # an evaluation after every step: 60 evaluations' rows
     "tiny_eval_every1": [[command, *flags({**TINY, "eval_every": 1})]
                          for command in ("train", "eval", "emit-plot-data")],
@@ -128,9 +132,9 @@ def all_cases() -> dict:
 MESSAGE_PREFIXES = ("error: ", "runtime failure: ")
 
 
-def run_commands(out_dir: str, commands: list[list[str]]) -> None:
-    """The child process: run ``commands`` in order, saving each one's stdout,
-    and its stderr's ``MESSAGE_PREFIXES`` lines if it printed any."""
+def run_command(out_dir: str, i: int, argv: list[str]) -> None:
+    """The child process: run a case's command ``i``, saving its stdout, and
+    its stderr's ``MESSAGE_PREFIXES`` lines if it printed any."""
     import osslab
     from osslab import cli
     if not os.path.abspath(osslab.__file__).startswith(os.environ["PYTHONPATH"] + os.sep):
@@ -138,33 +142,33 @@ def run_commands(out_dir: str, commands: list[list[str]]) -> None:
     # bound to the real stderr here, so cli.main's basicConfig adds no handler
     # and log records (which carry source paths) stay out of the captured text
     logging.basicConfig(level=logging.INFO)
-    for i, argv in enumerate(commands):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(["--out", out_dir, *argv])
-        files = {"stdout": stdout.getvalue()}
-        messages = [line for line in stderr.getvalue().splitlines(keepends=True)
-                    if line.startswith(MESSAGE_PREFIXES)]
-        if messages:
-            files["stderr"] = "".join(messages)
-        for stream, text in files.items():
-            with open(os.path.join(out_dir, f"{stream}{i}_{argv[0]}_exit{code}.txt"), "w") as fh:
-                fh.write(text.replace(out_dir, "<out>"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["--out", out_dir, *argv])
+    files = {"stdout": stdout.getvalue()}
+    messages = [line for line in stderr.getvalue().splitlines(keepends=True)
+                if line.startswith(MESSAGE_PREFIXES)]
+    if messages:
+        files["stderr"] = "".join(messages)
+    for stream, text in files.items():
+        with open(os.path.join(out_dir, f"{stream}{i}_{argv[0]}_exit{code}.txt"), "w") as fh:
+            fh.write(text.replace(out_dir, "<out>"))
 
 
 def digest_case(src: str, commands: list[list[str]]) -> dict[str, str]:
     """path -> sha256[:16] of every file the commands write, run on ``src``;
-    ``{CHILD_FAILED: "exit<code>"}`` if the child process fails."""
+    ``{CHILD_FAILED: "exit<code>"}`` if a child process fails."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     with tempfile.TemporaryDirectory() as out_dir:
-        child = subprocess.run([sys.executable, __file__, "--child", out_dir,
-                                json.dumps(commands)], env=env, cwd=out_dir,
-                               stderr=subprocess.PIPE, text=True)
-        if child.returncode:
-            print(f"{commands} on {src} failed:\n{child.stderr[-2000:]}", file=sys.stderr)
-            return {CHILD_FAILED: f"exit{child.returncode}"}
+        for i, argv in enumerate(commands):
+            child = subprocess.run([sys.executable, __file__, "--child", out_dir, str(i),
+                                    json.dumps(argv)], env=env, cwd=out_dir,
+                                   stderr=subprocess.PIPE, text=True)
+            if child.returncode:
+                print(f"{argv} on {src} failed:\n{child.stderr[-2000:]}", file=sys.stderr)
+                return {CHILD_FAILED: f"exit{child.returncode}"}
         found = {}
         for parent, _, names in os.walk(out_dir):
             for name in names:
@@ -191,10 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="the small-config cases only")
     parser.add_argument("--against", metavar="REV", help="compare with git revision REV")
-    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        run_commands(args.child[0], json.loads(args.child[1]))
+        out_dir, i, command = args.child
+        run_command(out_dir, int(i), json.loads(command))
         return 0
 
     cases = TINY_CASES if args.tiny else all_cases()

@@ -9,7 +9,8 @@ are small/large jitter (strong adds coordinate dropout).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,6 +19,13 @@ from .rng import stream
 OOD_LABEL = -1
 
 _CENTER_RETRIES = 1000
+
+# the config fields that ``generate`` reads
+DATASET_FIELDS = ("input_dim", "num_id_classes", "num_ood_clusters", "samples_per_class",
+                  "labeled_per_class", "ood_fraction", "cluster_spread", "cluster_separation",
+                  "seed")
+
+Split = tuple[np.ndarray, np.ndarray]
 
 
 class InfeasibleSpecError(ValueError):
@@ -28,12 +36,25 @@ class InfeasibleSpecError(ValueError):
 class OpenSetDataset:
     """One ``(X, y)`` array pair per split; ``y`` is the class index of an ID
     row and ``OOD_LABEL`` for an OOD row. The unlabeled split keeps its
-    labels for evaluation only."""
+    labels for evaluation only. Only evaluation reads the two test splits, so
+    ``draw_tests`` draws both on the first read of either, and the dataset
+    keeps them. Every array is read-only."""
 
-    labeled: tuple[np.ndarray, np.ndarray]
-    unlabeled: tuple[np.ndarray, np.ndarray]
-    test_id: tuple[np.ndarray, np.ndarray]
-    test_ood: tuple[np.ndarray, np.ndarray]
+    labeled: Split
+    unlabeled: Split
+    draw_tests: Callable[[], tuple[Split, Split]] = field(repr=False)
+
+    @cached_property
+    def _tests(self) -> tuple[Split, Split]:
+        return self.draw_tests()
+
+    @property
+    def test_id(self) -> Split:
+        return self._tests[0]
+
+    @property
+    def test_ood(self) -> Split:
+        return self._tests[1]
 
 
 @dataclass(frozen=True)
@@ -69,47 +90,81 @@ def _place_centers(n: int, dim: int, separation: float, rng: np.random.Generator
     return np.asarray(centers)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _draw(rng: np.random.Generator, centers: np.ndarray, counts, spread: float) -> np.ndarray:
+    """Clusters in order, one ``(n, dim)`` normal draw around each center."""
+    return np.concatenate([c + rng.normal(0.0, spread, size=(int(n), len(c)))
+                           for c, n in zip(centers, counts)])
+
+
+def _ood_counts(n: int, clusters: int) -> np.ndarray:
+    """``n`` rows over ``clusters`` clusters, the first ``n % clusters`` one larger."""
+    per_cluster = np.full(clusters, n // clusters)
+    per_cluster[: n % clusters] += 1
+    return per_cluster
+
+
+# the last dataset ``generate`` built, under its DATASET_FIELDS values
+_cache: dict[tuple, OpenSetDataset] = {}
+
+
 def generate(config) -> OpenSetDataset:
     """Generate a reproducible open-set dataset from ``config``'s nine dataset
-    fields (``input_dim`` through ``cluster_separation``, and ``seed``) and its
-    pool sizes ``n_id`` and ``n_ood``; nothing else of it is read.
+    fields (``DATASET_FIELDS``) and its pool sizes ``n_id`` and ``n_ood``;
+    nothing else of it is read.
 
     The unlabeled pool contains every ID training sample (including
     unlabeled copies of the labeled ones) plus OOD samples sized so the
     pool's OOD fraction matches ``config.ood_fraction`` within one sample.
+    The ``"data"`` stream draws the centers, the ID training rows, the pool's
+    OOD rows and then the two test splits; the test splits are drawn from its
+    state after the pool when they are first read.
+
+    The last dataset is kept and returned again for equal dataset fields, so
+    the runs of one process share it; it is dropped before a different one
+    is drawn.
     """
-    rng = stream(config.seed, "data")
-    n_centers = config.num_id_classes + config.num_ood_clusters
+    key = tuple(getattr(config, name) for name in DATASET_FIELDS)
+    if key not in _cache:
+        _cache.clear()
+        _cache[key] = _generate(config)
+    return _cache[key]
+
+
+def _generate(config) -> OpenSetDataset:
+    seed, spread, n_id = config.seed, config.cluster_spread, config.n_id
+    k_ood = config.num_ood_clusters
+    rng = stream(seed, "data")
+    n_centers = config.num_id_classes + k_ood
     centers = _place_centers(n_centers, config.input_dim, config.cluster_separation, rng)
     id_centers = centers[: config.num_id_classes]
     ood_centers = centers[config.num_id_classes:]
 
-    def draw(cluster_centers: np.ndarray, counts) -> np.ndarray:
-        # clusters in order, one (n, input_dim) normal draw each
-        return np.concatenate([
-            c + rng.normal(0.0, config.cluster_spread, size=(int(n), config.input_dim))
-            for c, n in zip(cluster_centers, counts)])
-
-    def ood_counts(n: int) -> np.ndarray:
-        per_cluster = np.full(config.num_ood_clusters, n // config.num_ood_clusters)
-        per_cluster[: n % config.num_ood_clusters] += 1
-        return per_cluster
-
     id_counts = np.full(config.num_id_classes, config.samples_per_class)
-    y_id = np.repeat(np.arange(config.num_id_classes), config.samples_per_class)
-    X_train = draw(id_centers, id_counts)
-    is_labeled = np.arange(config.n_id) % config.samples_per_class < config.labeled_per_class
+    (y_id,) = _read_only(np.repeat(np.arange(config.num_id_classes), config.samples_per_class))
+    X_train = _draw(rng, id_centers, id_counts, spread)
+    is_labeled = np.arange(n_id) % config.samples_per_class < config.labeled_per_class
+    X_ood = _draw(rng, ood_centers, _ood_counts(config.n_ood, k_ood), spread)
+    after_pools = rng.bit_generator.state
 
-    X_ood = draw(ood_centers, ood_counts(config.n_ood))
-    X_test = draw(id_centers, id_counts)
-    X_test_ood = draw(ood_centers, ood_counts(config.n_id))
+    def draw_tests() -> tuple[Split, Split]:
+        rng = stream(seed, "data")
+        rng.bit_generator.state = after_pools
+        X_test = _draw(rng, id_centers, id_counts, spread)
+        X_test_ood = _draw(rng, ood_centers, _ood_counts(n_id, k_ood), spread)
+        return (_read_only(X_test, y_id),
+                _read_only(X_test_ood, np.full(n_id, OOD_LABEL)))
 
     return OpenSetDataset(
-        labeled=(X_train[is_labeled], y_id[is_labeled]),
-        unlabeled=(np.concatenate([X_train, X_ood]),
-                   np.concatenate([y_id, np.full(config.n_ood, OOD_LABEL)])),
-        test_id=(X_test, y_id.copy()),
-        test_ood=(X_test_ood, np.full(config.n_id, OOD_LABEL)))
+        labeled=_read_only(X_train[is_labeled], y_id[is_labeled]),
+        unlabeled=_read_only(np.concatenate([X_train, X_ood]),
+                             np.concatenate([y_id, np.full(config.n_ood, OOD_LABEL)])),
+        draw_tests=draw_tests)
 
 
 def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:
@@ -184,5 +239,6 @@ def batches(dataset: OpenSetDataset, config, cursor: BatchCursor) -> Iterator[Ba
         lw = weak_augment(Xl[li], aug_rng, sigma_weak)
         uw = weak_augment(xu, aug_rng, sigma_weak)
         us = strong_augment(xu, aug_rng, sigma_strong, p_drop)
+        del xu  # not held while the step runs
         yield BatchPair(labeled_weak=lw, labels=yl[li],
                         unlabeled_weak=uw, unlabeled_strong=us)

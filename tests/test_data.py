@@ -5,14 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from osslab import data, trainer
 from osslab.config import TrainingConfig
 from osslab.data import (
     BatchCursor, BatchPair, InfeasibleSpecError, OOD_LABEL,
-    OpenSetDataset, _place_centers, batches, generate, strong_augment, weak_augment,
+    _place_centers, batches, generate, strong_augment, weak_augment,
 )
 from osslab.rng import stream
 
-SPLITS = [f.name for f in dataclasses.fields(OpenSetDataset)]
+from test_harness import TINY
+
+SPLITS = ["labeled", "unlabeled", "test_id", "test_ood"]
 
 # the noise that ``batches`` derives from the cluster_spread = 0.5 of ``batch_config``
 SIGMA_WEAK, SIGMA_STRONG, P_DROP = 0.05, 0.25, 0.2
@@ -23,8 +26,15 @@ def batch_config(B, mu):
     return SimpleNamespace(B=B, mu=mu, cluster_spread=0.5, p_drop=P_DROP)
 
 
+def fresh_generate(config):
+    """``generate`` with its cache cleared first, so the dataset is drawn anew."""
+    data._cache.clear()
+    return generate(config)
+
+
 def per_row_generate(config):
-    """Reference: the documented draw order, one row at a time."""
+    """Reference: the documented draw order, one row at a time. Returns the
+    rows of each split and the ``"data"`` stream's state after the pools."""
     rng = stream(config.seed, "data")
     centers = _place_centers(config.num_id_classes + config.num_ood_clusters,
                              config.input_dim, config.cluster_separation, rng)
@@ -46,10 +56,11 @@ def per_row_generate(config):
             rows["unlabeled"].append((x, c))
     f = config.ood_fraction
     add_ood(int(round(len(rows["unlabeled"]) * f / (1.0 - f))), "unlabeled")
+    after_pools = rng.bit_generator.state
     for c in range(config.num_id_classes):
         rows["test_id"] += [(x, c) for x in draw(id_centers[c], config.samples_per_class)]
     add_ood(len(rows["test_id"]), "test_ood")
-    return rows
+    return rows, after_pools
 
 
 def per_index_batches(dataset, B, mu, seed):
@@ -120,17 +131,80 @@ class TestGeneratePurity:
         assert DATASET_FIELDS.keys().isdisjoint(OTHER_FIELDS)
         assert DATASET_FIELDS.keys() | OTHER_FIELDS.keys() == {
             f.name for f in dataclasses.fields(TrainingConfig)}
+        assert set(data.DATASET_FIELDS) == DATASET_FIELDS.keys()
 
+    # each side drawn anew: the cache would hand back one object for both
     @pytest.mark.parametrize("key", sorted(OTHER_FIELDS))
     def test_other_field_leaves_the_arrays(self, key):
         config = make_config(**{key: OTHER_FIELDS[key]})
         assert getattr(config, key) != getattr(make_config(), key)
-        assert dataset_arrays(generate(config)) == dataset_arrays(generate(make_config()))
+        assert dataset_arrays(fresh_generate(config)) == \
+            dataset_arrays(fresh_generate(make_config()))
 
     @pytest.mark.parametrize("key", sorted(DATASET_FIELDS))
     def test_dataset_field_changes_the_arrays(self, key):
         config = make_config(**{key: DATASET_FIELDS[key]})
-        assert dataset_arrays(generate(config)) != dataset_arrays(generate(make_config()))
+        assert dataset_arrays(fresh_generate(config)) != \
+            dataset_arrays(fresh_generate(make_config()))
+
+
+class TestLazyTestSplits:
+    """The test splits are drawn on first read, from the ``"data"`` stream's
+    state after the pools, and one dataset is kept per process."""
+
+    def test_a_first_read_of_test_ood_draws_the_reference_splits(self):
+        # test_matches_per_row_reference reads test_id first
+        config = make_config()
+        ds = fresh_generate(config)
+        ref, _ = per_row_generate(config)
+        for split in ("test_ood", *SPLITS):
+            X, y = getattr(ds, split)
+            assert X.tobytes() == np.array([x for x, _ in ref[split]]).tobytes()
+            assert y.tolist() == [label for _, label in ref[split]]
+
+    @staticmethod
+    def data_streams(monkeypatch) -> list:
+        """Every ``"data"`` generator that ``osslab.data`` makes from here on."""
+        made = []
+
+        def recorded(seed, name):
+            generator = stream(seed, name)
+            if name == "data":
+                made.append(generator)
+            return generator
+        monkeypatch.setattr(data, "stream", recorded)
+        return made
+
+    def test_nothing_is_drawn_for_the_test_splits_before_they_are_read(self, monkeypatch):
+        streams = self.data_streams(monkeypatch)
+        config = make_config()
+        ds = fresh_generate(config)
+        _, after_pools = per_row_generate(config)
+        assert len(streams) == 1
+        assert streams[0].bit_generator.state == after_pools
+        ds.test_ood  # the first read draws both test splits
+        assert len(streams) == 2 and streams[0].bit_generator.state == after_pools
+
+    def test_equal_dataset_fields_share_one_dataset(self):
+        ds = fresh_generate(make_config())
+        assert generate(make_config(**OTHER_FIELDS)) is ds
+        other = generate(make_config(seed=8))
+        assert other is not ds
+        assert generate(make_config(seed=8)) is other
+        assert generate(make_config()) is not ds  # only the last dataset is kept
+
+    def test_every_split_is_read_only(self):
+        ds = fresh_generate(make_config())
+        for split in SPLITS:
+            for a in getattr(ds, split):
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+    def test_an_ablation_draws_the_test_splits_once(self, monkeypatch):
+        streams = self.data_streams(monkeypatch)
+        data._cache.clear()
+        trainer.ablate(TrainingConfig(**TINY))
+        assert len(streams) == 2  # one for the pools, one for the test splits
 
 
 class TestGenerate:
@@ -143,7 +217,8 @@ class TestGenerate:
         assert np.all(ds.test_id[1] >= 0)
 
     def test_determinism_bitwise(self):
-        a, b = generate(make_config()), generate(make_config())
+        a, b = fresh_generate(make_config()), fresh_generate(make_config())
+        assert a is not b
         for split in SPLITS:
             (Xa, ya), (Xb, yb) = getattr(a, split), getattr(b, split)
             assert Xa.tobytes() == Xb.tobytes()
@@ -152,7 +227,7 @@ class TestGenerate:
     @pytest.mark.parametrize("kw", [{}, {"ood_fraction": 0.3, "num_ood_clusters": 3}])
     def test_matches_per_row_reference(self, kw):
         config = make_config(**kw)
-        ds, ref = generate(config), per_row_generate(config)
+        ds, (ref, _) = fresh_generate(config), per_row_generate(config)
         for split in SPLITS:
             X, y = getattr(ds, split)
             assert X.tobytes() == np.array([x for x, _ in ref[split]]).tobytes()

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from osslab import betamix, nn, subspace, trainer
+from osslab import betamix, data, nn, subspace, trainer
 from osslab.betamix import BetaParams, beta_density_grid
 from osslab.cli import main as cli_main
 from osslab.decide import OTSU_START, RuleKind
@@ -194,6 +194,37 @@ class TestEvaluateCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= layer_bytes, f"peak {peak / layer_bytes:.2f}x one block's layers"
+
+    def test_no_test_split_is_alive_before_the_first_evaluation(self, monkeypatch):
+        # wide_mlp's shapes; the only evaluation is at K, and the peak is read
+        # as it starts, so it covers generate and every step
+        hidden, D, C, B, mu = (256, 256), 64, 16, 128, 7
+        cfg = TrainingConfig(input_dim=128, hidden=hidden, feature_dim=D, num_id_classes=C,
+                             num_ood_clusters=C, B=B, mu=mu, K=4, K_p=2)
+        peaks, real = [], trainer.evaluate_checkpoint
+        monkeypatch.setattr(trainer, "evaluate_checkpoint", lambda *args: peaks.append(
+            tracemalloc.get_traced_memory()[1]) or real(*args))
+        data._cache.clear()  # generate draws inside the trace
+        tracemalloc.start()
+        try:
+            trainer.train(cfg)
+        finally:
+            tracemalloc.stop()
+        dataset = generate(cfg)
+        pool_bytes = sum(a.nbytes for split in (dataset.labeled, dataset.unlabeled)
+                         for a in split)
+        theta_bytes = nn.init_params(128, hidden, D, C, np.random.default_rng(0)).theta.nbytes
+        rows = B + 2 * mu * B
+        # on top of the pools: the parameters, velocity, EMA, gradients and one
+        # temporary of their size; the batch and its three traces; backward's
+        # three widest hidden buffers; four (mu * B, D) score and head arrays
+        bound = (pool_bytes + 5 * theta_bytes
+                 + rows * (cfg.input_dim + sum(hidden) + D + 3 * C) * 8
+                 + 3 * mu * B * max(hidden) * 8 + 4 * mu * B * D * 8)
+        split_bytes = dataset.test_id[0].nbytes
+        assert len(peaks) == 1
+        assert peaks[0] <= bound < peaks[0] + split_bytes, \
+            f"peak {peaks[0] / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 class TestSweepAblate:
